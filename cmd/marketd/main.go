@@ -8,9 +8,10 @@
 // POST /admin/rebuild when -admin is set); every request after that is
 // served from the pre-encoded snapshot, so query latency is independent
 // of simulation cost. Independent snapshot artifacts build concurrently;
-// -buildworkers caps the fan-out (0 means NumCPU) and any value yields a
-// byte-identical snapshot. See internal/serve and ARCHITECTURE.md for
-// the pipeline.
+// -buildworkers caps the fan-out and any value yields a byte-identical
+// snapshot. At 0 the boot build uses NumCPU workers and a background
+// rebuild NumCPU-1 (at least 1), leaving a core to the requests served
+// meanwhile. See internal/serve and ARCHITECTURE.md for the pipeline.
 //
 //	GET /v1/table1            exhaustion timeline        (JSON, CSV)
 //	GET /v1/figures/{1..4}    the paper's figures        (JSON, CSV)
@@ -107,7 +108,7 @@ func run(w io.Writer, args []string) error {
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
 		admin     = fs.Bool("admin", false, "expose POST /admin/rebuild")
 		selfcheck = fs.Bool("selfcheck", false, "boot on a loopback port, smoke-query the API, exit")
-		workers   = fs.Int("buildworkers", 0, "snapshot build-stage worker count (0: NumCPU); output is identical at any count")
+		workers   = fs.Int("buildworkers", 0, "snapshot build-stage worker count (0: NumCPU at boot, NumCPU-1 for background rebuilds); output is identical at any count")
 		dataDir   = fs.String("data-dir", "", "durable snapshot store directory (empty: in-memory only)")
 		storeKeep = fs.Int("store-keep", 5, "generations to retain in the store after each persist (< 1: keep all)")
 		scenDir   = fs.String("scenarios", "", "scenario config directory: serve a multi-scenario matrix from its *.json specs (see docs/API.md)")

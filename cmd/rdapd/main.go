@@ -42,10 +42,10 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("rdapd", flag.ContinueOnError)
 	var (
-		snapshot = fs.String("snapshot", "", "WHOIS split snapshot (RPSL inetnum objects)")
-		listen   = fs.String("listen", "127.0.0.1:8080", "server listen address")
-		query    = fs.String("query", "", "client mode: RDAP base URL to query")
-		prefix   = fs.String("prefix", "", "client mode: prefix to look up (e.g. 185.0.0.0/24)")
+		snapshot  = fs.String("snapshot", "", "WHOIS split snapshot (RPSL inetnum objects)")
+		listen    = fs.String("listen", "127.0.0.1:8080", "server listen address")
+		query     = fs.String("query", "", "client mode: RDAP base URL to query")
+		prefix    = fs.String("prefix", "", "client mode: prefix to look up (e.g. 185.0.0.0/24)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request handler timeout")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
 		selfcheck = fs.Bool("selfcheck", false, "boot on a loopback port, smoke-query every route, exit")

@@ -1,7 +1,9 @@
 package bgp
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"ipv4market/internal/netblock"
 )
@@ -11,49 +13,129 @@ import (
 // pipeline: for each prefix it records which origin ASes announce it and
 // how many monitors see each (prefix, origin) pair — step (i) and the raw
 // material for steps (ii) and (iii) of the paper's algorithm.
+//
+// Monitor IDs are interned to dense indexes, and each pair holds the set
+// of monitors seeing it as a bitset, so recording a sighting costs one
+// prefix lookup and a bit set, with no per-sighting allocation.
 type OriginSurvey struct {
-	monitors map[string]bool // monitor IDs seen
-	// pairs[prefix][origin] = set of monitor IDs seeing that pair.
-	pairs map[netblock.Prefix]map[ASN]map[string]bool
-	// asSet[prefix] = true if any monitor saw the prefix originated by an
-	// AS_SET (such prefixes are discarded by step (iii)).
-	asSet map[netblock.Prefix]bool
+	monitors map[string]int // monitor ID → index
+	index    map[netblock.Prefix]int
+	prefixes []prefixObs
+	// last is the index of the most recently observed prefix: a caller
+	// observing one prefix at several monitors in a row skips the map.
+	last int
+}
+
+// prefixObs is everything the survey knows about one prefix.
+type prefixObs struct {
+	prefix netblock.Prefix
+	// asSet is set if any monitor saw the prefix originated by an AS_SET
+	// (such prefixes are discarded by step (iii)).
+	asSet bool
+	// origins lists each origin AS seen with the monitors seeing it; a
+	// prefix seen only via AS_SET has none.
+	origins []originObs
+}
+
+type originObs struct {
+	origin   ASN
+	monitors monitorSet
+}
+
+// monitorSet is a set of monitor indexes: the first 64 inline, the rest
+// in overflow words.
+type monitorSet struct {
+	lo uint64
+	hi []uint64
+}
+
+func (m *monitorSet) add(i int) {
+	if i < 64 {
+		m.lo |= 1 << uint(i)
+		return
+	}
+	w := i/64 - 1
+	for len(m.hi) <= w {
+		m.hi = append(m.hi, 0)
+	}
+	m.hi[w] |= 1 << uint(i%64)
+}
+
+func (m *monitorSet) len() int {
+	n := bits.OnesCount64(m.lo)
+	for _, w := range m.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // NewOriginSurvey returns an empty survey.
 func NewOriginSurvey() *OriginSurvey {
 	return &OriginSurvey{
-		monitors: make(map[string]bool),
-		pairs:    make(map[netblock.Prefix]map[ASN]map[string]bool),
-		asSet:    make(map[netblock.Prefix]bool),
+		monitors: make(map[string]int),
+		index:    make(map[netblock.Prefix]int),
 	}
 }
 
 // AddView records one monitor's sanitized routes. The monitor ID must be
-// globally unique (e.g. "rrc00:198.51.100.7").
+// globally unique (e.g. "rrc00:198.51.100.7"); a repeated ID adds to the
+// same monitor.
 func (s *OriginSurvey) AddView(monitorID string, routes []Route) {
-	s.monitors[monitorID] = true
+	m := s.AddMonitor(monitorID)
 	for _, r := range routes {
-		if r.Path.EndsInSet() {
-			s.asSet[r.Prefix] = true
-			continue
-		}
-		origin, ok := r.OriginAS()
-		if !ok {
-			continue
-		}
-		byOrigin := s.pairs[r.Prefix]
-		if byOrigin == nil {
-			byOrigin = make(map[ASN]map[string]bool)
-			s.pairs[r.Prefix] = byOrigin
-		}
-		mons := byOrigin[origin]
-		if mons == nil {
-			mons = make(map[string]bool)
-			byOrigin[origin] = mons
-		}
-		mons[monitorID] = true
+		s.Observe(m, r.Prefix, r.Path)
 	}
+}
+
+// AddMonitor registers a monitor ID, even one that sees no routes, and
+// returns its index for Observe. Registering an ID again returns the
+// index it already has.
+func (s *OriginSurvey) AddMonitor(monitorID string) int {
+	if m, ok := s.monitors[monitorID]; ok {
+		return m
+	}
+	m := len(s.monitors)
+	s.monitors[monitorID] = m
+	return m
+}
+
+// Observe records that monitor m (an AddMonitor index) holds one
+// sanitized route for prefix p with the given path. A path ending in an
+// AS_SET flags the prefix; any other path counts m towards the pair of
+// p and the path's origin AS. The path is not retained.
+func (s *OriginSurvey) Observe(m int, p netblock.Prefix, path ASPath) {
+	if path.EndsInSet() {
+		s.prefix(p).asSet = true
+		return
+	}
+	origin, ok := path.OriginAS()
+	if !ok {
+		return
+	}
+	obs := s.prefix(p)
+	for i := range obs.origins {
+		if obs.origins[i].origin == origin {
+			obs.origins[i].monitors.add(m)
+			return
+		}
+	}
+	obs.origins = append(obs.origins, originObs{origin: origin})
+	obs.origins[len(obs.origins)-1].monitors.add(m)
+}
+
+// prefix returns p's record, creating it on first sight.
+func (s *OriginSurvey) prefix(p netblock.Prefix) *prefixObs {
+	if s.last < len(s.prefixes) && s.prefixes[s.last].prefix == p {
+		return &s.prefixes[s.last]
+	}
+	i, ok := s.index[p]
+	if !ok {
+		i = len(s.prefixes)
+		s.index[p] = i
+		s.prefixes = append(s.prefixes, prefixObs{prefix: p})
+	}
+	s.last = i
+	return &s.prefixes[i]
 }
 
 // NumMonitors returns the number of monitors contributing to the survey.
@@ -79,24 +161,24 @@ func (po PrefixOrigin) Visibility(totalMonitors int) float64 {
 // Pairs returns every (prefix, origin) pair with its monitor count and
 // MOAS/AS_SET flags, sorted by prefix then origin.
 func (s *OriginSurvey) Pairs() []PrefixOrigin {
-	out := make([]PrefixOrigin, 0, len(s.pairs))
-	for p, byOrigin := range s.pairs {
-		moas := len(byOrigin) > 1
-		for origin, mons := range byOrigin {
+	out := make([]PrefixOrigin, 0, len(s.prefixes))
+	for _, obs := range s.prefixes {
+		moas := len(obs.origins) > 1
+		for _, o := range obs.origins {
 			out = append(out, PrefixOrigin{
-				Prefix:   p,
-				Origin:   origin,
-				Monitors: len(mons),
+				Prefix:   obs.prefix,
+				Origin:   o.origin,
+				Monitors: o.monitors.len(),
 				MOAS:     moas,
-				ASSet:    s.asSet[p],
+				ASSet:    obs.asSet,
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Compare(out[j].Prefix); c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(a, b PrefixOrigin) int {
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
+			return c
 		}
-		return out[i].Origin < out[j].Origin
+		return cmp.Compare(a.Origin, b.Origin)
 	})
 	return out
 }
@@ -108,14 +190,13 @@ func (s *OriginSurvey) Pairs() []PrefixOrigin {
 func (s *OriginSurvey) CleanPairs(minVisibility float64) map[netblock.Prefix]ASN {
 	total := s.NumMonitors()
 	out := make(map[netblock.Prefix]ASN)
-	for p, byOrigin := range s.pairs {
-		if s.asSet[p] || len(byOrigin) != 1 {
+	for _, obs := range s.prefixes {
+		if obs.asSet || len(obs.origins) != 1 {
 			continue
 		}
-		for origin, mons := range byOrigin {
-			if total > 0 && float64(len(mons))/float64(total) >= minVisibility {
-				out[p] = origin
-			}
+		o := obs.origins[0]
+		if total > 0 && float64(o.monitors.len())/float64(total) >= minVisibility {
+			out[obs.prefix] = o.origin
 		}
 	}
 	return out
@@ -126,14 +207,17 @@ func (s *OriginSurvey) CleanPairs(minVisibility float64) map[netblock.Prefix]ASN
 // AS_SET are excluded (they carry no usable origin). This is the input
 // the baseline Krenc-Feldmann algorithm consumes.
 func (s *OriginSurvey) RawPairs() map[netblock.Prefix][]ASN {
-	out := make(map[netblock.Prefix][]ASN, len(s.pairs))
-	for p, byOrigin := range s.pairs {
-		origins := make([]ASN, 0, len(byOrigin))
-		for origin := range byOrigin {
-			origins = append(origins, origin)
+	out := make(map[netblock.Prefix][]ASN, len(s.prefixes))
+	for _, obs := range s.prefixes {
+		if len(obs.origins) == 0 {
+			continue
 		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		out[p] = origins
+		origins := make([]ASN, 0, len(obs.origins))
+		for _, o := range obs.origins {
+			origins = append(origins, o.origin)
+		}
+		slices.Sort(origins)
+		out[obs.prefix] = origins
 	}
 	return out
 }

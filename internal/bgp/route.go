@@ -89,7 +89,13 @@ func (p ASPath) EndsInSet() bool {
 // HasLoop reports whether any ASN appears twice in AS_SEQUENCE segments,
 // ignoring consecutive repeats (prepending is legitimate).
 func (p ASPath) HasLoop() bool {
-	seen := make(map[ASN]bool)
+	// Paths are short: the ASNs seen so far sit in a fixed array that is
+	// scanned linearly. A path with more distinct hops than it holds
+	// spills them into a map, which keeps the check linear on the long
+	// paths a decoded MRT file can carry.
+	var small [16]ASN
+	n := 0
+	var spill map[ASN]bool
 	var prev ASN
 	havePrev := false
 	for _, seg := range p {
@@ -101,10 +107,32 @@ func (p ASPath) HasLoop() bool {
 			if havePrev && a == prev {
 				continue // prepend
 			}
-			if seen[a] {
-				return true
+			switch {
+			case spill != nil:
+				if spill[a] {
+					return true
+				}
+				spill[a] = true
+			case n < len(small):
+				for _, b := range small[:n] {
+					if b == a {
+						return true
+					}
+				}
+				small[n] = a
+				n++
+			default:
+				for _, b := range small {
+					if b == a {
+						return true
+					}
+				}
+				spill = make(map[ASN]bool, 2*len(small))
+				for _, b := range small {
+					spill[b] = true
+				}
+				spill[a] = true
 			}
-			seen[a] = true
 			prev, havePrev = a, true
 		}
 	}

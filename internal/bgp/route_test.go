@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"testing"
 
 	"ipv4market/internal/netblock"
@@ -42,6 +43,65 @@ func TestASPathHasLoop(t *testing.T) {
 	for i, c := range cases {
 		if got := c.path.HasLoop(); got != c.want {
 			t.Errorf("case %d (%v): HasLoop = %v, want %v", i, c.path, got, c.want)
+		}
+	}
+}
+
+// TestASPathHasLoopLongPaths covers paths with more distinct hops than
+// HasLoop's fixed array holds, where the seen set spills into a map,
+// against a plain map-based reference on random paths.
+func TestASPathHasLoopLongPaths(t *testing.T) {
+	ref := func(p ASPath) bool {
+		seen := make(map[ASN]bool)
+		var prev ASN
+		havePrev := false
+		for _, seg := range p {
+			if seg.Type != SegmentSequence {
+				havePrev = false
+				continue
+			}
+			for _, a := range seg.ASNs {
+				if havePrev && a == prev {
+					continue
+				}
+				if seen[a] {
+					return true
+				}
+				seen[a] = true
+				prev, havePrev = a, true
+			}
+		}
+		return false
+	}
+	long := make([]ASN, 40)
+	for i := range long {
+		long[i] = ASN(100 + i)
+	}
+	if NewPath(long...).HasLoop() {
+		t.Error("40 distinct hops reported as a loop")
+	}
+	if !NewPath(append(append([]ASN(nil), long...), 103)...).HasLoop() {
+		t.Error("loop after the spill point missed")
+	}
+	if !NewPath(append(append([]ASN(nil), long[:16]...), 100)...).HasLoop() {
+		t.Error("loop at the spill point missed")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		var p ASPath
+		alphabet := []int{8, 60, 100000}[rng.Intn(3)]
+		for s := rng.Intn(4); s >= 0; s-- {
+			seg := PathSegment{Type: SegmentSequence}
+			if rng.Intn(5) == 0 {
+				seg.Type = SegmentSet
+			}
+			for n := rng.Intn(30); n > 0; n-- {
+				seg.ASNs = append(seg.ASNs, ASN(1+rng.Intn(alphabet)))
+			}
+			p = append(p, seg)
+		}
+		if got, want := p.HasLoop(), ref(p); got != want {
+			t.Fatalf("HasLoop(%v) = %v, reference %v", p, got, want)
 		}
 	}
 }

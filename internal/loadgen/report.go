@@ -147,22 +147,22 @@ type BudgetReport struct {
 // EndpointReport is one endpoint's (or the aggregate's) client-side
 // stats.
 type EndpointReport struct {
-	Name               string  `json:"name"`
-	Route              string  `json:"route,omitempty"`
-	Requests           int64   `json:"requests"`
-	TransportErrors    int64   `json:"transport_errors"`
-	HTTPErrors         int64   `json:"http_errors"`
-	ValidationFailures int64   `json:"validation_failures"`
-	Bytes              int64   `json:"bytes"`
+	Name               string `json:"name"`
+	Route              string `json:"route,omitempty"`
+	Requests           int64  `json:"requests"`
+	TransportErrors    int64  `json:"transport_errors"`
+	HTTPErrors         int64  `json:"http_errors"`
+	ValidationFailures int64  `json:"validation_failures"`
+	Bytes              int64  `json:"bytes"`
 	// BytesPerOp is the mean response-body size (Bytes / Requests) —
 	// the client-side counterpart of a Go benchmark's bytes/op, for
 	// eyeballing wire cost per endpoint.
 	BytesPerOp float64 `json:"bytes_per_op"`
 	MeanMS     float64 `json:"mean_ms"`
-	P50MS              float64 `json:"p50_ms"`
-	P95MS              float64 `json:"p95_ms"`
-	P99MS              float64 `json:"p99_ms"`
-	MaxMS              float64 `json:"max_ms"`
+	P50MS      float64 `json:"p50_ms"`
+	P95MS      float64 `json:"p95_ms"`
+	P99MS      float64 `json:"p99_ms"`
+	MaxMS      float64 `json:"max_ms"`
 }
 
 // ServerRouteReport is one node's server-side view of one route.
@@ -191,7 +191,7 @@ func NewEndpointReport(es *EndpointStats) EndpointReport {
 		bytesPerOp = float64(es.Bytes) / float64(es.Requests)
 	}
 	return EndpointReport{
-		BytesPerOp: bytesPerOp,
+		BytesPerOp:         bytesPerOp,
 		Name:               es.Name,
 		Route:              es.Route,
 		Requests:           es.Requests,

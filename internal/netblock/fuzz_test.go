@@ -7,13 +7,13 @@ import "testing"
 // invariants: host bits zero, stable text round trip, and consistent
 // containment arithmetic.
 func FuzzPrefixFrom(f *testing.F) {
-	f.Add(uint32(0x0A000000), 8)   // 10.0.0.0/8
-	f.Add(uint32(0xC0A80101), 24)  // host bits set: must canonicalize
-	f.Add(uint32(0xFFFFFFFF), 32)  // single address
-	f.Add(uint32(0), 0)            // whole space
-	f.Add(uint32(0x80000000), 1)   // top half
-	f.Add(uint32(0xDEADBEEF), 33)  // out of range
-	f.Add(uint32(0xDEADBEEF), -1)  // out of range
+	f.Add(uint32(0x0A000000), 8)  // 10.0.0.0/8
+	f.Add(uint32(0xC0A80101), 24) // host bits set: must canonicalize
+	f.Add(uint32(0xFFFFFFFF), 32) // single address
+	f.Add(uint32(0), 0)           // whole space
+	f.Add(uint32(0x80000000), 1)  // top half
+	f.Add(uint32(0xDEADBEEF), 33) // out of range
+	f.Add(uint32(0xDEADBEEF), -1) // out of range
 	f.Fuzz(func(t *testing.T, addr uint32, bits int) {
 		p, err := PrefixFrom(Addr(addr), bits)
 		if bits < 0 || bits > 32 {

@@ -9,18 +9,28 @@ import (
 	"sync"
 	"testing"
 
+	"ipv4market/internal/simulation"
 	"ipv4market/internal/store"
 )
 
 // BenchmarkSnapshotBuild measures the write path: a full snapshot build
 // (world generation, every analysis pipeline, encoding) at different
-// build-stage worker counts. workers=1 is the serial reference; the
-// NumCPU run is what marketd does at boot and on rebuild. Baselines live
-// in BENCH_build.json; the speedup is bounded by the hardware's core
-// count and by the serial study stage (Amdahl), so on a single-core
-// machine all rows converge.
+// build-stage worker counts, on the test world and on the
+// DefaultConfig world marketd serves ("default/" rows). workers=1 is
+// the serial reference; the NumCPU run is what marketd does at boot.
+// Baselines live in BENCH_build.json. The speedup is bounded by the
+// hardware's core count and by the longest single stage (utilization
+// and delegations each run routing surveys; the study stage itself
+// takes about 10ms), so on a single-core machine all rows converge.
 func BenchmarkSnapshotBuild(b *testing.B) {
-	counts := []int{1, 4, runtime.NumCPU()}
+	benchBuild(b, testConfig(), []int{1, 4, runtime.NumCPU()})
+	b.Run("default", func(b *testing.B) {
+		benchBuild(b, simulation.DefaultConfig(), []int{1, runtime.NumCPU()})
+	})
+}
+
+// benchBuild runs one workers=N sub-benchmark per distinct count.
+func benchBuild(b *testing.B, cfg simulation.Config, counts []int) {
 	seen := make(map[int]bool)
 	for _, w := range counts {
 		if seen[w] {
@@ -30,7 +40,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				snap, err := BuildSnapshotOpts(testConfig(), BuildOptions{Workers: w})
+				snap, err := BuildSnapshotOpts(cfg, BuildOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}

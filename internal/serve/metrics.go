@@ -283,7 +283,7 @@ type varzView struct {
 	// Replication is the leader's or follower's replication state
 	// (replicate.LeaderStatus / replicate.FollowerStatus), supplied
 	// through Options.ReplicationVarz; absent on standalone servers.
-	Replication any                  `json:"replication,omitempty"`
+	Replication any `json:"replication,omitempty"`
 	// Scenarios is the per-scenario section (scenario.Registry.Varz),
 	// supplied through Options.ScenarioVarz; absent on single-world
 	// servers. The flat fields above always describe this server's own

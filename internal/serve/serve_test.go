@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -362,6 +363,31 @@ func TestRebuildConflict(t *testing.T) {
 	srv.Wait()
 	if got := srv.Snapshot().Seq; got != startSeq+1 {
 		t.Errorf("snapshot seq = %d, want %d (exactly one rebuild)", got, startSeq+1)
+	}
+}
+
+// TestRebuildWorkers pins the build concurrency: with no explicit
+// worker count the boot build uses every core and a background rebuild
+// leaves one free for serving; an explicit count applies to both.
+func TestRebuildWorkers(t *testing.T) {
+	for _, c := range []struct{ opt, boot, rebuild int }{
+		{0, runtime.NumCPU(), max(1, runtime.NumCPU()-1)},
+		{3, 3, 3},
+	} {
+		srv, err := New(testConfig(), Options{BuildWorkers: c.opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Snapshot().Workers; got != c.boot {
+			t.Errorf("BuildWorkers=%d: boot build used %d workers, want %d", c.opt, got, c.boot)
+		}
+		if !srv.RebuildAsync(testConfig()) {
+			t.Fatal("RebuildAsync declined")
+		}
+		srv.Wait()
+		if got := srv.Snapshot().Workers; got != c.rebuild {
+			t.Errorf("BuildWorkers=%d: rebuild used %d workers, want %d", c.opt, got, c.rebuild)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,9 @@ type Options struct {
 	CacheSize int
 	// EnableAdmin exposes POST /admin/rebuild when set.
 	EnableAdmin bool
-	// BuildWorkers caps snapshot build-stage concurrency (<= 0: NumCPU).
+	// BuildWorkers caps snapshot build-stage concurrency. At <= 0 the
+	// boot build uses NumCPU workers and a background rebuild
+	// max(1, NumCPU-1), leaving a core to the requests it runs beside.
 	// Any value yields byte-identical snapshots; see BuildOptions.
 	BuildWorkers int
 	// Store, when set, is the durable snapshot store: every successful
@@ -228,6 +231,18 @@ func (s *Server) buildOptions() BuildOptions {
 	return BuildOptions{Workers: s.opts.BuildWorkers}
 }
 
+// rebuildOptions is buildOptions for a background rebuild. Unless the
+// worker count is explicit, it leaves one core free: a build that
+// saturates every core makes reads served beside it wait a scheduler
+// quantum for a P.
+func (s *Server) rebuildOptions() BuildOptions {
+	opts := s.buildOptions()
+	if opts.Workers <= 0 {
+		opts.Workers = max(1, runtime.NumCPU()-1)
+	}
+	return opts
+}
+
 // logf forwards to the configured logger, if any.
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
@@ -321,7 +336,14 @@ func (s *Server) RebuildAsync(cfg simulation.Config) bool {
 		defer s.wg.Done()
 		defer s.building.Store(false)
 		s.metrics.rebuilds.Add(1)
-		snap, err := BuildSnapshotOpts(cfg, s.buildOptions())
+		// Start from a collected heap. The collector's heap goal is twice
+		// the heap found live by the last cycle, and a build allocates
+		// fast enough to run only a few cycles, so without this the
+		// build's peak memory depends on where the previous generation's
+		// garbage and the read path left the last cycle, and varies by
+		// tens of MiB from one rebuild to the next.
+		runtime.GC()
+		snap, err := BuildSnapshotOpts(cfg, s.rebuildOptions())
 		if err != nil {
 			// The error arrives wrapped with the failing stage name
 			// ("serve: build stage %q: ..."); keep the chain intact so

@@ -190,22 +190,93 @@ func (rs *RoutingSim) visRNG(day, collector int) *rand.Rand {
 	return rand.New(rand.NewSource(rs.w.Cfg.Seed*7_368_787 + int64(day)*131 + int64(collector)))
 }
 
-// dayEvents computes the day's shared state: active announcements,
-// hijacks, and which global monitor indexes observe each hijack.
-func (rs *RoutingSim) dayEvents(day int) (anns, hijacks []announcement, hijackMonitors [][]int) {
+// dayView is one day's routing input, shared by every monitor: the
+// active announcements followed by the day's hijacks, the dense index of
+// each one's prefix among the day's distinct prefixes, and which global
+// monitor indexes observe each hijack.
+type dayView struct {
+	anns     []announcement // active announcements, then hijacks
+	nActive  int            // anns[:nActive] are the active announcements
+	prefixOf []int32        // anns[i].prefix is prefixes[prefixOf[i]]
+	prefixes []netblock.Prefix
+	// hijackMonitors[h] lists the monitors observing anns[nActive+h].
+	hijackMonitors [][]int
+}
+
+// dayView computes the day's shared state: active announcements,
+// hijacks, which monitors observe each hijack, and the prefix index.
+func (rs *RoutingSim) dayView(day int) *dayView {
 	rng := rs.dayRNG(day)
-	anns = rs.activeAnnouncements(day)
-	hijacks = rs.hijacks(rng, day)
+	anns := rs.activeAnnouncements(day)
+	hijacks := rs.hijacks(rng, day)
 	total := rs.NumMonitors()
-	hijackMonitors = make([][]int, len(hijacks))
+	dv := &dayView{
+		anns:           append(anns, hijacks...),
+		nActive:        len(anns),
+		hijackMonitors: make([][]int, len(hijacks)),
+	}
 	for i := range hijacks {
 		m1 := rng.Intn(total)
-		hijackMonitors[i] = []int{m1}
+		dv.hijackMonitors[i] = []int{m1}
 		if rng.Float64() < 0.5 {
-			hijackMonitors[i] = append(hijackMonitors[i], (m1+1)%total)
+			dv.hijackMonitors[i] = append(dv.hijackMonitors[i], (m1+1)%total)
 		}
 	}
-	return anns, hijacks, hijackMonitors
+	index := make(map[netblock.Prefix]int32, len(dv.anns))
+	dv.prefixOf = make([]int32, len(dv.anns))
+	for i, a := range dv.anns {
+		pi, ok := index[a.prefix]
+		if !ok {
+			pi = int32(len(dv.prefixes))
+			index[a.prefix] = pi
+			dv.prefixes = append(dv.prefixes, a.prefix)
+		}
+		dv.prefixOf[i] = pi
+	}
+	return dv
+}
+
+// selectRoutes computes one monitor's table for the day as indexes into
+// dv.anns: best[i] is the announcement the monitor holds for
+// dv.prefixes[i], or -1. Each active announcement is present with ~97%
+// probability (one rng draw each, in order), hijacks only at their
+// assigned monitors, and — as in a real per-peer RIB — at most one best
+// route per prefix. Same-prefix conflicts resolve deterministically:
+// even monitors prefer the lower origin AS, odd monitors the higher one,
+// so for MOAS prefixes the survey still observes both origins across
+// the platform; an AS_SET-terminated route has no usable origin, so
+// whichever route came first is kept.
+func (dv *dayView) selectRoutes(rng *rand.Rand, monIdx int, best []int32) {
+	for i := range best {
+		best[i] = -1
+	}
+	prefer := func(ai int) {
+		slot := &best[dv.prefixOf[ai]]
+		if *slot < 0 {
+			*slot = int32(ai)
+			return
+		}
+		old, cand := dv.anns[*slot], dv.anns[ai]
+		if old.asSet != nil || cand.asSet != nil {
+			return
+		}
+		if (monIdx%2 == 0) == (cand.origin < old.origin) {
+			*slot = int32(ai)
+		}
+	}
+	for i := 0; i < dv.nActive; i++ {
+		if rng.Float64() > 0.97 {
+			continue // this monitor misses the route today
+		}
+		prefer(i)
+	}
+	for h, mons := range dv.hijackMonitors {
+		for _, m := range mons {
+			if m == monIdx {
+				prefer(dv.nActive + h)
+			}
+		}
+	}
 }
 
 // activeAnnouncements returns all (prefix, origin, asSet) announcements
@@ -271,7 +342,10 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // SurveyAt builds the day's origin survey across all monitors, applying
 // the same sanitization the offline pipeline uses. Legitimate routes are
 // seen by each monitor with ~97% probability; hijacks at only 1-2
-// monitors.
+// monitors. The survey equals the one CollectorAt's RIBs yield through
+// Collector.AddViewsTo, but no RIB is built: each monitor's selection
+// lives in a reused index slice, and each selected route's path in a
+// reused buffer that is sanitized and observed in place.
 //
 // SurveyAt is a pure derivation: every random draw comes from RNGs
 // seeded deterministically per (day, collector), and the receiver is not
@@ -279,69 +353,98 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // order-independent — the per-date inference fan-out in core.Figure6
 // relies on this contract.
 func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
-	anns, hijacks, hijackMonitors := rs.dayEvents(day)
+	dv := rs.dayView(day)
+	// Per-prefix and per-announcement facts every monitor shares. The
+	// first bgp.Sanitize rule, special-purpose address space, depends
+	// on the prefix alone.
+	special := make([]bool, len(dv.prefixes))
+	for i, p := range dv.prefixes {
+		special[i] = netblock.IsSpecialPurpose(p)
+	}
+	transit := make([]ASN, len(dv.anns))
+	for i, a := range dv.anns {
+		transit[i] = rs.transitOf(a.origin)
+	}
+
+	// Select every monitor's table first, then observe prefix by prefix,
+	// so that consecutive observations share one survey lookup.
 	survey := bgp.NewOriginSurvey()
-	monIdx := 0
+	np := len(dv.prefixes)
+	best := make([]int32, rs.NumMonitors()*np) // monitor k's table is best[k*np:][:np]
+	var monitors []int                         // survey index of monitor k
+	var peerAS []ASN
 	for ci, spec := range rs.collectors {
 		rng := rs.visRNG(day, ci)
-		for p := range spec.peers {
-			rib := rs.monitorRIB(rng, spec.peers[p].AS, monIdx, anns, hijacks, hijackMonitors)
-			clean, _ := bgp.Sanitize(rib.Routes())
-			survey.AddView(fmt.Sprintf("%s:%s", spec.name, spec.peers[p].IP), clean)
-			monIdx++
+		for _, peer := range spec.peers {
+			k := len(monitors)
+			monitors = append(monitors, survey.AddMonitor(fmt.Sprintf("%s:%s", spec.name, peer.IP)))
+			peerAS = append(peerAS, peer.AS)
+			dv.selectRoutes(rng, k, best[k*np:][:np])
+		}
+	}
+	var buf pathBuf
+	for pi, p := range dv.prefixes {
+		if special[pi] {
+			continue
+		}
+		for k, m := range monitors {
+			ai := best[k*np+pi]
+			if ai < 0 {
+				continue
+			}
+			path := buf.path(peerAS[k], transit[ai], dv.anns[ai])
+			// bgp.Sanitize's other two rules, on the route's path.
+			if bgp.PathHasReservedASN(path) || path.HasLoop() {
+				continue
+			}
+			survey.Observe(m, p, path)
 		}
 	}
 	return survey
 }
 
-// monitorRIB builds one monitor's table for the day: each announcement is
-// present with ~97% probability, hijacks only at their assigned monitors,
-// and — as in a real per-peer RIB — at most one best route per prefix.
-// For MOAS prefixes the preferred origin alternates by monitor, so the
-// survey still observes both origins across the platform.
-func (rs *RoutingSim) monitorRIB(rng *rand.Rand, peerAS ASN, monIdx int, anns, hijacks []announcement, hijackMonitors [][]int) *bgp.RIB {
+// monitorRIB materializes one monitor's table for the day (see
+// selectRoutes); best is scratch space of len(dv.prefixes).
+func (rs *RoutingSim) monitorRIB(rng *rand.Rand, peerAS ASN, monIdx int, dv *dayView, best []int32) *bgp.RIB {
+	dv.selectRoutes(rng, monIdx, best)
 	rib := bgp.NewRIB()
-	for _, a := range anns {
-		if rng.Float64() > 0.97 {
-			continue // this monitor misses the route today
-		}
-		insertPreferring(rib, rs.routeFor(a, peerAS), monIdx)
-	}
-	for i, h := range hijacks {
-		for _, m := range hijackMonitors[i] {
-			if m == monIdx {
-				insertPreferring(rib, rs.routeFor(h, peerAS), monIdx)
-			}
+	for _, ai := range best {
+		if ai >= 0 {
+			rib.Insert(rs.routeFor(dv.anns[ai], peerAS))
 		}
 	}
 	return rib
 }
 
-// insertPreferring resolves same-prefix conflicts deterministically: even
-// monitors prefer the lower origin AS, odd monitors the higher one.
-func insertPreferring(rib *bgp.RIB, r bgp.Route, monIdx int) {
-	old, ok := rib.Get(r.Prefix)
-	if !ok {
-		rib.Insert(r)
-		return
+// transitOf returns the upstream the origin's routes are learned through.
+func (rs *RoutingSim) transitOf(origin ASN) ASN {
+	if t := rs.transit[origin]; t != 0 {
+		return t
 	}
-	oldOrigin, ok1 := old.Path.OriginAS()
-	newOrigin, ok2 := r.Path.OriginAS()
-	if !ok1 || !ok2 {
-		return // keep the existing route when origins are unusable
+	return 1299
+}
+
+// pathBuf holds one AS path without allocating: the sequence
+// peer → transit → origin, plus the announcement's AS_SET if it has one.
+type pathBuf struct {
+	seq  [3]ASN
+	segs [2]bgp.PathSegment
+}
+
+// path fills the buffer with the path a monitor peering as peerAS sees
+// for a and returns it; the path is valid until the next call.
+func (b *pathBuf) path(peerAS, transit ASN, a announcement) bgp.ASPath {
+	b.seq = [3]ASN{peerAS, transit, a.origin}
+	b.segs[0] = bgp.PathSegment{Type: bgp.SegmentSequence, ASNs: b.seq[:]}
+	if a.asSet == nil {
+		return b.segs[:1]
 	}
-	preferNew := (monIdx%2 == 0) == (newOrigin < oldOrigin)
-	if preferNew {
-		rib.Insert(r)
-	}
+	b.segs[1] = bgp.PathSegment{Type: bgp.SegmentSet, ASNs: a.asSet}
+	return b.segs[:2]
 }
 
 func (rs *RoutingSim) routeFor(a announcement, peerAS ASN) bgp.Route {
-	transit := rs.transit[a.origin]
-	if transit == 0 {
-		transit = 1299
-	}
-	path := bgp.NewPath(peerAS, transit, a.origin)
+	path := bgp.NewPath(peerAS, rs.transitOf(a.origin), a.origin)
 	if a.asSet != nil {
 		path = path.AppendSet(a.asSet...)
 	}
@@ -354,9 +457,10 @@ func (rs *RoutingSim) routeFor(a announcement, peerAS ASN) bgp.Route {
 }
 
 // CollectorAt materializes collector idx's full state for the day — used
-// to export MRT snapshots identical to what the survey path consumes.
+// to export MRT snapshots. Its RIBs, sanitized into a survey through
+// Collector.AddViewsTo, yield exactly the survey SurveyAt computes.
 func (rs *RoutingSim) CollectorAt(day, idx int) *bgp.Collector {
-	anns, hijacks, hijackMonitors := rs.dayEvents(day)
+	dv := rs.dayView(day)
 	spec := rs.collectors[idx]
 	c := bgp.NewCollector(spec.name, spec.id)
 	// Global monitor index of this collector's first peer.
@@ -365,10 +469,10 @@ func (rs *RoutingSim) CollectorAt(day, idx int) *bgp.Collector {
 		base += len(rs.collectors[i].peers)
 	}
 	rng := rs.visRNG(day, idx)
+	best := make([]int32, len(dv.prefixes))
 	for p, peer := range spec.peers {
 		i := c.AddPeer(peer)
-		rib := rs.monitorRIB(rng, peer.AS, base+p, anns, hijacks, hijackMonitors)
-		*c.PeerRIB(i) = *rib
+		*c.PeerRIB(i) = *rs.monitorRIB(rng, peer.AS, base+p, dv, best)
 	}
 	return c
 }

@@ -158,8 +158,7 @@ func TestHijackWaveRaisesHijackCount(t *testing.T) {
 		rs := NewRoutingSim(mustBuild(t, cfg))
 		n := 0
 		for day := 0; day < cfg.RoutingDays; day++ {
-			_, hijacks, _ := rs.dayEvents(day)
-			n += len(hijacks)
+			n += len(rs.dayView(day).hijackMonitors)
 		}
 		return n
 	}

@@ -286,30 +286,6 @@ func TestRoutingSimDayDeterminism(t *testing.T) {
 	}
 }
 
-func TestCollectorAtMatchesSurveyAt(t *testing.T) {
-	w := buildTestWorld(t)
-	rs := NewRoutingSim(w)
-	day := 3
-
-	direct := rs.SurveyAt(day)
-
-	// Rebuild the survey from materialized collectors.
-	s2 := bgp.NewOriginSurvey()
-	for i := 0; i < rs.NumCollectors(); i++ {
-		rs.CollectorAt(day, i).AddViewsTo(s2)
-	}
-	d1 := direct.CleanPairs(0.5)
-	d2 := s2.CleanPairs(0.5)
-	if len(d1) != len(d2) {
-		t.Fatalf("clean pairs differ: %d vs %d", len(d1), len(d2))
-	}
-	for p, o := range d1 {
-		if d2[p] != o {
-			t.Fatalf("pair %v differs: %v vs %v", p, o, d2[p])
-		}
-	}
-}
-
 func TestRPKIHistoryCalibration(t *testing.T) {
 	cfg := testConfig()
 	cfg.RoutingDays = 200
@@ -487,5 +463,25 @@ func TestROVFiltersHijacks(t *testing.T) {
 	}
 	if totalDropped == 0 {
 		t.Error("ROV should drop at least some hijack routes at rate 5/day")
+	}
+}
+
+// BenchmarkSurveyAt measures one day's origin survey across every
+// monitor at DefaultConfig, the call the utilization and delegations
+// build stages repeat.
+func BenchmarkSurveyAt(b *testing.B) {
+	cfg := DefaultConfig()
+	w, err := Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := NewRoutingSim(w)
+	day := cfg.RoutingDays - 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rs.SurveyAt(day).NumMonitors() == 0 {
+			b.Fatal("empty survey")
+		}
 	}
 }

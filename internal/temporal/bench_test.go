@@ -30,8 +30,8 @@ func synthInput(tb testing.TB, nBlocks, chainLen, nLeases int) Input {
 			in.Transfers = append(in.Transfers, TransferRecord{
 				Prefix: p, From: holder, To: next,
 				FromRIR: registry.ARIN, ToRIR: registry.RIR((i + j) % 5),
-				Type: string(registry.TypeMarket),
-				Date: base.AddDate(0, 0, (i%97)+j*660),
+				Type:         string(registry.TypeMarket),
+				Date:         base.AddDate(0, 0, (i%97)+j*660),
 				PricePerAddr: 10 + float64((i+j)%13),
 			})
 			holder = next
@@ -123,11 +123,11 @@ func TestPointLookupSublinear(t *testing.T) {
 // acceptance benchmark: ~60k events.
 func BenchmarkIndexAt(b *testing.B) {
 	for _, sc := range []struct {
-		name                      string
+		name                       string
 		nBlocks, chainLen, nLeases int
 	}{
-		{"x1", 800, 4, 1000},     // ≈ 5.2k events
-		{"x10", 8000, 4, 14000},  // ≈ 60k events
+		{"x1", 800, 4, 1000},    // ≈ 5.2k events
+		{"x10", 8000, 4, 14000}, // ≈ 60k events
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			ix := mustNew(b, synthInput(b, sc.nBlocks, sc.chainLen, sc.nLeases))
@@ -147,7 +147,7 @@ func BenchmarkIndexAt(b *testing.B) {
 // snapshot build DAG pays for the temporal stage.
 func BenchmarkIndexBuild(b *testing.B) {
 	for _, sc := range []struct {
-		name                      string
+		name                       string
 		nBlocks, chainLen, nLeases int
 	}{
 		{"x1", 800, 4, 1000},

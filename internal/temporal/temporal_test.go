@@ -79,12 +79,12 @@ func TestHolderReconstruction(t *testing.T) {
 		price   float64
 		noState bool
 	}{
-		{date: "2005-01-01", org: "A", via: ViaOrigin},            // reconstructed pre-transfer holder
-		{date: "2013-02-28", org: "A", via: ViaOrigin},            // day before the first transfer
-		{date: "2013-03-01", org: "B", via: ViaMarket, price: 8},  // exactly on the event date
-		{date: "2016-06-14", org: "B", via: ViaMarket, price: 8},  // day before the second
-		{date: "2016-06-15", org: "C", via: ViaMerger},            // merger, unpriced
-		{date: "2020-06-30", org: "C", via: ViaMerger},            // last queryable day
+		{date: "2005-01-01", org: "A", via: ViaOrigin},           // reconstructed pre-transfer holder
+		{date: "2013-02-28", org: "A", via: ViaOrigin},           // day before the first transfer
+		{date: "2013-03-01", org: "B", via: ViaMarket, price: 8}, // exactly on the event date
+		{date: "2016-06-14", org: "B", via: ViaMarket, price: 8}, // day before the second
+		{date: "2016-06-15", org: "C", via: ViaMerger},           // merger, unpriced
+		{date: "2020-06-30", org: "C", via: ViaMerger},           // last queryable day
 	}
 	for _, c := range cases {
 		res := ix.At(block, onDay(t, c.date))

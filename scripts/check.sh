@@ -5,7 +5,10 @@
 # Gates (run in order; each prints its wall-clock time when it passes):
 #
 #   build         — go build ./...: everything compiles
-#   vet           — go vet ./...: the standard-library analyzers stay green
+#   vet           — go vet ./...: the standard-library analyzers stay green;
+#                   and gofmt -l: every Go file is gofmt-clean, except
+#                   the lint fixtures under internal/lint/testdata, whose
+#                   expected diagnostics are pinned to line:column
 #   lint          — ipv4lint: the repo-specific invariant analyzers
 #                   (internal/lint) stay green
 #   test          — go test -race ./...: the full suite, including the
@@ -126,6 +129,12 @@ gate_build() {
 
 gate_vet() {
     go vet ./...
+    unformatted=$(find . -name '*.go' -not -path './.*' \
+        -not -path './internal/lint/testdata/*' -exec gofmt -l {} +)
+    if [ -n "$unformatted" ]; then
+        printf 'gofmt -l: not gofmt-clean:\n%s\n' "$unformatted" >&2
+        return 1
+    fi
 }
 
 gate_lint() {
