@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,88 +8,18 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
+	"ipv4market/internal/harness"
 	"ipv4market/internal/loadgen"
 )
 
-const (
-	bootTimeout  = 120 * time.Second
-	eventTimeout = 120 * time.Second
-)
-
-// daemon is one managed marketd process.
-type daemon struct {
-	name string
-	cmd  *exec.Cmd
-	base string // http://host:port once the serving line appears
-}
-
-// startMarketd launches bin with args, echoing its output with a name
-// prefix, and returns once the "serving on http://..." line appears.
-func startMarketd(w io.Writer, name, bin string, args ...string) (*daemon, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("%s: stdout pipe: %w", name, err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("%s: start: %w", name, err)
-	}
-	urls := make(chan string, 1)
-	go func() { // coordinated: closes urls when the pipe drains
-		defer close(urls)
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintf(w, "[%s] %s\n", name, line)
-			if _, addr, ok := strings.Cut(line, "serving on http://"); ok {
-				select {
-				case urls <- "http://" + strings.TrimSpace(addr):
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case base, ok := <-urls:
-		if !ok {
-			err := cmd.Wait()
-			return nil, fmt.Errorf("%s: exited before serving: %w", name, err)
-		}
-		return &daemon{name: name, cmd: cmd, base: base}, nil
-	case <-time.After(bootTimeout):
-		cmd.Process.Kill()
-		return nil, fmt.Errorf("%s: no serving line within %v", name, bootTimeout)
-	}
-}
-
-// stop shuts the daemon down with SIGTERM and waits for a clean exit.
-func (d *daemon) stop() error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		d.cmd.Process.Kill()
-		return fmt.Errorf("%s: signal: %w", d.name, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }() // coordinated: result received below or in kill path
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("%s: exit: %w", d.name, err)
-		}
-		return nil
-	case <-time.After(30 * time.Second):
-		d.cmd.Process.Kill()
-		return fmt.Errorf("%s: did not exit on SIGTERM", d.name)
-	}
-}
+// eventTimeout bounds each mid-load milestone: the rebuild swap and the
+// followers' catch-up.
+const eventTimeout = 120 * time.Second
 
 // nodeVarz is the slice of a marketd /varz document the orchestrator
 // polls: snapshot identity, rebuild progress, replication lag.
@@ -131,8 +60,8 @@ func fetchNodeVarz(client *http.Client, base string) (*nodeVarz, error) {
 // fleet is one booted topology: a leader, its followers, and (when
 // followers exist) a router in front.
 type fleet struct {
-	leader    *daemon
-	followers []*daemon
+	leader    *harness.Daemon
+	followers []*harness.Daemon
 	base      string // what the load is driven at
 	router    *loadgen.Router
 
@@ -143,15 +72,15 @@ type fleet struct {
 
 // nodes returns name→base for every marketd in the fleet.
 func (fl *fleet) nodes() map[string]string {
-	m := map[string]string{"leader": fl.leader.base}
+	m := map[string]string{"leader": fl.leader.Base}
 	for i, d := range fl.followers {
-		m[fmt.Sprintf("follower%d", i+1)] = d.base
+		m[fmt.Sprintf("follower%d", i+1)] = d.Base
 	}
 	return m
 }
 
 // shutdown tears the fleet down: router first (stop new traffic), then
-// followers, then the leader. The first error wins; teardown continues
+// every marketd at once. The first error wins; teardown continues
 // regardless so no process outlives the bench.
 func (fl *fleet) shutdown() error {
 	var firstErr error
@@ -168,12 +97,7 @@ func (fl *fleet) shutdown() error {
 			firstErr = fmt.Errorf("router serve: %w", err)
 		}
 	}
-	for _, d := range fl.followers {
-		if err := d.stop(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := fl.leader.stop(); err != nil && firstErr == nil {
+	if err := harness.Stop(append([]*harness.Daemon{fl.leader}, fl.followers...)...); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -189,24 +113,24 @@ func bootFleet(w io.Writer, f *benchFlags, followers int, workdir string) (*flee
 		world = append(world, "-seed", strconv.FormatInt(f.worldSeed, 10))
 	}
 
-	leader, err := startMarketd(w, "leader", f.marketdBin, append([]string{
+	leader, err := harness.Start(w, "leader", f.marketdBin, append([]string{
 		"-listen", "127.0.0.1:0", "-data-dir", filepath.Join(workdir, "leader"), "-admin"}, world...)...)
 	if err != nil {
 		return nil, err
 	}
-	fl := &fleet{leader: leader, base: leader.base}
+	fl := &fleet{leader: leader, base: leader.Base}
 
 	for i := 0; i < followers; i++ {
 		name := fmt.Sprintf("follower%d", i+1)
 		args := append([]string{
 			"-listen", "127.0.0.1:0",
 			"-data-dir", filepath.Join(workdir, name),
-			"-follow", leader.base,
+			"-follow", leader.Base,
 			"-poll-interval", f.pollEvery.String()}, world...)
 		if f.maxLag != "" {
 			args = append(args, "-max-lag", f.maxLag)
 		}
-		d, err := startMarketd(w, name, f.marketdBin, args...)
+		d, err := harness.Start(w, name, f.marketdBin, args...)
 		if err != nil {
 			fl.shutdown()
 			return nil, err
@@ -218,11 +142,11 @@ func bootFleet(w io.Writer, f *benchFlags, followers int, workdir string) (*flee
 		return fl, nil
 	}
 
-	targets := []string{leader.base}
-	names := map[string]string{leader.base: "leader"}
+	targets := []string{leader.Base}
+	names := map[string]string{leader.Base: "leader"}
 	for i, d := range fl.followers {
-		targets = append(targets, d.base)
-		names[d.base] = fmt.Sprintf("follower%d", i+1)
+		targets = append(targets, d.Base)
+		names[d.Base] = fmt.Sprintf("follower%d", i+1)
 	}
 	rt, err := loadgen.NewNamedRouter(targets, names)
 	if err != nil {
@@ -380,7 +304,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	before, err := fetchNodeVarz(client, fl.leader.base)
+	before, err := fetchNodeVarz(client, fl.leader.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +312,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 		return nil, fmt.Errorf("leader /varz lacks snapshot/rebuilds sections")
 	}
 
-	resp, err := client.Post(fl.leader.base+"/admin/rebuild", "", nil)
+	resp, err := client.Post(fl.leader.Base+"/admin/rebuild", "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("trigger rebuild: %w", err)
 	}
@@ -408,7 +332,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 	swapDeadline := time.Now().Add(eventTimeout)
 	var after *nodeVarz
 	for {
-		after, err = fetchNodeVarz(client, fl.leader.base)
+		after, err = fetchNodeVarz(client, fl.leader.Base)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +366,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 	catchDeadline := time.Now().Add(eventTimeout)
 	for _, d := range fl.followers {
 		for {
-			fv, err := fetchNodeVarz(client, d.base)
+			fv, err := fetchNodeVarz(client, d.Base)
 			if err != nil {
 				return nil, err
 			}
@@ -450,7 +374,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 				break
 			}
 			if time.Now().After(catchDeadline) {
-				return nil, fmt.Errorf("%s did not adopt generation %d within %v", d.name, after.Snapshot.Gen, eventTimeout)
+				return nil, fmt.Errorf("%s did not adopt generation %d within %v", d.Name, after.Snapshot.Gen, eventTimeout)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}

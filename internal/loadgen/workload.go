@@ -131,7 +131,7 @@ func ScenarioMix(base *Mix, names ...string) (*Mix, error) {
 
 // ValidateJSON is the standard validator: 200 OK, a JSON content type,
 // and a body that starts like a JSON document. It reads no semantics —
-// byte-level correctness across replicas is the replication gate's job;
+// byte-level correctness across replicas is the fleet gate's job;
 // the load gate only needs to notice a server answering garbage under
 // pressure.
 func ValidateJSON(status int, header http.Header, body []byte) error {

@@ -303,3 +303,27 @@ func TestFollowerAdoptMissingGeneration(t *testing.T) {
 		t.Error("failed adopt swapped the snapshot")
 	}
 }
+
+// TestFollowerAdoptServedGenerationIsNoop pins that re-adopting the
+// generation already served keeps the snapshot instead of restoring the
+// same segment a second time.
+func TestFollowerAdoptServedGenerationIsNoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("snapshot build in -short mode")
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(e2eConfig(), serve.Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Snapshot()
+	if err := srv.AdoptGeneration(before.Gen); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Snapshot() != before {
+		t.Error("adopting the served generation swapped the snapshot")
+	}
+}

@@ -22,7 +22,8 @@ type Options struct {
 	BaseCfg simulation.Config
 	// DataDir, when set, roots the per-scenario stores: scenario "storm"
 	// persists under DataDir/storm with its own generation ratchet and
-	// retention. Empty runs the whole matrix in memory.
+	// retention, and the implicit world (ImplicitName) at DataDir itself.
+	// Empty runs the whole matrix in memory.
 	DataDir string
 	// StoreKeep bounds per-scenario retention (< 1: keep all).
 	StoreKeep int
@@ -39,9 +40,11 @@ type Options struct {
 	// FollowURL, when set, runs every scenario as a replication follower
 	// of the leader at this base URL: scenario "storm" polls
 	// FollowURL/v1/storm/v1/replication/... (the scenario router strips
-	// the /v1/storm prefix on the leader side). Requires DataDir.
+	// the /v1/storm prefix on the leader side) and the implicit world
+	// polls FollowURL/v1/replication/... directly. Requires DataDir.
 	FollowURL string
-	// PollInterval is the follower poll period (default 5s).
+	// PollInterval is the follower poll period (default 5s), also the
+	// retry period of the initial sync.
 	PollInterval time.Duration
 	// LagGate enables the follower /readyz lag gate with the bounds
 	// below (replicate.Replicator.ReadyCheck semantics: a negative
@@ -90,6 +93,9 @@ func New(ctx context.Context, specs []Spec, opts Options) (*Registry, error) {
 	if opts.FollowURL != "" && opts.DataDir == "" {
 		return nil, fmt.Errorf("scenario: follower mode requires a data dir")
 	}
+	if opts.PollInterval <= 0 {
+		opts.PollInterval = 5 * time.Second
+	}
 	reg := &Registry{
 		opts:   opts,
 		specs:  append([]Spec(nil), specs...),
@@ -122,11 +128,15 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 	logf := r.prefixedLogf(spec.Name)
 
 	if r.opts.DataDir != "" {
-		st, err := store.Open(storeDir(r.opts.DataDir, spec.Name))
+		dir := storeDir(r.opts.DataDir, spec.Name)
+		st, err := store.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}
 		w.st = st
+		stats := st.Stats()
+		logf("store %s: %d generation(s), %d bytes, %d corrupt segment(s) quarantined",
+			dir, stats.Segments, stats.Bytes, stats.TruncatedTails)
 	}
 
 	so := serve.Options{
@@ -146,7 +156,7 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 		// The leader's scenario router accepts the nested /v1/{name}/v1/
 		// replication/... form and strips the scenario prefix.
 		repl, err := replicate.New(replicate.Options{
-			LeaderURL: strings.TrimRight(r.opts.FollowURL, "/") + "/v1/" + spec.Name,
+			LeaderURL: leaderURL(r.opts.FollowURL, spec.Name),
 			Store:     w.st,
 			Interval:  r.opts.PollInterval,
 			Keep:      r.opts.StoreKeep,
@@ -179,7 +189,7 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 	if w.leader != nil {
 		srv.Mount(replicate.PatternGenerations, w.leader.Generations(), r.opts.Timeout)
 		// Segment bodies stream whole sealed segments; no per-request
-		// timeout, matching the single-scenario marketd wiring.
+		// timeout, so a slow follower's download is never cut mid-stream.
 		srv.Mount(replicate.PatternSegment, w.leader.Segment(), 0)
 	}
 	if w.repl != nil {
@@ -189,11 +199,16 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 }
 
 // initialSync blocks until the follower's store holds at least one
-// generation, polling the leader until ctx is cancelled.
+// generation, polling the leader every PollInterval until ctx is
+// cancelled. A store that already holds one (a restarted follower)
+// serves at once; the replication loop catches it up.
 func (r *Registry) initialSync(ctx context.Context, w *world, logf func(string, ...any)) error {
 	for {
-		if err := w.repl.SyncOnce(ctx); err != nil {
-			logf("scenario %s: initial sync: %v", w.spec.Name, err)
+		if _, ok := w.st.Latest(); ok {
+			return nil
+		}
+		if err := w.repl.SyncOnce(ctx); err != nil && ctx.Err() == nil {
+			logf("initial sync failed (will retry in %s): %v", r.opts.PollInterval, err)
 		}
 		if _, ok := w.st.Latest(); ok {
 			return nil
@@ -201,16 +216,31 @@ func (r *Registry) initialSync(ctx context.Context, w *world, logf func(string, 
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("scenario %s: initial sync: %w", w.spec.Name, ctx.Err())
-		case <-time.After(time.Second):
+		case <-time.After(r.opts.PollInterval):
 		}
 	}
 }
 
 // storeDir is the per-scenario store location: a subdirectory named
 // after the scenario, giving it an independent generation ratchet and
-// retention policy.
+// retention policy. The implicit world keeps the data dir's root, where
+// a single-world marketd has always kept its segments.
 func storeDir(dataDir, name string) string {
+	if name == ImplicitName {
+		return dataDir
+	}
 	return dataDir + "/" + name
+}
+
+// leaderURL is the base URL a follower world replicates from: the
+// leader's scenario prefix, or the bare leader for the implicit world,
+// so it pairs with a single-world leader of any version.
+func leaderURL(followURL, name string) string {
+	base := strings.TrimRight(followURL, "/")
+	if name == ImplicitName {
+		return base
+	}
+	return base + "/v1/" + name
 }
 
 // prefixedLogf returns a never-nil logger tagging each line with the
@@ -238,6 +268,15 @@ func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
 func (r *Registry) World(name string) *serve.Server {
 	if w, ok := r.byName[name]; ok {
 		return w.srv
+	}
+	return nil
+}
+
+// Store returns the named scenario's durable store, or nil when the
+// matrix runs in memory or the name is unknown.
+func (r *Registry) Store(name string) *store.Store {
+	if w, ok := r.byName[name]; ok {
+		return w.st
 	}
 	return nil
 }
@@ -307,12 +346,20 @@ func rewritePath(req *http.Request, path string) *http.Request {
 	return r2
 }
 
-// Run starts each follower's replication loop; a no-op on leaders. It
-// returns immediately, the loops stop when ctx is cancelled.
+// Run starts the matrix's background work and returns immediately:
+// each follower world's replication loop (stopped when ctx is
+// cancelled), and a fresh rebuild of each warm-started leader world,
+// which is serving its last persisted generation by design and so
+// converges on a current snapshot without delaying the first request.
+// Wait covers the rebuilds.
 func (r *Registry) Run(ctx context.Context) {
 	for _, name := range r.order {
-		if w := r.byName[name]; w.repl != nil {
+		w := r.byName[name]
+		switch {
+		case w.repl != nil:
 			go w.repl.Run(ctx)
+		case w.srv.WarmStarted() && w.srv.RebuildAsync(w.cfg):
+			r.prefixedLogf(name)("warm start: fresh rebuild started in background")
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,7 +254,9 @@ func TestListingAndVarz(t *testing.T) {
 
 // TestWarmStartMatrix reopens a persisted matrix and requires every
 // scenario to warm-start with identical bytes — the multi-scenario form
-// of the durability contract.
+// of the durability contract — and Run to rebuild every warm-started
+// leader world in the background, so a restarted leader does not serve
+// its last persisted generation until the next SIGHUP.
 func TestWarmStartMatrix(t *testing.T) {
 	dir := t.TempDir()
 	reg := newTestRegistry(t, Options{DataDir: dir, StoreKeep: 3})
@@ -281,6 +284,20 @@ func TestWarmStartMatrix(t *testing.T) {
 			t.Errorf("%s: warm-started answer differs from the persisted one", path)
 		}
 	}
+
+	restored := make(map[string]uint64)
+	for _, name := range reg2.Names() {
+		restored[name] = reg2.World(name).Snapshot().Gen
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg2.Run(ctx)
+	reg2.Wait()
+	for _, name := range reg2.Names() {
+		if got := reg2.World(name).Snapshot().Gen; got <= restored[name] {
+			t.Errorf("scenario %s: generation %d did not advance past restored %d", name, got, restored[name])
+		}
+	}
 }
 
 func TestFollowerModeRequiresDataDir(t *testing.T) {
@@ -303,5 +320,31 @@ func TestFollowerInitialSyncHonoursContext(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("follower with an unreachable leader returned without error")
+	}
+}
+
+// TestFollowerInitialSyncHonoursPollInterval requires the initial-sync
+// retry to wait PollInterval between attempts, not a fixed period.
+func TestFollowerInitialSyncHonoursPollInterval(t *testing.T) {
+	var attempts atomic.Int64
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		attempts.Add(1)
+		http.Error(w, "not yet", http.StatusServiceUnavailable)
+	}))
+	defer leader.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel()
+	_, err := New(ctx, []Spec{{Name: "calm", Seed: 3}}, Options{
+		BaseCfg:      testBase(),
+		DataDir:      t.TempDir(),
+		FollowURL:    leader.URL,
+		PollInterval: 20 * time.Millisecond,
+	})
+	if err == nil {
+		t.Fatal("follower of a leader with no generations returned without error")
+	}
+	if n := attempts.Load(); n < 5 {
+		t.Errorf("%d sync attempts in 600ms at a 20ms poll interval, want >= 5", n)
 	}
 }

@@ -103,7 +103,7 @@ type UtilizationSpec struct {
 }
 
 // Adversarial reports whether the spec configures any attack or shock
-// knob — the scenario gate requires at least one such world.
+// knob — the fleet gate requires at least one such world.
 func (s *Spec) Adversarial() bool {
 	return len(s.PriceShocks) > 0 || len(s.RPKIChurnStorms) > 0 || len(s.HijackWaves) > 0
 }
@@ -124,6 +124,18 @@ var reservedNames = map[string]bool{
 }
 
 const specDateFormat = "2006-01-02"
+
+// ImplicitName names the one world a server runs without a scenario
+// directory. It is reserved, so no spec file can claim it.
+const ImplicitName = "default"
+
+// Implicit is the spec of the one world a server runs without a
+// scenario directory: base's seed and scale, no knobs, so
+// Implicit(base).Config(base) is base for any knob-free base.
+func Implicit(base simulation.Config) Spec {
+	return Spec{Name: ImplicitName, Default: true, Seed: base.Seed,
+		LIRs: base.NumLIRs, RoutingDays: base.RoutingDays}
+}
 
 // Parse decodes one spec from JSON, rejecting unknown keys, and
 // validates it. file labels errors; pass "" for in-memory specs.

@@ -220,24 +220,13 @@ func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleScenarios serves GET /v1/scenarios: the scenario matrix this
-// deployment exposes. Under a scenario registry the configured hook
-// answers for the whole matrix; a standalone server describes its one
-// implicit scenario, so clients can probe the surface uniformly.
+// deployment exposes, as listed by the Options.ScenarioList hook.
 func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.ScenarioList != nil {
-		writeJSON(w, http.StatusOK, s.opts.ScenarioList())
+	if s.opts.ScenarioList == nil {
+		writeError(w, http.StatusNotFound, "no scenario listing on this server")
 		return
 	}
-	snap := s.Snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"default": "default",
-		"scenarios": []map[string]any{{
-			"name":    "default",
-			"default": true,
-			"seed":    snap.Cfg.Seed,
-			"gen":     snap.Gen,
-		}},
-	})
+	writeJSON(w, http.StatusOK, s.opts.ScenarioList())
 }
 
 // handleHealthz is the liveness probe: the process is up.

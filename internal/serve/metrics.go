@@ -284,10 +284,10 @@ type varzView struct {
 	// (replicate.LeaderStatus / replicate.FollowerStatus), supplied
 	// through Options.ReplicationVarz; absent on standalone servers.
 	Replication any `json:"replication,omitempty"`
-	// Scenarios is the per-scenario section (scenario.Registry.Varz),
-	// supplied through Options.ScenarioVarz; absent on single-world
-	// servers. The flat fields above always describe this server's own
-	// scenario, so existing dashboards keep working unchanged.
+	// Scenarios is the per-scenario section (scenario.Registry.VarzDoc),
+	// supplied through Options.ScenarioVarz; marketd always serves
+	// through a registry, so it is always present there. The flat fields
+	// above always describe this server's own scenario.
 	Scenarios any `json:"scenarios,omitempty"`
 	// ZeroCopy reports how artifact responses found their bytes (sealed
 	// segment file vs in-memory copy); present on snapshot servers only.

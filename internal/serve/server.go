@@ -36,7 +36,7 @@ type Options struct {
 	// WarmStart makes New restore the newest valid store generation
 	// instead of building a snapshot, so a restarted server answers its
 	// first request immediately. The caller decides whether to follow up
-	// with RebuildAsync for a fresh build (cmd/marketd does). With no
+	// with RebuildAsync for a fresh build (scenario.Registry.Run does). With no
 	// store, an empty store, or a failed restore, New falls back to a
 	// cold build.
 	WarmStart bool
@@ -52,16 +52,15 @@ type Options struct {
 	// func hook keeps serve free of a dependency on internal/replicate.
 	ReplicationVarz func() any
 	// ScenarioList, when set, supplies the GET /v1/scenarios document (a
-	// scenario.Registry's listing). Unset, the endpoint describes the
-	// single implicit scenario this server serves — the same func-hook
-	// pattern as ReplicationVarz keeps serve free of a dependency on
-	// internal/scenario.
+	// scenario.Registry's listing); unset, the endpoint answers 404. The
+	// same func-hook pattern as ReplicationVarz keeps serve free of a
+	// dependency on internal/scenario.
 	ScenarioList func() any
 	// ScenarioVarz, when set, supplies the `scenarios` section of /varz
 	// (per-scenario generation, build timings, and store bytes). The flat
-	// /varz fields always describe this server alone, so on a
-	// multi-scenario deployment the default scenario's server carries
-	// both views and dashboards keyed on the flat fields keep working.
+	// /varz fields always describe this server alone, so the default
+	// scenario's server carries both views and dashboards keyed on the
+	// flat fields keep working.
 	ScenarioVarz func() any
 	// ReadyCheck, when set, gates /readyz: a non-nil error makes the
 	// endpoint answer 503 with the error as the reason, so a router
@@ -301,10 +300,15 @@ func (s *Server) Routes() []string {
 // server's base config, and hot-swaps it in as the served snapshot —
 // the follower-side counterpart of a rebuild. internal/replicate calls
 // it (through the Apply hook) after importing a new generation; readers
-// are never blocked, exactly as with a rebuild swap.
+// are never blocked, exactly as with a rebuild swap. Adopting the
+// generation already served is a no-op: a follower's first sync pass
+// offers the generation New just restored.
 func (s *Server) AdoptGeneration(gen uint64) error {
 	if s.opts.Store == nil {
 		return fmt.Errorf("serve: adopt generation %d: no store configured", gen)
+	}
+	if s.Snapshot().Gen == gen {
+		return nil
 	}
 	meta, arts, err := s.opts.Store.Load(gen)
 	if err != nil {

@@ -42,30 +42,28 @@
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
 #                   cycle in-process; no curl or job control needed).
-#                   Run three times: in-memory, with -data-dir under a
-#                   temp dir to exercise persist → shutdown →
-#                   warm-start → /v1/history, and with -scenarios on
-#                   the example matrix to walk every scenario's
-#                   prefixed surface, gen pinning, seed isolation, and
-#                   the default alias
-#   replication   — the leader/follower contracts, run explicitly and
-#                   by name (sync + catch-up, corrupt and truncated
-#                   downloads quarantined/resumed, byte- and
-#                   ETag-identical follower answers), then
-#                   scripts/replgate.go boots a real leader and
-#                   follower marketd pair over loopback and asserts the
-#                   same identity plus the follower's 409 on
-#                   /admin/rebuild
-#   scenario      — the multi-tenant matrix contracts, run explicitly
-#                   and by name (worker-count determinism per scenario,
-#                   cross-scenario isolation, default alias, warm-start
-#                   matrix, golden example configs), then
-#                   scripts/scengate.go boots a race-enabled leader
-#                   marketd on the shipped examples/scenarios matrix
-#                   plus a follower replicating all of it, and asserts
-#                   per-scenario leader/follower byte identity, the
-#                   default alias, rebuild isolation, and follower
-#                   catch-up over real sockets
+#                   Run twice: in-memory on one world, and with
+#                   -scenarios on the example matrix under a -data-dir
+#                   to walk every world's surface, gen pinning, seed
+#                   isolation, and the default alias, then persist →
+#                   shutdown → warm-start → /v1/history continuity
+#                   (cmd/marketd's TestSelfcheckWithDataDir covers the
+#                   durable one-world case)
+#   fleet         — the leader/follower and multi-tenant matrix
+#                   contracts, run explicitly and by name (sync +
+#                   catch-up, corrupt and truncated downloads
+#                   quarantined/resumed, byte- and ETag-identical
+#                   follower answers; worker-count determinism per
+#                   scenario, cross-scenario isolation, default alias,
+#                   warm-start matrix and its refresh rebuild, golden
+#                   example configs), then scripts/fleetgate boots two
+#                   race-enabled leader/follower marketd pairs over
+#                   loopback, one on one world and one on the
+#                   examples/scenarios matrix, and asserts per-world
+#                   leader/follower byte and ETag identity, the default
+#                   alias, the follower's 409 on /admin/rebuild, clean
+#                   SIGTERM exits, and on the matrix rebuild isolation
+#                   and follower catch-up
 #   suppressions  — ipv4lint -suppressions: every //lint:ignore
 #                   directive must still silence a live finding; stale
 #                   directives fail the gate so fixed code sheds its
@@ -181,27 +179,20 @@ gate_asof() {
 gate_smoke() {
     go build -o "$check_dir/marketd" ./cmd/marketd
     "$check_dir/marketd" -selfcheck -lirs 14 -days 40
-    store_dir=$(mktemp -d "$scratch_dir/store.XXXXXX")
-    "$check_dir/marketd" -selfcheck -lirs 14 -days 40 -data-dir "$store_dir"
     scen_dir=$(mktemp -d "$scratch_dir/scenarios.XXXXXX")
     "$check_dir/marketd" -selfcheck -scenarios examples/scenarios \
         -lirs 14 -days 40 -data-dir "$scen_dir"
 }
 
-gate_replication() {
-    go test -race -count=1 \
-        -run 'TestLeaderFollowerSync|TestFlippedBytesQuarantined|TestTruncatedStreamResumed|TestLeaderFollowerEndToEnd' \
-        ./internal/replicate
-    go build -o "$check_dir/marketd" ./cmd/marketd
-    go run scripts/replgate.go "$check_dir/marketd"
-}
-
-gate_scenario() {
-    go test -race -count=1 \
-        -run 'TestMatrixDeterminism|TestScenarioIsolation|TestDefaultAlias|TestWarmStartMatrix|TestGoldenConfigsReplay' \
-        ./internal/scenario
+gate_fleet() {
+    # One go test run over both packages, so they test side by side; no
+    # test name of one list exists in the other package.
+    replication_tests='TestLeaderFollowerSync|TestFlippedBytesQuarantined|TestTruncatedStreamResumed|TestLeaderFollowerEndToEnd'
+    scenario_tests='TestMatrixDeterminism|TestScenarioIsolation|TestDefaultAlias|TestWarmStartMatrix|TestGoldenConfigsReplay'
+    go test -race -count=1 -run "$replication_tests|$scenario_tests" \
+        ./internal/replicate ./internal/scenario
     go build -race -o "$check_dir/marketd-race" ./cmd/marketd
-    go run scripts/scengate/scengate.go "$check_dir/marketd-race"
+    go run ./scripts/fleetgate "$check_dir/marketd-race"
 }
 
 gate_suppressions() {
@@ -235,8 +226,7 @@ run_gate determinism
 run_gate store
 run_gate asof
 run_gate smoke
-run_gate replication
-run_gate scenario
+run_gate fleet
 run_gate suppressions
 run_gate fuzz
 run_gate load
