@@ -50,9 +50,15 @@ func (tl *Timeline) Days() int { return tl.days }
 // Start returns the first day.
 func (tl *Timeline) Start() time.Time { return tl.start }
 
-// DayOf converts a timestamp to a day index.
+// DayOf converts a timestamp to a day index, negative before the start.
+// Days are floored, so the instants just before start map to -1.
 func (tl *Timeline) DayOf(t time.Time) int {
-	return int(t.UTC().Sub(tl.start) / (24 * time.Hour))
+	since := t.Sub(tl.start)
+	day := since / (24 * time.Hour)
+	if since%(24*time.Hour) < 0 {
+		day--
+	}
+	return int(day)
 }
 
 // DateOf converts a day index back to a timestamp.

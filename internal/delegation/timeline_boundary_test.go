@@ -45,6 +45,21 @@ func TestTimelineDayDateRoundTrip(t *testing.T) {
 	if got := tl.DayOf(start.AddDate(0, 0, 5).Add(13 * time.Hour)); got != 5 {
 		t.Errorf("mid-day timestamp: DayOf = %d, want 5", got)
 	}
+	// Days are floored: the instants just before start are day -1, not
+	// day 0, so AddDay ignores them.
+	for _, tc := range []struct {
+		at   time.Time
+		want int
+	}{
+		{start.Add(-time.Nanosecond), -1},
+		{start.Add(-13 * time.Hour), -1},
+		{start, 0},
+		{start.Add(13 * time.Hour), 0},
+	} {
+		if got := tl.DayOf(tc.at); got != tc.want {
+			t.Errorf("DayOf(%s) = %d, want %d", tc.at, got, tc.want)
+		}
+	}
 }
 
 // TestTimelineEventDayBoundaries: a delegation recorded on day N is

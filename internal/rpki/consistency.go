@@ -2,7 +2,6 @@ package rpki
 
 import (
 	"errors"
-	"math/bits"
 	"time"
 )
 
@@ -41,24 +40,13 @@ func newDayset(days int) *dayset { return &dayset{w: make([]uint64, (days+63)/64
 func (d *dayset) set(i int)      { d.w[i/64] |= 1 << uint(i%64) }
 func (d *dayset) get(i int) bool { return d.w[i/64]&(1<<uint(i%64)) != 0 }
 
-// countRange counts set bits in [lo, hi).
-func (d *dayset) countRange(lo, hi int) int {
-	if lo >= hi {
-		return 0
+// prefixCounts fills c, of length days+1, with running presence counts:
+// c[x] is the number of set bits in [0, x).
+func (d *dayset) prefixCounts(c []int32) {
+	c[0] = 0
+	for x := 0; x+1 < len(c); x++ {
+		c[x+1] = c[x] + int32(d.w[x/64]>>uint(x%64)&1)
 	}
-	n := 0
-	for i := lo; i < hi; {
-		if i%64 == 0 && i+64 <= hi {
-			n += bits.OnesCount64(d.w[i/64])
-			i += 64
-			continue
-		}
-		if d.get(i) {
-			n++
-		}
-		i++
-	}
-	return n
 }
 
 // anyInRange reports whether any bit in [lo, hi) is set.
@@ -97,9 +85,14 @@ func (h *History) Days() int { return h.days }
 func (h *History) Start() time.Time { return h.start }
 
 // DayOf converts a timestamp to a day index (negative or >= Days() if out
-// of range).
+// of range). Days are floored, so any instant before start is negative.
 func (h *History) DayOf(t time.Time) int {
-	return int(t.UTC().Sub(h.start) / (24 * time.Hour))
+	since := t.Sub(h.start)
+	day := since / (24 * time.Hour)
+	if since%(24*time.Hour) < 0 {
+		day--
+	}
+	return int(day)
 }
 
 // Observe records that the delegation was visible on the given day.
@@ -168,43 +161,92 @@ var ErrBadRule = errors.New("rpki: invalid consistency-rule parameters")
 // conclusion holds iff at most N of the M-1 days strictly in between lack
 // the delegation.
 func (h *History) EvaluateRule(m, n int) (RuleResult, error) {
-	if m < 1 || n < 0 {
-		return RuleResult{}, ErrBadRule
+	grid, err := h.EvaluateGrid([]int{m}, []int{n})
+	if err != nil {
+		return RuleResult{}, err
 	}
-	res := RuleResult{M: m, N: n}
+	return grid[0], nil
+}
+
+// EvaluateGrid evaluates the rule (see EvaluateRule) for every combination
+// of the given M and N values — the data behind Figure 5. Results are
+// ordered by N then M.
+//
+// It makes one pass per delegation key. Running counts of the key's
+// presence, and of the union of the presence of the child's other
+// delegatees, answer "how many days in between are missing" and "is
+// there a conflict in between" in O(1) per (X, M). Each M keeps a
+// histogram of missing-day counts over its premises, from which every N
+// reads its failures.
+func (h *History) EvaluateGrid(ms, ns []int) ([]RuleResult, error) {
+	for _, m := range ms {
+		if m < 1 {
+			return nil, ErrBadRule
+		}
+	}
+	for _, n := range ns {
+		if n < 0 {
+			return nil, ErrBadRule
+		}
+	}
+	premises := make([]int, len(ms))
+	missing := make([][]int, len(ms)) // missing[i][k]: premises of ms[i] missing k days
+	for i, m := range ms {
+		if m < h.days {
+			missing[i] = make([]int, m)
+		}
+	}
+	present := make([]int32, h.days+1)
+	conflicts := make([]int32, h.days+1)
+	others := newDayset(h.days)
 	for k, ds := range h.keys {
-		for x := 0; x+m < h.days; x++ {
-			if !ds.get(x) || !ds.get(x+m) {
-				continue
-			}
-			if h.conflictIn(k, x, x+m) {
-				continue
-			}
-			res.Premises++
-			present := ds.countRange(x+1, x+m)
-			missing := (m - 1) - present
-			if missing > n {
-				res.Failures++
+		ds.prefixCounts(present)
+		conflicted := h.otherDelegatees(k, others)
+		if conflicted {
+			others.prefixCounts(conflicts)
+		}
+		for i, m := range ms {
+			for x := 0; x+m < h.days; x++ {
+				if !ds.get(x) || !ds.get(x+m) {
+					continue
+				}
+				if conflicted && conflicts[x+m] != conflicts[x+1] {
+					continue
+				}
+				premises[i]++
+				missing[i][m-1-int(present[x+m]-present[x+1])]++
 			}
 		}
 	}
-	return res, nil
-}
-
-// EvaluateGrid evaluates the rule for every combination of the given M and
-// N values — the data behind Figure 5. Results are ordered by N then M.
-func (h *History) EvaluateGrid(ms, ns []int) ([]RuleResult, error) {
 	out := make([]RuleResult, 0, len(ms)*len(ns))
 	for _, n := range ns {
-		for _, m := range ms {
-			r, err := h.EvaluateRule(m, n)
-			if err != nil {
-				return nil, err
+		for i, m := range ms {
+			r := RuleResult{M: m, N: n, Premises: premises[i]}
+			for k := n + 1; k < len(missing[i]); k++ {
+				r.Failures += missing[i][k]
 			}
 			out = append(out, r)
 		}
 	}
 	return out, nil
+}
+
+// otherDelegatees sets u to the union of the presence of every key that
+// delegates k's child to a different delegatee, and reports whether
+// there is any such key.
+func (h *History) otherDelegatees(k delegKey, u *dayset) bool {
+	clear(u.w)
+	found := false
+	for _, other := range h.byChild[k.child] {
+		if other.to == k.to {
+			continue
+		}
+		found = true
+		for i, w := range h.keys[other].w {
+			u.w[i] |= w
+		}
+	}
+	return found
 }
 
 // FillGaps applies the paper's chosen consistency rule to a presence

@@ -1,6 +1,8 @@
 package rpki
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -106,8 +108,21 @@ func TestHistoryObserveAndPresence(t *testing.T) {
 	if h.NumDelegations() != 1 {
 		t.Errorf("NumDelegations = %d", h.NumDelegations())
 	}
-	if h.DayOf(day0().Add(72*time.Hour)) != 3 {
-		t.Error("DayOf wrong")
+	// Days are floored: the instants just before start are day -1.
+	for _, tc := range []struct {
+		at   time.Time
+		want int
+	}{
+		{day0().Add(-24*time.Hour - time.Nanosecond), -2},
+		{day0().Add(-13 * time.Hour), -1},
+		{day0().Add(-time.Nanosecond), -1},
+		{day0(), 0},
+		{day0().Add(13 * time.Hour), 0},
+		{day0().Add(72 * time.Hour), 3},
+	} {
+		if got := h.DayOf(tc.at); got != tc.want {
+			t.Errorf("DayOf(%s) = %d, want %d", tc.at, got, tc.want)
+		}
 	}
 	counts := h.PresenceCount()
 	if counts[0] != 1 || counts[1] != 0 || counts[3] != 1 {
@@ -248,21 +263,119 @@ func TestFillGapsRespectsConflicts(t *testing.T) {
 	}
 }
 
+// TestDaysetCountRange: range counts read off prefixCounts, across the
+// 64-day word boundaries.
 func TestDaysetCountRange(t *testing.T) {
 	ds := newDayset(200)
 	for _, i := range []int{0, 63, 64, 65, 127, 128, 199} {
 		ds.set(i)
 	}
-	if got := ds.countRange(0, 200); got != 7 {
-		t.Errorf("countRange full = %d", got)
+	c := make([]int32, 201)
+	ds.prefixCounts(c)
+	if got := c[200] - c[0]; got != 7 {
+		t.Errorf("count full = %d", got)
 	}
-	if got := ds.countRange(64, 128); got != 3 {
-		t.Errorf("countRange [64,128) = %d", got)
+	if got := c[128] - c[64]; got != 3 {
+		t.Errorf("count [64,128) = %d", got)
 	}
-	if got := ds.countRange(100, 100); got != 0 {
+	if got := c[100] - c[100]; got != 0 {
 		t.Errorf("empty range = %d", got)
 	}
 	if !ds.anyInRange(60, 70) || ds.anyInRange(1, 63) {
 		t.Error("anyInRange wrong")
+	}
+}
+
+// referenceRule is the plain per-(M, N) evaluation of the consistency
+// rule, straight from its definition, that EvaluateGrid must match.
+func referenceRule(h *History, m, n int) RuleResult {
+	r := RuleResult{M: m, N: n}
+	for k, ds := range h.keys {
+	windows:
+		for x := 0; x+m < h.days; x++ {
+			if !ds.get(x) || !ds.get(x+m) {
+				continue
+			}
+			for _, other := range h.byChild[k.child] {
+				if other.to == k.to {
+					continue
+				}
+				for y := x + 1; y < x+m; y++ {
+					if h.keys[other].get(y) {
+						continue windows
+					}
+				}
+			}
+			r.Premises++
+			missing := 0
+			for y := x + 1; y < x+m; y++ {
+				if !ds.get(y) {
+					missing++
+				}
+			}
+			if missing > n {
+				r.Failures++
+			}
+		}
+	}
+	return r
+}
+
+// TestEvaluateGridMatchesPerRule compares the one-pass grid with the
+// reference loop over seeded random histories: children with several
+// delegatees (conflicts) and several delegators of one delegatee (no
+// conflict), presence runs crossing the 64-day word boundaries, and M
+// values at and past the history length.
+func TestEvaluateGridMatchesPerRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	children := []string{"185.0.0.0/24", "185.0.1.0/24", "185.0.2.0/23"}
+	for trial := 0; trial < 40; trial++ {
+		days := []int{1, 2, 63, 64, 65, 129, 200}[trial%7]
+		h := NewHistory(day0(), days)
+		for keys := 1 + rng.Intn(8); keys > 0; keys-- {
+			d := dtest(children[rng.Intn(len(children))], ASN(1+rng.Intn(2)), ASN(10+rng.Intn(3)))
+			for runs := 1 + rng.Intn(4); runs > 0; runs-- {
+				start, length := rng.Intn(days), 1+rng.Intn(90)
+				for x := start; x < start+length; x++ {
+					if rng.Float64() < 0.85 {
+						h.Observe(x, d)
+					}
+				}
+			}
+		}
+		ms := []int{1, 2, 5, 10, 63, 64, 65, days - 1, days, days + 3}
+		ns := []int{0, 1, 3, 10, 70}
+		if days == 1 {
+			ms[7] = 1 // days-1 would be an invalid M
+		}
+		grid, err := h.EvaluateGrid(ms, ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grid) != len(ms)*len(ns) {
+			t.Fatalf("grid has %d cells, want %d", len(grid), len(ms)*len(ns))
+		}
+		for j, n := range ns {
+			for i, m := range ms {
+				got, want := grid[j*len(ms)+i], referenceRule(h, m, n)
+				if got != want {
+					t.Errorf("trial %d (days %d): M=%d N=%d: grid %+v, reference %+v", trial, days, m, n, got, want)
+				}
+				if r, err := h.EvaluateRule(m, n); err != nil || r != got {
+					t.Errorf("trial %d: EvaluateRule(%d, %d) = %+v, %v; grid cell %+v", trial, m, n, r, err, got)
+				}
+			}
+		}
+	}
+
+	h := NewHistory(day0(), 10)
+	for _, tc := range []struct{ ms, ns []int }{
+		{[]int{5, 0}, []int{0}},
+		{[]int{5}, []int{0, -1}},
+		{[]int{-3, 5}, []int{2}},
+	} {
+		if _, err := h.EvaluateGrid(tc.ms, tc.ns); !errors.Is(err, ErrBadRule) {
+			t.Errorf("EvaluateGrid(%v, %v): err %v, want ErrBadRule", tc.ms, tc.ns, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ipv4market/internal/scenario"
@@ -15,7 +16,53 @@ import (
 	"ipv4market/internal/simulation"
 )
 
-var updateETags = flag.Bool("update-etags", false, "rewrite testdata/etags.golden from the current build")
+var updateETags = flag.Bool("update-etags", false, "rewrite testdata/*.golden from the current build")
+
+// goldenWorld is one production-scale world the golden tests pin: the
+// world marketd serves by default, or an examples/scenarios spec on it.
+type goldenWorld struct {
+	name string
+	cfg  simulation.Config
+	srv  *serve.Server
+}
+
+var (
+	goldenOnce   sync.Once
+	goldenWorlds []goldenWorld
+	goldenErr    error
+)
+
+// productionWorlds builds simulation.DefaultConfig and every
+// examples/scenarios spec on that base once per test binary, so both
+// golden tests pin the same builds.
+func productionWorlds(t *testing.T) []goldenWorld {
+	t.Helper()
+	goldenOnce.Do(func() {
+		goldenWorlds = []goldenWorld{{name: "default", cfg: simulation.DefaultConfig()}}
+		specs, err := scenario.LoadDir(filepath.Join("..", "..", "examples", "scenarios"))
+		if err != nil {
+			goldenErr = err
+			return
+		}
+		for i := range specs {
+			goldenWorlds = append(goldenWorlds, goldenWorld{
+				name: "scenario/" + specs[i].Name,
+				cfg:  specs[i].Config(simulation.DefaultConfig()),
+			})
+		}
+		for i := range goldenWorlds {
+			w := &goldenWorlds[i]
+			if w.srv, err = serve.New(w.cfg, serve.Options{}); err != nil {
+				goldenErr = fmt.Errorf("%s: %w", w.name, err)
+				return
+			}
+		}
+	})
+	if goldenErr != nil {
+		t.Fatal(goldenErr)
+	}
+	return goldenWorlds
+}
 
 // TestArtifactETagsGolden is the production-scale byte oracle: it builds
 // the world marketd serves by default (simulation.DefaultConfig) and
@@ -28,26 +75,9 @@ func TestArtifactETagsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three production-scale worlds")
 	}
-	type world struct {
-		name string
-		cfg  simulation.Config
-	}
-	worlds := []world{{"default", simulation.DefaultConfig()}}
-	specs, err := scenario.LoadDir(filepath.Join("..", "..", "examples", "scenarios"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		worlds = append(worlds, world{"scenario/" + specs[i].Name, specs[i].Config(simulation.DefaultConfig())})
-	}
-
 	var got bytes.Buffer
-	for _, w := range worlds {
-		snap, err := serve.BuildSnapshot(w.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		tags, err := serve.ArtifactETags(snap)
+	for _, w := range productionWorlds(t) {
+		tags, err := serve.ArtifactETags(w.srv.Snapshot())
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
@@ -60,13 +90,18 @@ func TestArtifactETagsGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s %s\n", w.name, k, tags[k])
 		}
 	}
+	checkGolden(t, filepath.Join("testdata", "etags.golden"), got.Bytes())
+}
 
-	path := filepath.Join("testdata", "etags.golden")
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update-etags, reporting each line either side lacks.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateETags {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -75,11 +110,11 @@ func TestArtifactETagsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update-etags)", err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	reportMissing(t, "built: ", got.String(), string(want))
-	reportMissing(t, "golden:", string(want), got.String())
+	reportMissing(t, "built: ", string(got), string(want))
+	reportMissing(t, "golden:", string(want), string(got))
 }
 
 // reportMissing flags each line of a that b lacks.

@@ -117,6 +117,24 @@ func TestPointLookupSublinear(t *testing.T) {
 	}
 }
 
+// TestIndexBuildAllocs is New's allocation budget at the default world's
+// event volume (the x1 benchmark input). Per-epoch index lists build in
+// about 22k allocations; per-epoch bit-tries took about 580k, so the
+// budget fails loudly if per-epoch tries come back.
+func TestIndexBuildAllocs(t *testing.T) {
+	in := synthInput(t, 800, 4, 1000)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := New(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 60000
+	t.Logf("New: %.0f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("New allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
 // BenchmarkIndexAt measures point lookups at 1× and ≥10× the default
 // world's event volume (the default simulation yields ≈5.7k events:
 // 3,743 transfers + 2·990 lease boundaries). The "x10" size is the

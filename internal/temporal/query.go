@@ -50,9 +50,10 @@ func (ix *Index) At(p netblock.Prefix, d time.Time) PointResult {
 	return ix.at(p, d, nil)
 }
 
-// at is At with an optional probe hook, called once per binary-search step
-// and per trie descent. Tests count probes to prove lookups stay
-// logarithmic in the event count; production passes nil.
+// at is At with an optional probe hook, called once per binary-search step,
+// per trie lookup or entry, and per distinct covered child. Tests count
+// probes to prove lookups stay logarithmic in the event count; production
+// passes nil.
 func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 	d = day(d)
 	res := PointResult{Prefix: p, Date: d}
@@ -72,13 +73,13 @@ func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 	}
 
 	if len(ix.delegs) > 0 {
-		e := &ix.epochs[lastStartAtOrBeforeProbed(ix.epochStarts, d, probe)]
-		for _, entry := range e.delegs.Covering(p) {
+		// Exact and covering: the whole-history trie's entries on the
+		// path to p, filtered by date.
+		for _, entry := range ix.delegTrie.Covering(p) {
 			if probe != nil {
 				probe()
 			}
-			for _, id := range entry.Value {
-				ds := ix.delegs[id]
+			for _, ds := range ix.delegs[entry.Value.lo:entry.Value.hi] {
 				if !ds.ActiveOn(d) {
 					continue
 				}
@@ -89,18 +90,25 @@ func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 				}
 			}
 		}
-		for _, entry := range e.delegs.CoveredBy(p) {
+		// Children strictly inside p are exactly the ones sorting after p
+		// up to the first that p does not cover.
+		ids := ix.epochs[lastStartAtOrBefore(ix.epochStarts, d, probe)]
+		i := sort.Search(len(ids), func(j int) bool {
 			if probe != nil {
 				probe()
 			}
-			if entry.Prefix == p {
-				continue // already in Exact
+			return ix.delegs[ids[j]].Child.Compare(p) > 0
+		})
+		for ; i < len(ids); i++ {
+			ds := ix.delegs[ids[i]]
+			if !p.CoversStrictly(ds.Child) {
+				break
 			}
-			for _, id := range entry.Value {
-				ds := ix.delegs[id]
-				if ds.ActiveOn(d) {
-					res.Covered = append(res.Covered, ds)
-				}
+			if probe != nil && (i == 0 || ix.delegs[ids[i-1]].Child != ds.Child) {
+				probe()
+			}
+			if ds.ActiveOn(d) {
+				res.Covered = append(res.Covered, ds)
 			}
 		}
 	}
@@ -141,20 +149,6 @@ func lastSpanStarting(spans []Span, rng spanRange, d time.Time, probe func()) in
 		return -1
 	}
 	return lo + n - 1
-}
-
-// lastStartAtOrBeforeProbed is lastStartAtOrBefore with probe counting.
-func lastStartAtOrBeforeProbed(starts []time.Time, d time.Time, probe func()) int {
-	i := sort.Search(len(starts), func(j int) bool {
-		if probe != nil {
-			probe()
-		}
-		return starts[j].After(d)
-	}) - 1
-	if i < 0 {
-		i = 0
-	}
-	return i
 }
 
 // Timeline answers the history query: every holding span of the block

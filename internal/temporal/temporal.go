@@ -15,10 +15,15 @@
 // one contiguous date-sorted slice — each prefix owns a half-open range of
 // that slice, found by trie lookup and binary-searched by date (the
 // interval-tree role; spans of one prefix tile time, so "last span starting
-// on or before D" is the holder at D). Delegation spans are partitioned
-// into per-epoch tries: epoch boundaries are drawn from delegation
-// start/end dates, a date binary-searches to its epoch, and the epoch's
-// trie holds only the delegations overlapping that epoch.
+// on or before D" is the holder at D). Delegation spans sit in one slice
+// sorted by child prefix, and one whole-history trie maps each child to
+// its range of that slice: exact and covering delegations are a trie walk
+// filtered by date. For covered delegations the time axis is partitioned
+// into epochs whose boundaries are drawn from delegation start/end dates;
+// a date binary-searches to its epoch, and each epoch is an ascending list
+// of the indexes of the spans overlapping it — sorted by child, so the
+// children strictly inside a prefix are one contiguous run, found by
+// binary search.
 package temporal
 
 import (
@@ -170,19 +175,11 @@ type QuarterPrices struct {
 // spanRange is a half-open index range [lo, hi) into a shared span slice.
 type spanRange struct{ lo, hi int32 }
 
-// epoch is one partition of the delegation time axis: [start, end), with a
-// trie from child prefix to the indexes (into Index.delegs) of every
-// delegation span overlapping the epoch.
-type epoch struct {
-	start  time.Time
-	end    time.Time // zero for the last epoch
-	delegs *netblock.Trie[[]int32]
-}
-
 // maxEpochs caps the number of delegation epochs; beyond it, epochs absorb
 // multiple boundary dates and queries date-filter within the epoch. It
-// bounds build cost (a span is inserted once per epoch it overlaps) while
-// keeping per-epoch candidate lists short.
+// bounds build cost and memory (a span's index is appended to every epoch
+// it overlaps) while keeping each epoch's list, which a covered lookup
+// binary-searches and scans, short.
 const maxEpochs = 256
 
 // Index is the immutable as-of index. Build it with New (or Restore) and
@@ -193,10 +190,14 @@ type Index struct {
 	spans      []Span // grouped by prefix (Compare order), date-sorted within
 	holderTrie *netblock.Trie[spanRange]
 
-	delegs      []DelegationSpan // sorted by (child, start, end, parent, AS pair)
-	delegTrie   *netblock.Trie[spanRange]
-	epochs      []epoch
-	epochStarts []time.Time // epochs[i].start, for binary search
+	delegs    []DelegationSpan // sorted by (child, start, end, parent, AS pair)
+	delegTrie *netblock.Trie[spanRange]
+	// epochStarts[i] is the first date of delegation epoch i, which runs
+	// to epochStarts[i+1] (the last one to the epoch end); epochs[i]
+	// holds, ascending, the indexes into delegs of the spans overlapping
+	// epoch i.
+	epochStarts []time.Time
+	epochs      [][]int32
 
 	events   []Event
 	quarters []QuarterPrices
@@ -422,7 +423,7 @@ func viaOf(typ string) Acquisition {
 }
 
 // buildDelegations materializes the delegation spans, the global child
-// trie, and the per-epoch partition tries.
+// trie, and the per-epoch index lists.
 func (ix *Index) buildDelegations() {
 	ix.delegTrie = netblock.NewTrie[spanRange]()
 	for _, l := range ix.in.Leases {
@@ -467,15 +468,11 @@ func (ix *Index) buildDelegations() {
 	for i := stride - 1; i < len(dedup); i += stride {
 		ix.epochStarts = append(ix.epochStarts, dedup[i])
 	}
-	for i, start := range ix.epochStarts {
-		e := epoch{start: start, delegs: netblock.NewTrie[[]int32]()}
-		if i+1 < len(ix.epochStarts) {
-			e.end = ix.epochStarts[i+1]
-		}
-		ix.epochs = append(ix.epochs, e)
-	}
+	// Spans are visited in delegs order, so every epoch's list comes out
+	// ascending, and therefore sorted by child, without a sort.
+	ix.epochs = make([][]int32, len(ix.epochStarts))
 	for i, d := range ix.delegs {
-		lo := lastStartAtOrBefore(ix.epochStarts, d.Start)
+		lo := lastStartAtOrBefore(ix.epochStarts, d.Start, nil)
 		hi := len(ix.epochs) - 1
 		if !d.End.IsZero() {
 			// The span is dead in epochs starting at or after its end.
@@ -484,17 +481,21 @@ func (ix *Index) buildDelegations() {
 			}) - 1
 		}
 		for e := lo; e <= hi; e++ {
-			ids, _ := ix.epochs[e].delegs.Get(d.Child)
-			ix.epochs[e].delegs.Insert(d.Child, append(ids, int32(i)))
+			ix.epochs[e] = append(ix.epochs[e], int32(i))
 		}
 	}
 }
 
 // lastStartAtOrBefore returns the index of the last element of starts that
 // is not after d; starts[0] is the epoch start, so the result is >= 0 for
-// any in-range date.
-func lastStartAtOrBefore(starts []time.Time, d time.Time) int {
-	i := sort.Search(len(starts), func(j int) bool { return starts[j].After(d) }) - 1
+// any in-range date. probe, when set, is called once per search step.
+func lastStartAtOrBefore(starts []time.Time, d time.Time, probe func()) int {
+	i := sort.Search(len(starts), func(j int) bool {
+		if probe != nil {
+			probe()
+		}
+		return starts[j].After(d)
+	}) - 1
 	if i < 0 {
 		i = 0
 	}

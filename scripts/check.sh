@@ -24,7 +24,8 @@
 #                   silently drop them: a snapshot (and Figure 6) built
 #                   at any worker count must be byte-identical to the
 #                   serial build; TestBench*JSONParses keep the
-#                   BENCH_build/serve baselines well-formed
+#                   BENCH_build/serve baselines well-formed; the
+#                   one-pass RPKI rule grid matches a per-rule reference
 #   store         — the durability contracts, run explicitly and by
 #                   name: segment round-trip + corrupt-tail recovery
 #                   (internal/store fault injection), and warm-start/
@@ -33,11 +34,13 @@
 #   asof          — the time-travel contracts, run explicitly and by
 #                   name: the temporal index agrees with a naive replay
 #                   over every event boundary, point lookups stay
-#                   sublinear, Record/Restore round-trips byte-exactly
+#                   sublinear, the build stays within its allocation
+#                   budget, Record/Restore round-trips byte-exactly
 #                   and input-order-independently, and the /v1/asof
 #                   surface validates requests, restores identical
-#                   views, and answers generation pins from restored
-#                   temporal state
+#                   views, answers generation pins from restored
+#                   temporal state, and keeps every computed response's
+#                   ETag at production scale (queries.golden)
 #   smoke         — build the serving daemon, boot it on an ephemeral
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
@@ -156,6 +159,7 @@ gate_determinism() {
     go test -race -count=1 \
         -run 'TestFigure6WorkersDeterministic|TestFigure2WorkersMatchesSerial' \
         ./internal/core
+    go test -race -count=1 -run 'TestEvaluateGridMatchesPerRule' ./internal/rpki
 }
 
 gate_store() {
@@ -169,10 +173,10 @@ gate_store() {
 
 gate_asof() {
     go test -race -count=1 \
-        -run 'TestIndexMatchesNaiveReplay|TestPointLookupSublinear|TestRecordRestoreRoundTrip|TestNewDeterministicUnderInputOrder' \
+        -run 'TestIndexMatchesNaiveReplay|TestPointLookupSublinear|TestRecordRestoreRoundTrip|TestNewDeterministicUnderInputOrder|TestIndexBuildAllocs' \
         ./internal/temporal
     go test -race -count=1 \
-        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation' \
+        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation|TestQueryETagsGolden' \
         ./internal/serve
 }
 
