@@ -15,15 +15,17 @@ import (
 // material for steps (ii) and (iii) of the paper's algorithm.
 //
 // Monitor IDs are interned to dense indexes, and each pair holds the set
-// of monitors seeing it as a bitset, so recording a sighting costs one
-// prefix lookup and a bit set, with no per-sighting allocation.
+// of monitors seeing it as a bitset, so recording a sighting costs a bit
+// set and no allocation. A survey fed from RIBs (AddView, Observe) finds
+// each route's prefix record through a map; a survey whose prefixes are
+// known up front (NewPrefixSurvey) records sightings by record index
+// (ObserveAt) with no lookup at all.
 type OriginSurvey struct {
 	monitors map[string]int // monitor ID → index
+	// index maps each recorded prefix to its record; it is built on the
+	// first Observe, so a survey fed only through ObserveAt has none.
 	index    map[netblock.Prefix]int
 	prefixes []prefixObs
-	// last is the index of the most recently observed prefix: a caller
-	// observing one prefix at several monitors in a row skips the map.
-	last int
 }
 
 // prefixObs is everything the survey knows about one prefix.
@@ -71,10 +73,22 @@ func (m *monitorSet) len() int {
 
 // NewOriginSurvey returns an empty survey.
 func NewOriginSurvey() *OriginSurvey {
-	return &OriginSurvey{
-		monitors: make(map[string]int),
-		index:    make(map[netblock.Prefix]int),
+	return &OriginSurvey{monitors: make(map[string]int)}
+}
+
+// NewPrefixSurvey returns an empty survey with one record for each of
+// the distinct prefixes, record i for prefixes[i], for ObserveAt. Each
+// record's first origin comes from one block allocated here, so only a
+// prefix with several origins allocates later. Prefixes in ascending
+// order leave Pairs an already-sorted list.
+func NewPrefixSurvey(prefixes []netblock.Prefix) *OriginSurvey {
+	s := NewOriginSurvey()
+	s.prefixes = make([]prefixObs, len(prefixes))
+	firsts := make([]originObs, len(prefixes))
+	for i, p := range prefixes {
+		s.prefixes[i] = prefixObs{prefix: p, origins: firsts[i : i : i+1]}
 	}
+	return s
 }
 
 // AddView records one monitor's sanitized routes. The monitor ID must be
@@ -88,8 +102,8 @@ func (s *OriginSurvey) AddView(monitorID string, routes []Route) {
 }
 
 // AddMonitor registers a monitor ID, even one that sees no routes, and
-// returns its index for Observe. Registering an ID again returns the
-// index it already has.
+// returns its index for Observe and ObserveAt. Registering an ID again
+// returns the index it already has.
 func (s *OriginSurvey) AddMonitor(monitorID string) int {
 	if m, ok := s.monitors[monitorID]; ok {
 		return m
@@ -104,15 +118,27 @@ func (s *OriginSurvey) AddMonitor(monitorID string) int {
 // AS_SET flags the prefix; any other path counts m towards the pair of
 // p and the path's origin AS. The path is not retained.
 func (s *OriginSurvey) Observe(m int, p netblock.Prefix, path ASPath) {
-	if path.EndsInSet() {
-		s.prefix(p).asSet = true
-		return
-	}
+	asSet := path.EndsInSet()
 	origin, ok := path.OriginAS()
-	if !ok {
+	if !asSet && !ok {
 		return
 	}
-	obs := s.prefix(p)
+	s.prefixes[s.record(p)].observe(m, origin, asSet)
+}
+
+// ObserveAt records that monitor m holds one sanitized route for the
+// prefix of record i (see NewPrefixSurvey): one whose path ends in an
+// AS_SET if asSet, else one originated by origin. It is Observe with
+// the record and the path's outcome already known.
+func (s *OriginSurvey) ObserveAt(m, i int, origin ASN, asSet bool) {
+	s.prefixes[i].observe(m, origin, asSet)
+}
+
+func (obs *prefixObs) observe(m int, origin ASN, asSet bool) {
+	if asSet {
+		obs.asSet = true
+		return
+	}
 	for i := range obs.origins {
 		if obs.origins[i].origin == origin {
 			obs.origins[i].monitors.add(m)
@@ -123,10 +149,13 @@ func (s *OriginSurvey) Observe(m int, p netblock.Prefix, path ASPath) {
 	obs.origins[len(obs.origins)-1].monitors.add(m)
 }
 
-// prefix returns p's record, creating it on first sight.
-func (s *OriginSurvey) prefix(p netblock.Prefix) *prefixObs {
-	if s.last < len(s.prefixes) && s.prefixes[s.last].prefix == p {
-		return &s.prefixes[s.last]
+// record returns p's record index, creating the record on first sight.
+func (s *OriginSurvey) record(p netblock.Prefix) int {
+	if s.index == nil {
+		s.index = make(map[netblock.Prefix]int, len(s.prefixes))
+		for i, obs := range s.prefixes {
+			s.index[obs.prefix] = i
+		}
 	}
 	i, ok := s.index[p]
 	if !ok {
@@ -134,8 +163,7 @@ func (s *OriginSurvey) prefix(p netblock.Prefix) *prefixObs {
 		s.index[p] = i
 		s.prefixes = append(s.prefixes, prefixObs{prefix: p})
 	}
-	s.last = i
-	return &s.prefixes[i]
+	return i
 }
 
 // NumMonitors returns the number of monitors contributing to the survey.

@@ -106,3 +106,53 @@ func TestOriginSurveyASSet(t *testing.T) {
 		t.Errorf("RawPairs = %v, want %v", got, wantRaw)
 	}
 }
+
+// TestPrefixSurveyMatchesObserve feeds the same sightings to a survey
+// by record index and to one by prefix: MOAS (a second origin beyond the
+// preallocated first), AS_SET, a record nobody sees, and a monitor past
+// the first bitset word. A later Observe on the indexed survey finds
+// the existing record and adds a new one.
+func TestPrefixSurveyMatchesObserve(t *testing.T) {
+	prefixes := []netblock.Prefix{pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("11.0.0.0/8"), pfx("12.0.0.0/8")}
+	type sighting struct {
+		m, rec int
+		origin ASN
+		asSet  bool
+	}
+	sightings := []sighting{
+		{0, 0, 3, false}, {1, 0, 3, false}, {70, 0, 3, false},
+		{0, 1, 5, false}, {1, 1, 6, false}, {2, 1, 5, false},
+		{1, 2, 0, true}, {2, 2, 9, false},
+	}
+	indexed := NewPrefixSurvey(prefixes)
+	byPrefix := NewOriginSurvey()
+	for m := 0; m <= 70; m++ {
+		id := fmt.Sprintf("m%d", m)
+		indexed.AddMonitor(id)
+		byPrefix.AddMonitor(id)
+	}
+	for _, s := range sightings {
+		indexed.ObserveAt(s.m, s.rec, s.origin, s.asSet)
+		path := NewPath(1, s.origin)
+		if s.asSet {
+			path = NewPath(1).AppendSet(7, 8)
+		}
+		byPrefix.Observe(s.m, prefixes[s.rec], path)
+	}
+	for _, s := range []*OriginSurvey{indexed, byPrefix} {
+		s.Observe(3, pfx("10.0.0.0/8"), NewPath(1, 3))
+		s.Observe(3, pfx("13.0.0.0/8"), NewPath(1, 4))
+	}
+	if got, want := indexed.Pairs(), byPrefix.Pairs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Pairs by index = %+v\nby prefix = %+v", got, want)
+	}
+	if got, want := indexed.RawPairs(), byPrefix.RawPairs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("RawPairs by index = %v, by prefix %v", got, want)
+	}
+	if got, want := indexed.CleanPairs(0), byPrefix.CleanPairs(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("CleanPairs by index = %v, by prefix %v", got, want)
+	}
+	if got := indexed.Pairs(); len(got) != 5 || got[0].Monitors != 4 || !got[1].MOAS || !got[3].ASSet {
+		t.Errorf("Pairs = %+v, want the /8 seen by 4, a MOAS /16 and an AS_SET-flagged 11/8", got)
+	}
+}

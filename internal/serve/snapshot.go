@@ -234,10 +234,9 @@ var snapshotStages = []buildStage{
 		// stage (workers=1): the stage itself already executes inside
 		// the DAG's worker budget, and nested fan-out would oversubscribe
 		// it without changing the bytes. At DefaultConfig its ten
-		// surveys take about 10ms each, which makes it by far the
-		// largest stage (about 100ms serially, against 10-20ms for
-		// each of the others), so it sets the multi-worker build's
-		// critical path.
+		// surveys take about 3ms each. The stage takes 40-50ms,
+		// against 10-20ms for each of the others: still the largest,
+		// so it sets the multi-worker build's critical path.
 		var err error
 		if snap.Utilization, err = study.UtilizationWorkers(1); err != nil {
 			return nil, err

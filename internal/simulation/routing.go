@@ -3,6 +3,7 @@ package simulation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ipv4market/internal/bgp"
 	"ipv4market/internal/netblock"
@@ -192,8 +193,9 @@ func (rs *RoutingSim) visRNG(day, collector int) *rand.Rand {
 
 // dayView is one day's routing input, shared by every monitor: the
 // active announcements followed by the day's hijacks, the dense index of
-// each one's prefix among the day's distinct prefixes, and which global
-// monitor indexes observe each hijack.
+// each one's prefix among the day's distinct prefixes (numbered in
+// ascending prefix order), and which global monitor indexes observe
+// each hijack.
 type dayView struct {
 	anns     []announcement // active announcements, then hijacks
 	nActive  int            // anns[:nActive] are the active announcements
@@ -222,16 +224,23 @@ func (rs *RoutingSim) dayView(day int) *dayView {
 			dv.hijackMonitors[i] = append(dv.hijackMonitors[i], (m1+1)%total)
 		}
 	}
-	index := make(map[netblock.Prefix]int32, len(dv.anns))
+	// Number the distinct prefixes in ascending order: sort the
+	// announcements by prefix, then number each run of equal prefixes.
+	// They arrive in long ascending runs (the registry's allocations
+	// first), which the stable sort's insertion runs and merges take in
+	// well under half of pdqsort's time.
+	order := make([]int32, len(dv.anns))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return dv.anns[a].prefix.Compare(dv.anns[b].prefix) })
 	dv.prefixOf = make([]int32, len(dv.anns))
-	for i, a := range dv.anns {
-		pi, ok := index[a.prefix]
-		if !ok {
-			pi = int32(len(dv.prefixes))
-			index[a.prefix] = pi
-			dv.prefixes = append(dv.prefixes, a.prefix)
+	dv.prefixes = make([]netblock.Prefix, 0, len(dv.anns))
+	for i, ai := range order {
+		if p := dv.anns[ai].prefix; i == 0 || p != dv.prefixes[len(dv.prefixes)-1] {
+			dv.prefixes = append(dv.prefixes, p)
 		}
-		dv.prefixOf[i] = pi
+		dv.prefixOf[ai] = int32(len(dv.prefixes) - 1)
 	}
 	return dv
 }
@@ -343,9 +352,10 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // the same sanitization the offline pipeline uses. Legitimate routes are
 // seen by each monitor with ~97% probability; hijacks at only 1-2
 // monitors. The survey equals the one CollectorAt's RIBs yield through
-// Collector.AddViewsTo, but no RIB is built: each monitor's selection
-// lives in a reused index slice, and each selected route's path in a
-// reused buffer that is sanitized and observed in place.
+// Collector.AddViewsTo, but neither a RIB nor an AS path is built: the
+// survey has one record per distinct prefix of the day, and each
+// monitor's selection, held in one reused index slice, is observed
+// record by record with every bgp.Sanitize rule decided up front.
 //
 // SurveyAt is a pure derivation: every random draw comes from RNGs
 // seeded deterministically per (day, collector), and the receiver is not
@@ -354,50 +364,45 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // relies on this contract.
 func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
 	dv := rs.dayView(day)
-	// Per-prefix and per-announcement facts every monitor shares. The
-	// first bgp.Sanitize rule, special-purpose address space, depends
-	// on the prefix alone.
-	special := make([]bool, len(dv.prefixes))
-	for i, p := range dv.prefixes {
-		special[i] = netblock.IsSpecialPurpose(p)
-	}
+	// A monitor's path for announcement a is peer → transit → origin,
+	// plus a's AS_SET, so bgp.Sanitize's rules split by what they read.
+	// The special-purpose prefix and reserved transit, origin or AS_SET
+	// rules depend on the announcement alone: clean records them once.
+	clean := make([]bool, len(dv.anns))
 	transit := make([]ASN, len(dv.anns))
 	for i, a := range dv.anns {
 		transit[i] = rs.transitOf(a.origin)
+		clean[i] = !netblock.IsSpecialPurpose(a.prefix) &&
+			!bgp.IsReservedASN(transit[i]) && !bgp.IsReservedASN(a.origin) &&
+			!slices.ContainsFunc(a.asSet, bgp.IsReservedASN)
 	}
 
-	// Select every monitor's table first, then observe prefix by prefix,
-	// so that consecutive observations share one survey lookup.
-	survey := bgp.NewOriginSurvey()
-	np := len(dv.prefixes)
-	best := make([]int32, rs.NumMonitors()*np) // monitor k's table is best[k*np:][:np]
-	var monitors []int                         // survey index of monitor k
-	var peerAS []ASN
+	survey := bgp.NewPrefixSurvey(dv.prefixes)
+	best := make([]int32, len(dv.prefixes))
+	k := 0 // global monitor index
 	for ci, spec := range rs.collectors {
 		rng := rs.visRNG(day, ci)
 		for _, peer := range spec.peers {
-			k := len(monitors)
-			monitors = append(monitors, survey.AddMonitor(fmt.Sprintf("%s:%s", spec.name, peer.IP)))
-			peerAS = append(peerAS, peer.AS)
-			dv.selectRoutes(rng, k, best[k*np:][:np])
-		}
-	}
-	var buf pathBuf
-	for pi, p := range dv.prefixes {
-		if special[pi] {
-			continue
-		}
-		for k, m := range monitors {
-			ai := best[k*np+pi]
-			if ai < 0 {
+			m := survey.AddMonitor(fmt.Sprintf("%s:%s", spec.name, peer.IP))
+			dv.selectRoutes(rng, k, best) // draws even for a monitor dropped below
+			k++
+			// A reserved peer AS fails every one of the monitor's paths.
+			if bgp.IsReservedASN(peer.AS) {
 				continue
 			}
-			path := buf.path(peerAS[k], transit[ai], dv.anns[ai])
-			// bgp.Sanitize's other two rules, on the route's path.
-			if bgp.PathHasReservedASN(path) || path.HasLoop() {
-				continue
+			for rec, ai := range best {
+				if ai < 0 || !clean[ai] {
+					continue
+				}
+				a := &dv.anns[ai]
+				// ASPath.HasLoop skips the AS_SET and back-to-back
+				// repeats, so peer → transit → origin loops exactly
+				// when the peer is the origin and the transit is not.
+				if peer.AS == a.origin && transit[ai] != a.origin {
+					continue
+				}
+				survey.ObserveAt(m, rec, a.origin, a.asSet != nil)
 			}
-			survey.Observe(m, p, path)
 		}
 	}
 	return survey
@@ -422,25 +427,6 @@ func (rs *RoutingSim) transitOf(origin ASN) ASN {
 		return t
 	}
 	return 1299
-}
-
-// pathBuf holds one AS path without allocating: the sequence
-// peer → transit → origin, plus the announcement's AS_SET if it has one.
-type pathBuf struct {
-	seq  [3]ASN
-	segs [2]bgp.PathSegment
-}
-
-// path fills the buffer with the path a monitor peering as peerAS sees
-// for a and returns it; the path is valid until the next call.
-func (b *pathBuf) path(peerAS, transit ASN, a announcement) bgp.ASPath {
-	b.seq = [3]ASN{peerAS, transit, a.origin}
-	b.segs[0] = bgp.PathSegment{Type: bgp.SegmentSequence, ASNs: b.seq[:]}
-	if a.asSet == nil {
-		return b.segs[:1]
-	}
-	b.segs[1] = bgp.PathSegment{Type: bgp.SegmentSet, ASNs: a.asSet}
-	return b.segs[:2]
 }
 
 func (rs *RoutingSim) routeFor(a announcement, peerAS ASN) bgp.Route {

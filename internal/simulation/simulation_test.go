@@ -466,6 +466,27 @@ func TestROVFiltersHijacks(t *testing.T) {
 	}
 }
 
+// TestSurveyAtAllocs is SurveyAt's allocation budget at DefaultConfig.
+// A survey by record index allocates about 110 times: only prefixes
+// with several origins allocate on their own. Observing through the
+// survey's prefix map took about 8.2k, so the budget fails loudly if
+// per-prefix allocations come back.
+func TestSurveyAtAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRoutingSim(w)
+	day := cfg.RoutingDays - 1
+	allocs := testing.AllocsPerRun(3, func() { rs.SurveyAt(day) })
+	const budget = 1000
+	t.Logf("SurveyAt: %.0f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("SurveyAt allocates %.0f times, budget %d", allocs, budget)
+	}
+}
+
 // BenchmarkSurveyAt measures one day's origin survey across every
 // monitor at DefaultConfig, the call the utilization and delegations
 // build stages repeat.
