@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzPrefixFrom asserts PrefixFrom is total over the full (addr, bits)
 // space and that every accepted prefix satisfies the package's canonical
-// invariants: host bits zero, stable text round trip, and consistent
-// containment arithmetic.
+// invariants: host bits zero, stable text round trip, the same text as
+// the fmt rendering, and consistent containment arithmetic.
 func FuzzPrefixFrom(f *testing.F) {
 	f.Add(uint32(0x0A000000), 8)  // 10.0.0.0/8
 	f.Add(uint32(0xC0A80101), 24) // host bits set: must canonicalize
@@ -39,6 +39,12 @@ func FuzzPrefixFrom(f *testing.F) {
 		}
 		if !p.Covers(p) || p.CoversStrictly(p) {
 			t.Fatalf("self-coverage broken for %v", p)
+		}
+		if got, want := p.String(), fmtPrefix(p); got != want {
+			t.Fatalf("String() = %q, want the fmt form %q", got, want)
+		}
+		if got, want := Addr(addr).String(), fmtAddr(Addr(addr)); got != want {
+			t.Fatalf("Addr.String() = %q, want the fmt form %q", got, want)
 		}
 		rt, err := ParsePrefix(p.String())
 		if err != nil {

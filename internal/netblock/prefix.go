@@ -58,7 +58,20 @@ func MustParseAddr(s string) Addr {
 
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad form of a to b and returns the
+// extended buffer. It allocates only when b lacks the capacity.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(a>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(a)), 10)
 }
 
 // Prefix is an IPv4 CIDR prefix in canonical form: all bits below the mask
@@ -135,7 +148,16 @@ func (p Prefix) Bits() int { return int(p.bits) }
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.addr, p.bits)
+	var buf [len("255.255.255.255/32")]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the CIDR form of p to b and returns the extended
+// buffer. It allocates only when b lacks the capacity.
+func (p Prefix) AppendTo(b []byte) []byte {
+	b = p.addr.AppendTo(b)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.bits), 10)
 }
 
 // NumAddrs returns the number of addresses covered by the prefix.

@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +46,66 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// fmtAddr and fmtPrefix are the fmt renderings Addr.String and
+// Prefix.String produced before AppendTo; the tests hold the strconv
+// path to them byte for byte.
+func fmtAddr(a Addr) string {
+	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+}
+
+func fmtPrefix(p Prefix) string {
+	return fmt.Sprintf("%s/%d", fmtAddr(p.Addr()), p.Bits())
+}
+
+// TestRenderingMatchesFmt covers every mask length against addresses
+// built from the octets where the decimal width changes (0, 9/10,
+// 99/100, 255), in every position.
+func TestRenderingMatchesFmt(t *testing.T) {
+	octets := []byte{0, 9, 10, 99, 100, 255}
+	for bits := 0; bits <= 32; bits++ {
+		for _, a := range octets {
+			for _, b := range octets {
+				for _, c := range octets {
+					for _, d := range octets {
+						addr := AddrFrom4(a, b, c, d)
+						if got, want := addr.String(), fmtAddr(addr); got != want {
+							t.Fatalf("Addr.String() = %q, want %q", got, want)
+						}
+						p := MustPrefix(addr, bits)
+						if got, want := p.String(), fmtPrefix(p); got != want {
+							t.Fatalf("Prefix.String() = %q, want %q", got, want)
+						}
+						if got, want := string(p.AppendTo([]byte("x"))), "x"+fmtPrefix(p); got != want {
+							t.Fatalf("Prefix.AppendTo = %q, want %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRenderingAllocs holds AppendTo into a sized buffer to no
+// allocation and String to the one for its result.
+func TestRenderingAllocs(t *testing.T) {
+	p := MustParsePrefix("255.255.255.0/24")
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = p.AppendTo(buf[:0])
+		buf = p.Addr().AppendTo(buf)
+	}); n != 0 {
+		t.Errorf("AppendTo into a sized buffer: %v allocs, want 0", n)
+	}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = p.String() }); n != 1 {
+		t.Errorf("Prefix.String: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s = p.Addr().String() }); n != 1 {
+		t.Errorf("Addr.String: %v allocs, want 1", n)
+	}
+	_ = s
 }
 
 func TestParsePrefix(t *testing.T) {

@@ -398,8 +398,15 @@ func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 			Count:  len(events),
 			Events: make([]asofEventView, 0, len(events)),
 		}
+		// Events come in date order (UTC midnights) and many share a
+		// day: render each distinct date once.
+		var day time.Time
+		var dayStr string
 		for _, e := range events {
-			ev := asofEventView{Date: fmtDate(e.Date), Kind: string(e.Kind), Prefix: e.Prefix.String()}
+			if dayStr == "" || !e.Date.Equal(day) {
+				day, dayStr = e.Date, fmtDate(e.Date)
+			}
+			ev := asofEventView{Date: dayStr, Kind: string(e.Kind), Prefix: e.Prefix.String()}
 			switch e.Kind {
 			case temporal.EventTransfer:
 				ev.From, ev.To = e.From, e.To

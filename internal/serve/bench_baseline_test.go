@@ -89,17 +89,18 @@ func TestBenchBuildJSONParses(t *testing.T) {
 }
 
 // TestBenchServeJSONParses keeps the BenchmarkSnapshotServe baseline
-// well-formed, covering at least the fast-path rows the architecture
-// section quotes.
+// well-formed and current: every sub-benchmark the suite runs
+// (serveBenchRows) needs a row, so adding one without re-recording the
+// baseline (scripts/bench.sh -suite serve) fails here.
 func TestBenchServeJSONParses(t *testing.T) {
 	b := loadBaseline(t, "BENCH_serve.json", "BenchmarkSnapshotServe")
 	have := make(map[string]bool, len(b.Results))
 	for _, r := range b.Results {
 		have[r.Name] = true
 	}
-	for _, name := range []string{"table1", "prices_full", "table1_304", "asof_point"} {
-		if !have[name] {
-			t.Errorf("baseline lacks the %q row", name)
+	for _, row := range serveBenchRows {
+		if !have[row.name] {
+			t.Errorf("baseline lacks the %q row; re-record with scripts/bench.sh -suite serve", row.name)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/store"
@@ -115,6 +117,45 @@ func benchServer(b *testing.B) *Server {
 	return srv
 }
 
+// serveBenchRow is one BenchmarkSnapshotServe sub-benchmark. Requests
+// rotate through paths; a revalidating row sends If-None-Match with the
+// ETag its first path answers, and expects 304. Every row needs a line
+// in BENCH_serve.json (TestBenchServeJSONParses).
+type serveBenchRow struct {
+	name       string
+	paths      []string
+	revalidate bool
+}
+
+// serveBenchRows lists BenchmarkSnapshotServe's sub-benchmarks.
+var serveBenchRows = []serveBenchRow{
+	{name: "table1", paths: []string{"/v1/table1"}},
+	{name: "prices_full", paths: []string{"/v1/prices"}},
+	{name: "prices_filtered", paths: []string{"/v1/prices?size=/16&region=ARIN"}},
+	{name: "delegation_lookup", paths: []string{"/v1/delegations?prefix=185.0.0.0/16"}},
+	{name: "asof_point", paths: []string{"/v1/asof?date=2019-06-01&prefix=185.0.0.0/16"}},
+	{name: "asof_diff", paths: asofDiffWindows()},
+	{name: "varz", paths: []string{"/varz"}},
+	// The 304 path: client revalidation against a warm ETag.
+	{name: "table1_304", paths: []string{"/v1/table1"}, revalidate: true},
+}
+
+// asofDiffWindows returns 4,096 distinct /v1/asof/diff windows of 120 to
+// 183 days starting in early 2018, 16 times what the 256-entry query
+// cache holds: a row rotating through them misses the cache on every
+// request, so it measures rendering a diff, not a cache hit.
+func asofDiffWindows() []string {
+	start := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	paths := make([]string, 0, 64*64)
+	for i := 0; i < 64; i++ {
+		from := start.AddDate(0, 0, i)
+		for n := 120; n < 120+64; n++ {
+			paths = append(paths, "/v1/asof/diff?from="+fmtDate(from)+"&to="+fmtDate(from.AddDate(0, 0, n)))
+		}
+	}
+	return paths
+}
+
 // BenchmarkSnapshotServe measures the fast path: requests against a
 // prebuilt snapshot, in parallel (RunParallel mirrors a concurrent
 // client population). The snapshot builds once, outside the timer — the
@@ -125,56 +166,80 @@ func benchServer(b *testing.B) *Server {
 func BenchmarkSnapshotServe(b *testing.B) {
 	srv := benchServer(b)
 	h := srv.Handler()
-
-	bench := func(path string, header http.Header, wantStatus int) func(*testing.B) {
-		return func(b *testing.B) {
+	for _, row := range serveBenchRows {
+		b.Run(row.name, func(b *testing.B) {
 			// Correctness gate outside the timer: the route must answer
-			// with the expected status and a non-empty body on 200.
+			// 200 with a non-empty body.
 			probe := httptest.NewRecorder()
-			probeReq := httptest.NewRequest(http.MethodGet, path, nil)
-			for k, vs := range header {
-				probeReq.Header[k] = vs
+			h.ServeHTTP(probe, httptest.NewRequest(http.MethodGet, row.paths[0], nil))
+			if probe.Code != http.StatusOK || probe.Body.Len() == 0 {
+				b.Fatalf("%s: status %d, %d-byte body", row.paths[0], probe.Code, probe.Body.Len())
 			}
-			h.ServeHTTP(probe, probeReq)
-			if probe.Code != wantStatus {
-				b.Fatalf("%s: status %d, want %d", path, probe.Code, wantStatus)
+			wantStatus := http.StatusOK
+			tmpls := make([]*http.Request, len(row.paths))
+			for i, path := range row.paths {
+				tmpls[i] = httptest.NewRequest(http.MethodGet, path, nil)
+				if row.revalidate {
+					tmpls[i].Header.Set("If-None-Match", probe.Header().Get("ETag"))
+					wantStatus = http.StatusNotModified
+				}
 			}
-			if wantStatus == http.StatusOK && probe.Body.Len() == 0 {
-				b.Fatalf("%s: empty body", path)
-			}
-
-			tmpl := httptest.NewRequest(http.MethodGet, path, nil)
-			for k, vs := range header {
-				tmpl.Header[k] = vs
-			}
+			var next atomic.Uint64 // shared, so goroutines never collapse onto one window
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
 				w := &benchWriter{header: make(http.Header, 8)}
 				for pb.Next() {
+					tmpl := tmpls[0]
+					if len(tmpls) > 1 {
+						tmpl = tmpls[next.Add(1)%uint64(len(tmpls))]
+					}
 					w.reset()
 					req := *tmpl
 					h.ServeHTTP(w, &req)
 					if w.status != wantStatus {
-						b.Fatalf("%s: status %d, want %d", path, w.status, wantStatus)
+						b.Fatalf("%s: status %d, want %d", tmpl.URL, w.status, wantStatus)
 					}
 				}
 			})
+		})
+	}
+}
+
+// TestAsofDiffAllocs is the allocation budget of one as-of diff rendered
+// on a cache miss, at the world marketd serves (DefaultConfig), over
+// the first half of 2018 (a body of about 119 KB). Through
+// json.MarshalIndent, fmt-rendered prefixes and one date string per
+// event it took about 2,200; it now takes about 700, and the budget
+// sits 25% above that, so a per-event allocation that creeps back in
+// trips it.
+func TestAsofDiffAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the production-scale world")
+	}
+	srv, err := New(simulation.DefaultConfig(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	cache := srv.current().cache
+	tmpl := httptest.NewRequest(http.MethodGet, "/v1/asof/diff?from=2018-01-01&to=2018-06-30", nil)
+	w := &benchWriter{header: make(http.Header, 8)}
+	allocs := testing.AllocsPerRun(20, func() {
+		cache.mu.Lock()
+		clear(cache.entries)
+		cache.mu.Unlock()
+		w.reset()
+		req := *tmpl
+		h.ServeHTTP(w, &req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
 		}
+	})
+	const budget = 870
+	t.Logf("asof diff miss: %.0f allocs, %d-byte body (budget %d)", allocs, w.n, budget)
+	if allocs > budget {
+		t.Errorf("asof diff miss allocates %.0f times, budget %d", allocs, budget)
 	}
-
-	b.Run("table1", bench("/v1/table1", nil, http.StatusOK))
-	b.Run("prices_full", bench("/v1/prices", nil, http.StatusOK))
-	b.Run("prices_filtered", bench("/v1/prices?size=/16&region=ARIN", nil, http.StatusOK))
-	b.Run("delegation_lookup", bench("/v1/delegations?prefix=185.0.0.0/16", nil, http.StatusOK))
-	b.Run("asof_point", bench("/v1/asof?date=2019-06-01&prefix=185.0.0.0/16", nil, http.StatusOK))
-	b.Run("varz", bench("/varz", nil, http.StatusOK))
-
-	// The 304 path: client revalidation against a warm ETag.
-	art, ok := srv.Snapshot().staticArtifact("table1")
-	if !ok {
-		b.Fatal("no table1 artifact")
-	}
-	b.Run("table1_304", bench("/v1/table1", http.Header{"If-None-Match": {art.jsonETag}}, http.StatusNotModified))
 }
 
 // TestServeAllocRegression holds the zero-copy read path to its

@@ -31,9 +31,9 @@ type priceTable struct {
 	region  []registry.RIR
 	quarter []stats.Quarter
 
-	// jsonRow[i] is json.MarshalIndent(rowView, "    ", "  ") — the
-	// array-element encoding at the exact depth it appears inside the
-	// priceCellsView document. csvRow[i] is the row's rendered CSV line
+	// jsonRow[i] is json.MarshalIndent(rowView, "    ", "  "), written
+	// by appendIndent — the array-element encoding at the exact depth
+	// it appears inside the priceCellsView document. csvRow[i] is the row's rendered CSV line
 	// including the terminator; csvHeader is the column-header line.
 	jsonRow   [][]byte
 	csvRow    [][]byte
@@ -65,6 +65,7 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 	t.csvHeader = append([]byte(nil), buf.Bytes()...)
 
 	f2 := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+	var rowBuf []byte // one row's indented JSON, before its exact-size copy
 	for i, c := range cells {
 		t.bits[i] = c.Bits
 		t.region[i] = c.Region
@@ -82,11 +83,12 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 			Max:     c.Box.Max,
 			Mean:    c.Box.Mean,
 		}
-		row, err := json.MarshalIndent(view, "    ", "  ")
+		row, err := json.Marshal(view)
 		if err != nil {
 			return nil, fmt.Errorf("serve: price table row %d: %w", i, err)
 		}
-		t.jsonRow[i] = row
+		rowBuf = appendIndent(rowBuf[:0], row, "    ")
+		t.jsonRow[i] = bytes.Clone(rowBuf)
 
 		buf.Reset()
 		err = cw.Write([]string{

@@ -26,15 +26,14 @@ type artifact struct {
 	csvETag  string
 }
 
-// newArtifact marshals v as the JSON body and, when csvFn is non-nil,
-// renders the CSV body through it (the core package's CSV emitters plug
-// in here unchanged).
+// newArtifact encodes v as the JSON body (encodeJSON) and, when csvFn
+// is non-nil, renders the CSV body through it (the core package's CSV
+// emitters plug in here unchanged).
 func newArtifact(v any, csvFn func(io.Writer) error) (*artifact, error) {
-	body, err := json.MarshalIndent(v, "", "  ")
+	body, err := encodeJSON(v)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode: %w", err)
 	}
-	body = append(body, '\n')
 	art := &artifact{json: body, jsonETag: etagOf(body)}
 	if csvFn != nil {
 		var buf bytes.Buffer
@@ -47,11 +46,84 @@ func newArtifact(v any, csvFn func(io.Writer) error) (*artifact, error) {
 	return art, nil
 }
 
-// etagOf returns a strong entity tag for a response body.
+// encodeJSON is the package's one JSON encoder: it returns exactly
+// json.MarshalIndent(v, "", "  ") followed by a newline, the form of
+// every JSON body the server sends.
+func encodeJSON(v any) ([]byte, error) {
+	src, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	// MarshalIndent's own estimate: indenting at most doubles a body at
+	// the depths views reach, and the room left over takes the newline.
+	body := appendIndent(make([]byte, 0, 2*len(src)+1), src, "")
+	return append(body, '\n'), nil
+}
+
+// appendIndent appends to dst the indented form of src and returns the
+// extended buffer: exactly what json.Indent(dst, src, prefix, "  ")
+// writes, with "[]" and "{}" for empty containers. src must be
+// json.Marshal output, which carries no insignificant whitespace, so
+// the bytes between structural characters are copied in runs and string
+// literals are skipped whole, with no per-byte scanner state.
+func appendIndent(dst, src []byte, prefix string) []byte {
+	var pad []byte // "\n", prefix, then at least 2*depth spaces
+	depth := 0
+	run := 0 // start of the bytes not yet copied to dst
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch c {
+		case '"':
+			// Skip to the closing quote, stepping over each escape's
+			// second byte (Marshal escapes every quote inside a string).
+			for i++; src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+			continue
+		case '{', '[':
+			if i+1 < len(src) && src[i+1] == c+2 { // '}' and ']' sit 2 above their openers
+				i++ // an empty container stays "{}" or "[]"
+				continue
+			}
+			depth++
+			dst = append(dst, src[run:i+1]...)
+			run = i + 1
+		case '}', ']':
+			depth--
+			dst = append(dst, src[run:i]...)
+			run = i
+		case ',':
+			dst = append(dst, src[run:i+1]...)
+			run = i + 1
+		case ':':
+			dst = append(append(dst, src[run:i+1]...), ' ')
+			run = i + 1
+			continue
+		default:
+			continue
+		}
+		n := 1 + len(prefix) + 2*depth
+		if len(pad) < n {
+			pad = append(append(pad[:0], '\n'), prefix...)
+			for len(pad) < n+16 {
+				pad = append(pad, ' ')
+			}
+		}
+		dst = append(dst, pad[:n]...)
+	}
+	return append(dst, src[run:]...)
+}
+
+// etagOf returns a strong entity tag for a response body: the FNV-1a
+// hash in quoted hex.
 func etagOf(b []byte) string {
 	h := fnv.New64a()
 	h.Write(b)
-	return fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16))
+	var buf [len(`"ffffffffffffffff"`)]byte
+	tag := strconv.AppendUint(append(buf[:0], '"'), h.Sum64(), 16)
+	return string(append(tag, '"'))
 }
 
 // queryOf parses the request's query parameters exactly once per
@@ -157,16 +229,16 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Write(append(body, '\n'))
 }
 
-// writeJSON marshals v directly (uncached endpoints: /readyz, /varz).
+// writeJSON encodes v directly (uncached endpoints: /readyz, /varz).
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
+	body, err := encodeJSON(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
+	w.Write(body)
 }
 
 // parseQuarter parses the "2019Q2" form used in query filters and CSV

@@ -39,8 +39,9 @@
 #                   and input-order-independently, and the /v1/asof
 #                   surface validates requests, restores identical
 #                   views, answers generation pins from restored
-#                   temporal state, and keeps every computed response's
-#                   ETag at production scale (queries.golden)
+#                   temporal state, keeps every computed response's
+#                   ETag at production scale (queries.golden), and
+#                   holds a cache-missing diff to its allocation budget
 #   smoke         — build the serving daemon, boot it on an ephemeral
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
@@ -73,7 +74,8 @@
 #                   excuses
 #   fuzz          — a short -fuzztime budget per native fuzz target
 #                   (segment/frame decoding, prefix parsing and
-#                   construction) on top of the committed corpus, which
+#                   construction, the JSON indenter against
+#                   json.MarshalIndent) on top of the committed corpus, which
 #                   replays in the test gate
 #   load          — the load-harness contracts, run explicitly and by
 #                   name (streaming-histogram quantiles vs exact sorted
@@ -176,7 +178,7 @@ gate_asof() {
         -run 'TestIndexMatchesNaiveReplay|TestPointLookupSublinear|TestRecordRestoreRoundTrip|TestNewDeterministicUnderInputOrder|TestIndexBuildAllocs' \
         ./internal/temporal
     go test -race -count=1 \
-        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation|TestQueryETagsGolden' \
+        -run 'TestAsofMatchesNaiveReplay|TestAsofPinnedGeneration|TestAsofRestoreServesIdenticalViews|TestAsofRequestValidation|TestQueryETagsGolden|TestAsofDiffAllocs' \
         ./internal/serve
 }
 
@@ -208,6 +210,7 @@ gate_fuzz() {
     go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/store
     go test -run '^$' -fuzz FuzzPrefixFrom -fuzztime 5s ./internal/netblock
     go test -run '^$' -fuzz FuzzParsePrefix -fuzztime 5s ./internal/netblock
+    go test -run '^$' -fuzz FuzzIndentJSON -fuzztime 5s ./internal/serve
 }
 
 gate_load() {
