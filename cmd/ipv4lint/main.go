@@ -5,27 +5,19 @@
 //
 // Usage:
 //
-//	ipv4lint [-rules floatcmp,timeeq,...] [-list] [-json] [-suppressions] [patterns...]
+//	ipv4lint [-rules floatcmp,wraperr,...] [-list] [patterns...]
 //
 // A pattern is a directory, or a directory followed by /... to include
 // its subtree (testdata, hidden, and _-prefixed directories are skipped,
 // as with the go tool). The default pattern is ./... rooted at the
 // enclosing module.
 //
-// -json switches both modes to machine-readable output: an array of
-// {file, line, col, rule, message} objects for findings, or of
-// {file, line, rule, reason, used} objects for the suppression audit.
-//
-// -suppressions audits every //lint:ignore directive instead of
-// reporting findings: each is listed with its position, rule and reason,
-// and the run fails if any directive is stale — it silenced nothing, so
-// the exception it documents no longer exists. The audit always runs the
-// full rule suite (-rules is ignored): under a subset, directives for
-// unselected rules would be indistinguishable from stale ones.
+// Stale //lint:ignore directives, ones that silence nothing, are
+// reported by internal/lint's TestSelfCheck, which runs the full suite
+// over the same packages as "ipv4lint ./...".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +33,6 @@ func main() {
 func run() int {
 	rules := flag.String("rules", "", "comma-separated rule IDs to run (default: all)")
 	list := flag.Bool("list", false, "list available rules and exit")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	audit := flag.Bool("suppressions", false, "audit //lint:ignore directives; fail on stale ones")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -52,7 +42,7 @@ func run() int {
 		}
 		return 0
 	}
-	if *rules != "" && !*audit {
+	if *rules != "" {
 		selected, unknown := lint.ByName(strings.Split(*rules, ","))
 		if selected == nil {
 			fmt.Fprintf(os.Stderr, "ipv4lint: unknown rule %q (use -list)\n", unknown)
@@ -97,78 +87,15 @@ func run() int {
 		}
 	}
 
-	res := lint.RunAll(pkgs, analyzers)
-	if *audit {
-		return reportSuppressions(res, *asJSON)
+	diags := lint.Run(pkgs, analyzers)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	return reportFindings(res, len(pkgs), *asJSON)
-}
-
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func reportFindings(res lint.Result, npkgs int, asJSON bool) int {
-	if asJSON {
-		out := make([]jsonDiag, 0, len(res.Diagnostics))
-		for _, d := range res.Diagnostics {
-			out = append(out, jsonDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message})
-		}
-		writeJSON(out)
-	} else {
-		for _, d := range res.Diagnostics {
-			fmt.Println(d)
-		}
-	}
-	if len(res.Diagnostics) > 0 {
-		fmt.Fprintf(os.Stderr, "ipv4lint: %d finding(s) in %d package(s)\n", len(res.Diagnostics), npkgs)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "ipv4lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-type jsonSuppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Rule   string `json:"rule"`
-	Reason string `json:"reason"`
-	Used   bool   `json:"used"`
-}
-
-func reportSuppressions(res lint.Result, asJSON bool) int {
-	if asJSON {
-		out := make([]jsonSuppression, 0, len(res.Suppressions))
-		for _, s := range res.Suppressions {
-			out = append(out, jsonSuppression{File: s.Pos.Filename, Line: s.Pos.Line, Rule: s.Rule, Reason: s.Reason, Used: s.Used})
-		}
-		writeJSON(out)
-	} else {
-		for _, s := range res.Suppressions {
-			state := "used"
-			if !s.Used {
-				state = "STALE"
-			}
-			fmt.Printf("%s:%d: %s [%s] — %s\n", s.Pos.Filename, s.Pos.Line, state, s.Rule, s.Reason)
-		}
-	}
-	if stale := res.Stale(); len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "ipv4lint: %d stale suppression(s) of %d; remove the directives whose findings are gone\n", len(stale), len(res.Suppressions))
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "ipv4lint: %d suppression(s), none stale\n", len(res.Suppressions))
-	return 0
-}
-
-func writeJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "ipv4lint: %v\n", err)
-	}
 }
 
 // loaderFor returns a Loader rooted at dir's module, sharing one loader

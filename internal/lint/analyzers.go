@@ -7,13 +7,9 @@ func All() []*Analyzer {
 		BannedCall(DefaultBans()),
 		CtxFlow,
 		FloatCmp,
-		LockBal,
 		MapOrder,
 		MutAfterPub,
-		NakedGo,
-		NoCtxHTTP,
 		SeededRand,
-		TimeEq,
 		WrapErr,
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // This file implements a lightweight intraprocedural control-flow graph
 // over go/ast function bodies — the substrate for the dataflow analyzers
-// (mutafterpub, maporder, ctxflow, lockbal). It is a miniature of
+// (mutafterpub, maporder, ctxflow). It is a miniature of
 // golang.org/x/tools/go/cfg, kept stdlib-only like the rest of the
 // framework.
 //
@@ -26,8 +26,7 @@ import (
 //     DeferRun nodes. Conditionally-registered defers are replayed on all
 //     paths (analyses track registration facts if they need the
 //     distinction); a defer inside a loop is replayed once.
-//   - panic(x) is an exit edge (deferred calls still run), so a
-//     lock-held-at-panic path is visible to lockbal.
+//   - panic(x) is an exit edge (deferred calls still run).
 //   - goto, labeled break/continue, switch fallthrough and select are
 //     supported; dead code after a terminating statement lands in blocks
 //     with no predecessors, which dataflow never reaches.

@@ -251,13 +251,10 @@ func f(m map[string][]int) int {
 // TestDiagnosticsDeterministic: repeated runs of the dataflow analyzers
 // over their fixtures produce byte-identical, ordered diagnostics.
 func TestDiagnosticsDeterministic(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers := []*Analyzer{MutAfterPub, MapOrder, CtxFlow, LockBal}
+	loader := testLoader(t)
+	analyzers := []*Analyzer{MutAfterPub, MapOrder, CtxFlow}
 	var pkgs []*Package
-	for _, rule := range [...]string{"mutafterpub", "maporder", "ctxflow", "lockbal"} {
+	for _, rule := range [...]string{"mutafterpub", "maporder", "ctxflow"} {
 		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", rule))
 		if err != nil {
 			t.Fatal(err)

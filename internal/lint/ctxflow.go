@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// CtxFlow generalizes noctxhttp from call syntax to dataflow: a library
-// function that accepts a context.Context promises its caller
-// cancellation, so every blocking operation in its body must be bound
-// to that context — directly or through a value derived from it.
+// CtxFlow checks context cancellation by dataflow: a library function
+// that accepts a context.Context promises its caller cancellation, so
+// every blocking operation in its body must be bound to that context —
+// directly or through a value derived from it.
 //
 // Derivation is tracked as a forward taint: the ctx parameters seed the
 // set, and context.With*(ctx, ...), http.NewRequestWithContext(ctx,
@@ -25,11 +25,11 @@ import (
 //     exempt — the select is judged as a whole);
 //   - a select with no default and no `<-ctx.Done()` (or derived) arm.
 //
-// Package main is exempt, as with noctxhttp: a CLI's lifetime is its
-// cancellation scope. Functions without a usable Context parameter are
-// out of scope — this rule enforces that an accepted context is
-// honored, not that one exists. Interprocedural threading is trusted:
-// passing ctx into a call is not inspected further.
+// Package main is exempt: a CLI's lifetime is its cancellation scope.
+// Functions without a usable Context parameter are out of scope — this
+// rule enforces that an accepted context is honored, not that one
+// exists. Interprocedural threading is trusted: passing ctx into a call
+// is not inspected further.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "flag blocking operations not bound to the function's context.Context parameter",

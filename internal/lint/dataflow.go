@@ -13,9 +13,8 @@ import (
 //
 // solved to a fixed point. Termination is the analysis's contract: Join
 // must be monotone over a finite-height lattice (set union with a finite
-// fact universe, or counters the Transfer caps). The four shipped
-// analyzers all use small per-function fact maps, so convergence takes a
-// handful of passes.
+// fact universe). The three shipped analyzers all use small
+// per-function fact maps, so convergence takes a handful of passes.
 type Flow[S any] struct {
 	// Init produces the state at function entry.
 	Init func() S

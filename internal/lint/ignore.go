@@ -9,7 +9,7 @@ import (
 // Used records whether any diagnostic was actually silenced by it during
 // a Run — a suppression that silences nothing is stale: the finding it
 // excused has been fixed (or the rule changed), and the directive now
-// only misleads readers. The -suppressions audit fails on stale entries.
+// only misleads readers. TestSelfCheck fails on stale entries.
 type Suppression struct {
 	Pos    token.Position
 	Rule   string

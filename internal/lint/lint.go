@@ -2,9 +2,8 @@
 // standard library's go/ast, go/parser, go/token and go/types packages,
 // together with the repo-specific analyzers that guard the measurement
 // pipeline's invariants: deterministic randomness in the synthetic-data
-// generators, safe time and floating-point comparison in the timeline and
-// price code, error-chain preservation, and panic/os.Exit hygiene in
-// library packages.
+// generators, safe floating-point comparison in the price code,
+// error-chain preservation, and panic/os.Exit hygiene in library packages.
 //
 // The framework deliberately has no dependencies outside the standard
 // library (the module has none and must stay buildable offline). It is a

@@ -19,7 +19,6 @@ import (
 // foo_test) would complicate type-checking for no gain.
 type Package struct {
 	Path  string // import path, or a synthetic path for testdata fixtures
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -38,7 +37,6 @@ type Loader struct {
 	std        types.Importer
 
 	byDir  map[string]*Package // memoized packages keyed by absolute dir
-	byPath map[string]*Package // the same packages keyed by import path
 	active map[string]bool     // import cycle detection
 }
 
@@ -60,7 +58,6 @@ func NewLoader(dir string) (*Loader, error) {
 		modulePath: modPath,
 		std:        importer.ForCompiler(fset, "source", nil),
 		byDir:      make(map[string]*Package),
-		byPath:     make(map[string]*Package),
 		active:     make(map[string]bool),
 	}, nil
 }
@@ -236,13 +233,11 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 
 	pkg := &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
 	}
 	l.byDir[dir] = pkg
-	l.byPath[importPath] = pkg
 	return pkg, nil
 }

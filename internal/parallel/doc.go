@@ -12,8 +12,7 @@
 //     group's context so siblings can stop early, and a panic inside a
 //     task is recovered into an error instead of killing the process —
 //     a build failure in a background snapshot rebuild must surface as a
-//     diagnosable error, never as a crash. The ipv4lint nakedgo analyzer
-//     recognizes Group-launched work as coordinated for the same reason.
+//     diagnosable error, never as a crash.
 //
 //   - Determinism. ForEach and Map dispatch work by index and collect
 //     results by index, never by completion order. Callers that merge
