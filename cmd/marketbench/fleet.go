@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -20,42 +19,6 @@ import (
 // eventTimeout bounds each mid-load milestone: the rebuild swap and the
 // followers' catch-up.
 const eventTimeout = 120 * time.Second
-
-// nodeVarz is the slice of a marketd /varz document the orchestrator
-// polls: snapshot identity, rebuild progress, replication lag.
-type nodeVarz struct {
-	Snapshot *struct {
-		Seq uint64 `json:"seq"`
-		Gen uint64 `json:"gen"`
-	} `json:"snapshot"`
-	Rebuilds *struct {
-		Total    int64 `json:"total"`
-		Errors   int64 `json:"errors"`
-		InFlight bool  `json:"in_flight"`
-	} `json:"rebuilds"`
-	Replication *struct {
-		AppliedGen     uint64 `json:"applied_gen"`
-		LagGenerations int    `json:"lag_generations"`
-	} `json:"replication"`
-}
-
-// fetchNodeVarz GETs and decodes one node's /varz.
-func fetchNodeVarz(client *http.Client, base string) (*nodeVarz, error) {
-	resp, err := client.Get(base + "/varz")
-	if err != nil {
-		return nil, fmt.Errorf("varz %s: %w", base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("varz %s: status %d", base, resp.StatusCode)
-	}
-	var v nodeVarz
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("varz %s: decode: %w", base, err)
-	}
-	return &v, nil
-}
 
 // fleet is one booted topology: a leader, its followers, and (when
 // followers exist) a router in front.
@@ -234,7 +197,7 @@ func runTopology(ctx context.Context, w io.Writer, f *benchFlags, followers int)
 		loadDone <- runOutcome{res, err}
 	}()
 
-	events, eventErr := exerciseFleet(w, fl, runner, t0, f)
+	events, eventErr := exerciseFleet(ctx, w, fl, runner, t0, f)
 
 	outcome := <-loadDone
 	if outcome.err != nil {
@@ -253,15 +216,12 @@ func runTopology(ctx context.Context, w io.Writer, f *benchFlags, followers int)
 	}
 	report.Events = events
 
-	server, err := crossCheck(w, fl, res)
-	if err != nil {
-		return nil, err
-	}
-	report.Server = server
-
 	afterVarz, err := scrapeFleetVarz(fl)
 	if err != nil {
 		return nil, fmt.Errorf("post-load varz scrape: %w", err)
+	}
+	if report.Server, err = crossCheck(w, afterVarz, res); err != nil {
+		return nil, err
 	}
 	for _, nodeName := range sortedKeys(fl.nodes()) {
 		if nr, ok := loadgen.NewNodeReport(nodeName, beforeVarz[nodeName], afterVarz[nodeName]); ok {
@@ -291,7 +251,7 @@ func scrapeFleetVarz(fl *fleet) (map[string]*loadgen.ServerVarz, error) {
 // way it triggers a rebuild on the leader, waits for the new snapshot
 // to swap in, and — when followers exist — waits for every follower to
 // re-adopt the leader's newest generation. Offsets are relative to t0.
-func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time, f *benchFlags) ([]loadgen.EventReport, error) {
+func exerciseFleet(ctx context.Context, w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time, f *benchFlags) ([]loadgen.EventReport, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Wait for measurement to actually be in flight so the rebuild runs
@@ -304,7 +264,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	before, err := fetchNodeVarz(client, fl.leader.Base)
+	before, err := loadgen.ScrapeVarz(ctx, client, fl.leader.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -330,9 +290,9 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 
 	// The swap is visible as a sequence bump with no rebuild in flight.
 	swapDeadline := time.Now().Add(eventTimeout)
-	var after *nodeVarz
+	var after *loadgen.ServerVarz
 	for {
-		after, err = fetchNodeVarz(client, fl.leader.Base)
+		after, err = loadgen.ScrapeVarz(ctx, client, fl.leader.Base)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +326,7 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 	catchDeadline := time.Now().Add(eventTimeout)
 	for _, d := range fl.followers {
 		for {
-			fv, err := fetchNodeVarz(client, d.Base)
+			fv, err := loadgen.ScrapeVarz(ctx, client, d.Base)
 			if err != nil {
 				return nil, err
 			}
@@ -389,10 +349,10 @@ func exerciseFleet(w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time,
 	return events, nil
 }
 
-// crossCheck scrapes every node's /varz and recomputes server-side
-// percentiles from the exported latency buckets for each route the
-// load actually drove.
-func crossCheck(w io.Writer, fl *fleet, res *loadgen.Result) ([]loadgen.ServerRouteReport, error) {
+// crossCheck recomputes server-side percentiles from every node's
+// post-load /varz scrape (keyed by node name) for each route the load
+// actually drove.
+func crossCheck(w io.Writer, scrapes map[string]*loadgen.ServerVarz, res *loadgen.Result) ([]loadgen.ServerRouteReport, error) {
 	driven := make(map[string]bool)
 	for _, es := range res.Endpoints {
 		if es.Requests > 0 && es.Route != "" {
@@ -401,12 +361,8 @@ func crossCheck(w io.Writer, fl *fleet, res *loadgen.Result) ([]loadgen.ServerRo
 	}
 
 	var rows []loadgen.ServerRouteReport
-	for _, nodeName := range sortedKeys(fl.nodes()) {
-		base := fl.nodes()[nodeName]
-		sv, err := loadgen.ScrapeVarz(context.Background(), nil, base)
-		if err != nil {
-			return nil, fmt.Errorf("cross-check: %w", err)
-		}
+	for _, nodeName := range sortedKeys(scrapes) {
+		sv := scrapes[nodeName]
 		for _, route := range sv.RouteNames() {
 			if !driven[route] {
 				continue
@@ -436,7 +392,7 @@ func crossCheck(w io.Writer, fl *fleet, res *loadgen.Result) ([]loadgen.ServerRo
 }
 
 // sortedKeys returns m's keys in sorted order (stable report rows).
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

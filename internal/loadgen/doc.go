@@ -6,10 +6,11 @@
 //
 // Everything is stdlib-only and deterministic where it can be: the
 // request mix is a pure function of an explicit seed (splitmix64, one
-// derived stream per worker), the latency histogram has a fixed
-// geometric bucket layout so two runs — or a client-side and a
-// server-side recording — are always comparable bucket by bucket, and
-// tests assert on seeded request counts, never on wall-clock time.
+// derived stream per worker), latency is recorded into
+// internal/latency's fixed geometric layout — the same one the server
+// exports per route on /varz, so two runs, or a client-side and a
+// server-side recording, are comparable bucket by bucket — and tests
+// assert on seeded request counts, never on wall-clock time.
 //
 // The pieces compose in two ways. cmd/marketbench drives a single
 // target ("point the runner at a URL") or orchestrates a full topology:
@@ -21,5 +22,5 @@
 // Layering: loadgen knows the serving layer's HTTP surface (paths,
 // response shapes, the /varz bucket export) but imports none of the
 // serving packages — it is a client, and stays honest by speaking only
-// HTTP.
+// HTTP. Its one module import is the leaf internal/latency.
 package loadgen

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ipv4market/internal/latency"
 )
 
 // Mode selects the runner's load model.
@@ -120,7 +122,7 @@ type EndpointStats struct {
 	HTTPErrors         int64
 	ValidationFailures int64
 	Bytes              int64
-	Hist               *Histogram
+	Hist               *latency.Histogram
 }
 
 // Errors returns the endpoint's total error count across all layers.
@@ -236,7 +238,7 @@ func newWorkerStats() *workerStats {
 func (ws *workerStats) endpoint(e *Endpoint) *EndpointStats {
 	es, ok := ws.endpoints[e.Name]
 	if !ok {
-		es = &EndpointStats{Name: e.Name, Route: e.Route, Hist: NewHistogram()}
+		es = &EndpointStats{Name: e.Name, Route: e.Route, Hist: latency.NewHistogram()}
 		ws.endpoints[e.Name] = es
 	}
 	return es
@@ -434,7 +436,7 @@ func (r *Runner) mergeStats(stats []*workerStats, end time.Time) *Result {
 			if have, ok := merged[name]; ok {
 				have.merge(es)
 			} else {
-				cp := &EndpointStats{Name: es.Name, Route: es.Route, Hist: NewHistogram()}
+				cp := &EndpointStats{Name: es.Name, Route: es.Route, Hist: latency.NewHistogram()}
 				cp.merge(es)
 				merged[name] = cp
 			}
@@ -448,7 +450,7 @@ func (r *Runner) mergeStats(stats []*workerStats, end time.Time) *Result {
 		Issued:      r.issued.Load(),
 		Warmup:      warmup,
 		Dropped:     r.dropped.Load(),
-		Aggregate:   &EndpointStats{Name: "aggregate", Hist: NewHistogram()},
+		Aggregate:   &EndpointStats{Name: "aggregate", Hist: latency.NewHistogram()},
 	}
 	names := make([]string, 0, len(merged))
 	for name := range merged {

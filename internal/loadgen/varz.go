@@ -7,14 +7,16 @@ import (
 	"io"
 	"net/http"
 	"sort"
+
+	"ipv4market/internal/latency"
 )
 
 // ServerVarz is the slice of a marketd /varz document the load harness
-// consumes: the shared latency bucket bounds and the per-route request
-// and latency-bucket counters. The field names mirror internal/serve's
-// machine-readable export (latency_buckets_ms + per-route
-// latency_counts); loadgen deliberately re-declares them over HTTP
-// instead of importing the serving layer.
+// consumes: the latency bucket bounds and the per-route request and
+// latency-bucket counters. The field names mirror internal/serve's
+// export (latency_buckets_ms + per-route latency_counts, both over the
+// internal/latency layout); loadgen deliberately re-declares them over
+// HTTP instead of importing the serving layer.
 type ServerVarz struct {
 	LatencyBucketsMS []float64            `json:"latency_buckets_ms"`
 	Routes           map[string]RouteVarz `json:"routes"`
@@ -23,6 +25,32 @@ type ServerVarz struct {
 	// read-path split, used for per-node allocation accounting.
 	Process  *ProcessVarz  `json:"process"`
 	ZeroCopy *ZeroCopyVarz `json:"zero_copy"`
+	// Snapshot, Rebuilds and Replication are present only on marketd
+	// (Replication only on a leader or follower); marketbench polls them
+	// to follow a rebuild and the followers' catch-up.
+	Snapshot    *SnapshotVarz    `json:"snapshot"`
+	Rebuilds    *RebuildsVarz    `json:"rebuilds"`
+	Replication *ReplicationVarz `json:"replication"`
+}
+
+// SnapshotVarz is the served snapshot's identity: its swap sequence
+// number and the store generation backing it.
+type SnapshotVarz struct {
+	Seq uint64 `json:"seq"`
+	Gen uint64 `json:"gen"`
+}
+
+// RebuildsVarz is the background-rebuild progress.
+type RebuildsVarz struct {
+	Total    int64 `json:"total"`
+	Errors   int64 `json:"errors"`
+	InFlight bool  `json:"in_flight"`
+}
+
+// ReplicationVarz is the replication state a follower reports.
+type ReplicationVarz struct {
+	AppliedGen     uint64 `json:"applied_gen"`
+	LagGenerations int    `json:"lag_generations"`
 }
 
 // ProcessVarz is the slice of the process section the harness uses:
@@ -79,18 +107,15 @@ func ScrapeVarz(ctx context.Context, client *http.Client, base string) (*ServerV
 
 // RouteQuantile estimates the q-quantile of one route's server-side
 // latency from the scraped bucket counters. The second return is false
-// when the route is absent, has no samples, or exports no buckets
-// (a server predating the machine-readable form).
+// when the route is absent or has no samples, or when the document's
+// buckets are not the internal/latency layout (a server predating it).
 func (v *ServerVarz) RouteQuantile(route string, q float64) (float64, bool) {
 	r, ok := v.Routes[route]
-	if !ok || r.Requests == 0 || len(r.LatencyCounts) != len(v.LatencyBucketsMS)+1 {
+	if !ok || r.Requests == 0 || len(v.LatencyBucketsMS) != latency.Slots-1 {
 		return 0, false
 	}
-	est, err := QuantileFromBuckets(v.LatencyBucketsMS, r.LatencyCounts, q)
-	if err != nil {
-		return 0, false
-	}
-	return est, true
+	est, err := latency.QuantileFromBuckets(r.LatencyCounts, q)
+	return est, err == nil
 }
 
 // TotalRequests sums every route's request counter — the node's served

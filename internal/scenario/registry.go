@@ -145,7 +145,6 @@ func (r *Registry) buildWorld(ctx context.Context, spec Spec) (*world, error) {
 		BuildWorkers: r.opts.BuildWorkers,
 		Store:        w.st,
 		StoreKeep:    r.opts.StoreKeep,
-		WarmStart:    true,
 		ScenarioList: r.ListDoc,
 		ScenarioVarz: r.VarzDoc,
 		Logf:         logf,

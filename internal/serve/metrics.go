@@ -4,15 +4,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
+
+	"ipv4market/internal/latency"
 )
-
-// latencyBucketMS are the upper bounds (milliseconds) of the request
-// latency histogram; the final implicit bucket is +Inf.
-var latencyBucketMS = [numLatencyBuckets]float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
-
-const numLatencyBuckets = 10
 
 // Metrics aggregates the serving counters exported on /varz. All fields
 // are atomics; routes are registered up front (the map is read-only once
@@ -40,12 +37,14 @@ type Metrics struct {
 	routes map[string]*routeStats
 }
 
-// routeStats holds one route's counters.
+// routeStats holds one route's counters. hist counts requests per slot
+// of the internal/latency layout, the one the load generator records
+// client-side latency into.
 type routeStats struct {
 	requests atomic.Int64
 	byClass  [6]atomic.Int64 // status/100: 0 is "unknown"
 	totalNS  atomic.Int64
-	hist     [numLatencyBuckets + 1]atomic.Int64
+	hist     [latency.Slots]atomic.Int64
 }
 
 // NewMetrics returns an empty metrics registry started now.
@@ -74,15 +73,7 @@ func (m *Metrics) record(route string, status int, elapsed time.Duration) {
 	}
 	rs.byClass[class].Add(1)
 	rs.totalNS.Add(int64(elapsed))
-	ms := float64(elapsed) / float64(time.Millisecond)
-	b := len(latencyBucketMS)
-	for i, ub := range latencyBucketMS {
-		if ms <= ub {
-			b = i
-			break
-		}
-	}
-	rs.hist[b].Add(1)
+	rs.hist[latency.Index(elapsed)].Add(1)
 }
 
 // instrument wraps a handler to record per-route counters and latency.
@@ -155,14 +146,13 @@ type varzRoute struct {
 	Requests      int64            `json:"requests"`
 	ByStatusClass map[string]int64 `json:"by_status_class,omitempty"`
 	MeanLatencyMS float64          `json:"mean_latency_ms"`
-	LatencyMS     map[string]int64 `json:"latency_hist_ms,omitempty"`
-	// LatencyCounts is the machine-readable form of the same histogram:
-	// per-bucket (not cumulative) counts aligned with the document's
-	// top-level latency_buckets_ms bounds, plus one trailing overflow
-	// bucket — len(latency_counts) == len(latency_buckets_ms)+1, zeros
-	// included so consumers never guess at alignment. cmd/marketbench
-	// recomputes server-side percentiles from this export to cross-check
-	// its client-side measurements (internal/loadgen.QuantileFromBuckets).
+	// LatencyCounts is the route's latency histogram: per-bucket (not
+	// cumulative) counts aligned with the document's top-level
+	// latency_buckets_ms bounds, plus one trailing overflow bucket —
+	// latency.Slots counts, zeros included so consumers never guess at
+	// alignment. cmd/marketbench recomputes server-side percentiles from
+	// this export (latency.QuantileFromBuckets) to cross-check its
+	// client-side measurements, recorded in the same layout.
 	LatencyCounts []int64 `json:"latency_counts,omitempty"`
 }
 
@@ -243,11 +233,12 @@ type varzProcess struct {
 	Goroutines    int     `json:"goroutines"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	GoVersion     string  `json:"go_version"`
-	// TotalAllocBytes and Mallocs are runtime.MemStats cumulative
-	// allocation counters. Load harnesses (cmd/marketbench) scrape them
-	// before and after a measured phase to derive server-side
-	// allocation-per-request figures that no client-side measurement can
-	// see.
+	// TotalAllocBytes and Mallocs are the cumulative allocation
+	// counters of runtime.MemStats (TotalAlloc, Mallocs), read through
+	// runtime/metrics so a scrape does not stop the world. Load
+	// harnesses (cmd/marketbench) scrape them before and after a
+	// measured phase to derive server-side allocation-per-request
+	// figures that no client-side measurement can see.
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	Mallocs         uint64 `json:"mallocs"`
 }
@@ -271,9 +262,10 @@ type varzView struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Panics        int64   `json:"panics"`
 	// LatencyBucketsMS documents the latency histogram's bucket upper
-	// bounds in milliseconds, shared by every route's latency_counts;
-	// the final implicit bucket is +Inf. Emitted once at the top level
-	// so the per-route arrays stay compact.
+	// bounds in milliseconds (the internal/latency layout), shared by
+	// every route's latency_counts; the final implicit bucket is +Inf.
+	// Emitted once at the top level so the per-route arrays stay
+	// compact.
 	LatencyBucketsMS []float64     `json:"latency_buckets_ms"`
 	Process          *varzProcess  `json:"process"`
 	Snapshot         *varzSnapshot `json:"snapshot,omitempty"`
@@ -299,19 +291,25 @@ type varzView struct {
 // panics, and per-route request/latency stats. The Server adds its
 // snapshot, cache, rebuild, and store sections on top.
 func (m *Metrics) varz(now time.Time) varzView {
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
+	// MemStats.Mallocs counts tiny allocations separately from the
+	// runtime/metrics object count, so it is the sum of the two.
+	mem := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
+	metrics.Read(mem)
 	v := varzView{
 		UptimeSeconds:    now.Sub(m.start).Seconds(),
 		Panics:           m.panics.Load(),
-		LatencyBucketsMS: append([]float64(nil), latencyBucketMS[:]...),
+		LatencyBucketsMS: latency.BucketBoundsMS(),
 		Process: &varzProcess{
 			UptimeSeconds:   now.Sub(m.start).Seconds(),
 			Goroutines:      runtime.NumGoroutine(),
 			GOMAXPROCS:      runtime.GOMAXPROCS(0),
 			GoVersion:       runtime.Version(),
-			TotalAllocBytes: mem.TotalAlloc,
-			Mallocs:         mem.Mallocs,
+			TotalAllocBytes: mem[0].Value.Uint64(),
+			Mallocs:         mem[1].Value.Uint64() + mem[2].Value.Uint64(),
 		},
 		Routes: make(map[string]varzRoute, len(m.routes)),
 	}
@@ -326,14 +324,9 @@ func (m *Metrics) varz(now time.Time) varzView {
 				}
 			}
 			vr.MeanLatencyMS = float64(rs.totalNS.Load()) / float64(n) / 1e6
-			vr.LatencyMS = make(map[string]int64)
 			vr.LatencyCounts = make([]int64, len(rs.hist))
 			for i := range rs.hist {
-				cnt := rs.hist[i].Load()
-				vr.LatencyCounts[i] = cnt
-				if cnt > 0 {
-					vr.LatencyMS[bucketLabel(i)] = cnt
-				}
+				vr.LatencyCounts[i] = rs.hist[i].Load()
 			}
 		}
 		v.Routes[route] = vr
@@ -348,31 +341,4 @@ func statusClassLabel(class int) string {
 	default:
 		return "unknown"
 	}
-}
-
-func bucketLabel(i int) string {
-	if i >= len(latencyBucketMS) {
-		return "+inf"
-	}
-	// Render 0.5 as "0.5", 10 as "10".
-	ub := latencyBucketMS[i]
-	if ub == float64(int64(ub)) { //lint:ignore floatcmp integral-bound test on constant bucket bounds
-		return "le_" + itoa(int64(ub))
-	}
-	return "le_0.5"
-}
-
-func itoa(v int64) string {
-	const digits = "0123456789"
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = digits[v%10]
-		v /= 10
-	}
-	return string(buf[i:])
 }

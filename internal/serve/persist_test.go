@@ -147,7 +147,7 @@ func TestWarmStartMatchesColdBuild(t *testing.T) {
 		t.Fatalf("cold build persisted as generation %d, want 1", got)
 	}
 
-	warm, err := New(cfg, Options{Store: openStore(t, dir), WarmStart: true})
+	warm, err := New(cfg, Options{Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

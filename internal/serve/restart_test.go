@@ -44,7 +44,7 @@ func TestRestartETagContinuity(t *testing.T) {
 	ts1.Close() // the "crash": the process goes away, the data dir stays
 
 	// Phase 2: a new process warm-starts over the same directory.
-	second, err := New(cfg, Options{Store: openStore(t, dir), WarmStart: true})
+	second, err := New(cfg, Options{Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ipv4market/internal/latency"
 	"ipv4market/internal/simulation"
 )
 
@@ -490,18 +492,13 @@ func TestVarzShape(t *testing.T) {
 	if v.Replication != nil {
 		t.Errorf("standalone varz has a replication section: %v", v.Replication)
 	}
-	// The machine-readable histogram export: bucket bounds at the top
-	// level, per-route counts aligned with them (plus overflow).
-	if len(v.LatencyBucketsMS) != numLatencyBuckets {
-		t.Fatalf("latency_buckets_ms has %d bounds, want %d", len(v.LatencyBucketsMS), numLatencyBuckets)
+	// The histogram export: the shared internal/latency bounds at the
+	// top level, per-route counts aligned with them (plus overflow).
+	if !slices.Equal(v.LatencyBucketsMS, latency.BucketBoundsMS()) {
+		t.Fatalf("latency_buckets_ms = %v, want the shared layout %v", v.LatencyBucketsMS, latency.BucketBoundsMS())
 	}
-	for i := 1; i < len(v.LatencyBucketsMS); i++ {
-		if v.LatencyBucketsMS[i] <= v.LatencyBucketsMS[i-1] {
-			t.Fatalf("latency_buckets_ms not ascending at %d: %v", i, v.LatencyBucketsMS)
-		}
-	}
-	if len(rt.LatencyCounts) != numLatencyBuckets+1 {
-		t.Fatalf("latency_counts has %d entries, want %d", len(rt.LatencyCounts), numLatencyBuckets+1)
+	if len(rt.LatencyCounts) != latency.Slots {
+		t.Fatalf("latency_counts has %d entries, want %d", len(rt.LatencyCounts), latency.Slots)
 	}
 	var sum int64
 	for _, c := range rt.LatencyCounts {
@@ -509,6 +506,53 @@ func TestVarzShape(t *testing.T) {
 	}
 	if sum != rt.Requests {
 		t.Errorf("latency_counts sum to %d, want the route's %d requests", sum, rt.Requests)
+	}
+}
+
+// TestRouteLatencyResolvesSubMillisecond records a mix dominated by
+// 130µs requests — about what a cached artifact costs the server —
+// through the route recorder and requires the p50 recomputed from the
+// /varz counts to land within 20% of the true median. A layout whose
+// first bound is 0.5ms interpolates it to 0.25ms.
+func TestRouteLatencyResolvesSubMillisecond(t *testing.T) {
+	const route = "GET /v1/table1"
+	m := NewMetrics()
+	m.Register(route)
+	for i := 0; i < 1000; i++ {
+		d := 125*time.Microsecond + time.Duration(i%11)*time.Microsecond // 125–135µs
+		switch {
+		case i%5 == 0:
+			d = 60 * time.Microsecond
+		case i%5 == 1:
+			d = 3 * time.Millisecond
+		}
+		m.record(route, http.StatusOK, d)
+	}
+	rt := m.varz(time.Now()).Routes[route]
+	p50, err := latency.QuantileFromBuckets(rt.LatencyCounts, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth := 0.130; p50 < truth*0.8 || p50 > truth*1.2 {
+		t.Errorf("p50 from /varz counts = %.4fms, want within 20%% of %.3fms", p50, truth)
+	}
+}
+
+// TestVarzAllocCountersMatchMemStats pins the process allocation
+// counters to runtime.MemStats without stopping the world to read them:
+// a ReadMemStats taken between two /varz renders lies between them.
+func TestVarzAllocCountersMatchMemStats(t *testing.T) {
+	m := NewMetrics()
+	before := m.varz(time.Now()).Process
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	after := m.varz(time.Now()).Process
+	if before.TotalAllocBytes > mem.TotalAlloc || mem.TotalAlloc > after.TotalAllocBytes {
+		t.Errorf("total_alloc_bytes %d .. %d does not bracket MemStats.TotalAlloc %d",
+			before.TotalAllocBytes, after.TotalAllocBytes, mem.TotalAlloc)
+	}
+	if before.Mallocs > mem.Mallocs || mem.Mallocs > after.Mallocs {
+		t.Errorf("mallocs %d .. %d does not bracket MemStats.Mallocs %d", before.Mallocs, after.Mallocs, mem.Mallocs)
 	}
 }
 

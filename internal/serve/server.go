@@ -17,8 +17,6 @@ import (
 type Options struct {
 	// Timeout bounds each request's handler time (default 10s).
 	Timeout time.Duration
-	// CacheSize caps the per-snapshot filtered-query cache (default 256).
-	CacheSize int
 	// EnableAdmin exposes POST /admin/rebuild when set.
 	EnableAdmin bool
 	// BuildWorkers caps snapshot build-stage concurrency. At <= 0 the
@@ -28,18 +26,15 @@ type Options struct {
 	BuildWorkers int
 	// Store, when set, is the durable snapshot store: every successful
 	// build is persisted to it, /v1/history and ?gen= pinned reads are
-	// served from it, and WarmStart restores from it.
+	// served from it, and New warm-starts from its newest valid
+	// generation instead of building, so a restarted server answers its
+	// first request immediately. The caller decides whether to follow up
+	// with RebuildAsync for a fresh build (scenario.Registry.Run does).
+	// An empty store or a failed restore falls back to a cold build.
 	Store *store.Store
 	// StoreKeep bounds retention: after each persist the store is
 	// compacted to the newest StoreKeep generations (< 1: keep all).
 	StoreKeep int
-	// WarmStart makes New restore the newest valid store generation
-	// instead of building a snapshot, so a restarted server answers its
-	// first request immediately. The caller decides whether to follow up
-	// with RebuildAsync for a fresh build (scenario.Registry.Run does). With no
-	// store, an empty store, or a failed restore, New falls back to a
-	// cold build.
-	WarmStart bool
 	// Follower makes this server a replication follower: it only ever
 	// serves generations restored from its Store (seeded by
 	// internal/replicate), never builds locally, and refuses rebuilds
@@ -79,11 +74,11 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
 	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 256
-	}
 	return o
 }
+
+// queryCacheSize caps the per-snapshot filtered-query cache.
+const queryCacheSize = 256
 
 // state pairs a snapshot with the query cache rendered from it. They swap
 // together so a cached response can never describe a different snapshot
@@ -132,8 +127,7 @@ type Server struct {
 }
 
 // New returns the serving layer for cfg with a snapshot ready to serve:
-// restored from the durable store when Options.WarmStart finds a valid
-// generation (the restore is milliseconds where a build is seconds —
+// restored from the durable store when it holds a valid generation (the restore is milliseconds where a build is seconds —
 // the point of the store), built synchronously otherwise. A cold-built
 // initial snapshot is persisted like any other successful build.
 func New(cfg simulation.Config, opts Options) (*Server, error) {
@@ -160,17 +154,17 @@ func New(cfg simulation.Config, opts Options) (*Server, error) {
 		s.persist(snap)
 	}
 	snap.Seq = s.seq.Add(1)
-	s.st.Store(&state{snap: snap, cache: newQueryCache(s.opts.CacheSize)})
+	s.st.Store(&state{snap: snap, cache: newQueryCache(queryCacheSize)})
 	s.routes()
 	return s, nil
 }
 
-// tryWarmStart restores the newest valid store generation when warm
-// starts are enabled. It returns nil — meaning "cold-build instead" —
-// for a missing store, an empty store, or a failed restore; a restore
-// failure is logged, never fatal, because the cold path always works.
+// tryWarmStart restores the newest valid store generation. It returns
+// nil — meaning "cold-build instead" — for a missing store, an empty
+// store, or a failed restore; a restore failure is logged, never fatal,
+// because the cold path always works.
 func (s *Server) tryWarmStart(cfg simulation.Config) *Snapshot {
-	if s.opts.Store == nil || !(s.opts.WarmStart || s.opts.Follower) {
+	if s.opts.Store == nil {
 		return nil
 	}
 	latest, ok := s.opts.Store.Latest()
@@ -266,7 +260,7 @@ func (s *Server) current() *state { return s.st.Load() }
 // it untouched.
 func (s *Server) swap(snap *Snapshot) {
 	snap.Seq = s.seq.Add(1)
-	s.st.Store(&state{snap: snap, cache: newQueryCache(s.opts.CacheSize)})
+	s.st.Store(&state{snap: snap, cache: newQueryCache(queryCacheSize)})
 }
 
 // Rebuilding reports whether a background rebuild is in flight.

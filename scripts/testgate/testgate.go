@@ -34,8 +34,9 @@ type contract struct {
 
 // contracts are the tests that pin what the repo promises: the served
 // bytes and ETags, build determinism at any worker count, durability,
-// the time-travel index, replication and scenario isolation, the load
-// harness's statistics, the documentation, and the lint self-check.
+// the time-travel index, replication and scenario isolation, the
+// latency histogram and the load harness, the documentation, and the
+// lint self-check.
 var contracts = []contract{
 	{"ipv4market/internal/serve", []string{
 		// Documentation: docs/API.md lists exactly the registered routes,
@@ -50,6 +51,8 @@ var contracts = []contract{
 		"TestAsofRequestValidation", "TestAsofDiffAllocs",
 		// Byte oracles at production scale, and the JSON indenter.
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
+		// /varz resolves sub-millisecond server latency.
+		"TestRouteLatencyResolvesSubMillisecond",
 	}},
 	{"ipv4market/internal/core", []string{
 		"TestFigure6WorkersDeterministic", "TestFigure2WorkersMatchesSerial",
@@ -83,8 +86,10 @@ var contracts = []contract{
 		"TestMatrixDeterminism", "TestScenarioIsolation", "TestDefaultAlias", "TestWarmStartMatrix",
 		"TestGoldenConfigsReplay",
 	}},
-	{"ipv4market/internal/loadgen", []string{
+	{"ipv4market/internal/latency", []string{
 		"TestHistogramQuantileMatchesExact", "TestHistogramMergeAssociativity",
+	}},
+	{"ipv4market/internal/loadgen", []string{
 		"TestClosedLoopAccounting", "TestClosedLoopCancellation", "TestOpenLoopSheds",
 		"TestBenchClusterJSONParses",
 	}},
