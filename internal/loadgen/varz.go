@@ -62,13 +62,16 @@ type ProcessVarz struct {
 	Mallocs         uint64 `json:"mallocs"`
 }
 
-// ZeroCopyVarz is the zero_copy section: how artifact responses were
-// served — straight from the sealed segment file, from the in-memory
-// copy (no persisted generation), or via fallback after a file error.
+// ZeroCopyVarz is the zero_copy section: how static artifact responses
+// were served — straight from the sealed segment file, from the
+// in-memory copy (no persisted generation), or via fallback after a
+// file error — and, apart from those, how many responses were computed
+// per query (filters, lookups, as-of views), which live only in memory.
 type ZeroCopyVarz struct {
 	FileReads int64 `json:"file_reads"`
 	MemReads  int64 `json:"mem_reads"`
 	Fallbacks int64 `json:"fallbacks"`
+	Computed  int64 `json:"computed"`
 }
 
 // RouteVarz is one route's counters as exported on /varz.

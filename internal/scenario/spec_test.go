@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"ipv4market/internal/serve"
 	"ipv4market/internal/simulation"
 )
 
@@ -112,6 +115,29 @@ func TestValidationErrorsNameTheField(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.label+".json") {
 			t.Errorf("%s: error %q does not name the file", tc.label, err)
 		}
+	}
+}
+
+// TestSpecAtLIRsCapBuilds builds the largest world validation accepts,
+// through the whole snapshot pipeline, so the cap never promises a
+// world the generator cannot build; one LIR more is rejected.
+func TestSpecAtLIRsCapBuilds(t *testing.T) {
+	spec, err := Parse([]byte(`{"name": "cap", "seed": 1, "lirs": `+strconv.Itoa(maxLIRs)+`}`), "cap.json")
+	if err != nil {
+		t.Fatalf("spec at the cap rejected: %v", err)
+	}
+	cfg := spec.Config(simulation.DefaultConfig())
+	if cfg.NumLIRs != maxLIRs {
+		t.Fatalf("NumLIRs = %d, want %d", cfg.NumLIRs, maxLIRs)
+	}
+	if _, err := serve.BuildSnapshotOpts(cfg, serve.BuildOptions{}); err != nil {
+		t.Fatalf("world at the lirs cap does not build: %v", err)
+	}
+
+	_, err = Parse([]byte(`{"name": "over", "seed": 1, "lirs": `+strconv.Itoa(maxLIRs+1)+`}`), "over.json")
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Field != "lirs" {
+		t.Fatalf("lirs %d: got %v, want a lirs field error", maxLIRs+1, err)
 	}
 }
 

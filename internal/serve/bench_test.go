@@ -56,10 +56,11 @@ func benchBuild(b *testing.B, cfg simulation.Config, counts []int) {
 
 // benchWriter is the benchmark's ResponseWriter: it discards bodies but
 // — unlike httptest.ResponseRecorder — implements io.ReaderFrom with a
-// pooled copy buffer, the same fast path a production *http.response
-// offers. This keeps the measured bytes/op about the handler's own
-// allocations instead of recorder buffer growth: with the recorder, a
-// 200 KB body showed up as ~200 KB/op of pure harness artifact.
+// pooled copy buffer, as a production *http.response does for readers
+// its connection cannot sendfile. This keeps the measured bytes/op
+// about the handler's own allocations instead of recorder buffer
+// growth: with the recorder, a 200 KB body showed up as ~200 KB/op of
+// pure harness artifact.
 type benchWriter struct {
 	header http.Header
 	status int
@@ -245,8 +246,12 @@ func TestAsofDiffAllocs(t *testing.T) {
 // TestServeAllocRegression holds the zero-copy read path to its
 // budget: serving the full price artifact must stay well under the
 // ~220 KB/op the buffer-copying path cost, even measured through the
-// same discarding harness. A regression that reintroduces a per-request
-// body copy trips this immediately.
+// same discarding harness. A handler or wrapper that reintroduces a
+// per-request body copy trips this immediately. benchWriter's ReadFrom
+// never reaches net.TCPConn.ReadFrom, so this test cannot see whether a
+// body goes out by sendfile (it passed while net/http copied every
+// artifact through a fresh 32 KiB buffer); TestArtifactSendfileOverTCP
+// measures that over a real connection.
 func TestServeAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed regression check in -short mode")

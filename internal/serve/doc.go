@@ -34,10 +34,12 @@
 //     (one pre-rendered JSON/CSV row per cell), so a filter render is
 //     row selection plus concatenation, never re-marshalling.
 //   - When a store is attached, unfiltered artifact responses are served
-//     zero-copy: http.ServeContent streams the pre-encoded body straight
-//     from the sealed segment file (Range, If-Range and sendfile capable)
-//     instead of copying it through a per-request buffer; /varz counts
-//     the file/memory/fallback split under zero_copy.
+//     zero-copy: http.ServeContent serves the pre-encoded body from the
+//     sealed segment file (Range and If-Range included), and the metrics
+//     wrapper hands that file to net/http, so over TCP the body goes out
+//     by sendfile rather than through a user-space buffer; /varz counts
+//     the file/memory/fallback split, and computed responses, under
+//     zero_copy.
 //
 // Endpoints: /v1/table1, /v1/figures/{1..4}, /v1/prices, /v1/transfers,
 // /v1/delegations, /v1/leasing, /v1/headline, /v1/history, plus

@@ -154,10 +154,11 @@ func wantCSV(r *http.Request, q url.Values) bool {
 }
 
 // artifactRef names an artifact's persisted identity: the store key and
-// the generation whose sealed segment carries its bytes. A zero ref
-// (gen 0) marks an artifact that only exists in memory — computed
-// filter responses and storeless servers — which always serves from the
-// in-memory body.
+// the generation whose sealed segment carries its bytes. A ref with a
+// key but gen 0 marks a static artifact no persisted generation backs
+// (storeless servers); a zero ref marks a computed response (filters,
+// lookups, as-of views). Both serve from the in-memory body, and /varz
+// counts them apart.
 type artifactRef struct {
 	key string
 	gen uint64
@@ -168,15 +169,15 @@ type artifactRef struct {
 // 304, Range and If-Range against the pre-set strong ETag) for every
 // artifact endpoint.
 //
-// This is the zero-copy hot path: when ref names a persisted generation
-// the body is served straight from the sealed segment file via a
-// file-backed io.ReadSeeker (store.OpenArtifact), so response bytes
-// never cross a per-request heap buffer — net/http's ReaderFrom path
-// hands the section reader to sendfile on platforms that support it,
-// and replication followers serve the leader's exact frame bytes. When
-// the segment cannot be opened (compacted or deleted mid-flight) the
-// server degrades to the in-memory copy and counts the fallback on
-// /varz zero_copy.fallbacks.
+// When ref names a persisted generation the body comes from the sealed
+// segment file (store.OpenArtifact), so replication followers serve the
+// leader's exact frame bytes. ServeContent copies it through the
+// statusWriter, whose ReadFrom hands the segment file to net/http and
+// so to sendfile on a TCP connection: after the first 512 bytes, which
+// net/http copies through its pooled buffer, the body never enters user
+// space. When the segment cannot be opened (compacted or deleted
+// mid-flight) the server degrades to the in-memory copy and counts the
+// fallback on /varz zero_copy.fallbacks.
 func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, q url.Values, art *artifact, ref artifactRef) {
 	body, etag, ctype, storeCtype := art.json, art.jsonETag, "application/json", ctypeJSON
 	if wantCSV(r, q) {
@@ -207,6 +208,8 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, q url.Val
 			return
 		}
 		s.metrics.artifactFallbacks.Add(1)
+	} else if ref.key == "" {
+		s.metrics.artifactComputed.Add(1)
 	} else {
 		s.metrics.artifactMemReads.Add(1)
 	}

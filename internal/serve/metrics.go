@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
@@ -24,15 +25,18 @@ type Metrics struct {
 	rebuilds       atomic.Int64
 	rebuildErrors  atomic.Int64
 
-	// Zero-copy artifact accounting: file_reads are responses served
-	// straight from a sealed segment file, mem_reads are responses served
-	// from the in-memory copy because no persisted generation backs them
-	// (computed filters, storeless servers), and fallbacks are responses
-	// that *should* have come from a segment but degraded to memory
-	// (segment deleted or compacted mid-flight, frame mismatch).
+	// Zero-copy artifact accounting: file_reads are static artifacts
+	// served straight from a sealed segment file, mem_reads are static
+	// artifacts served from the in-memory copy because no persisted
+	// generation backs them (storeless servers), fallbacks are static
+	// artifacts that *should* have come from a segment but degraded to
+	// memory (segment deleted or compacted mid-flight, frame mismatch),
+	// and computed are responses rendered per query (price filters,
+	// delegation lookups, as-of views), which only ever live in memory.
 	artifactFileReads atomic.Int64
 	artifactMemReads  atomic.Int64
 	artifactFallbacks atomic.Int64
+	artifactComputed  atomic.Int64
 
 	routes map[string]*routeStats
 }
@@ -103,6 +107,7 @@ type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
+	file  io.LimitedReader // ReadFrom's segment-file reader, kept here to spare an allocation
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
@@ -119,18 +124,48 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
-// ReadFrom keeps the underlying writer's optimized copy path (sendfile,
-// net/http's pooled buffers) reachable through the wrapper. Without it,
-// wrapping would hide io.ReaderFrom from io.Copy and every zero-copy
-// artifact response would fall back to an allocated per-request buffer.
+// ReadFrom keeps the underlying writer's copy path reachable through
+// the wrapper: net/http's *response hands the reader to the TCP
+// connection, which uses sendfile for an *os.File (or an
+// io.LimitedReader over one) and a pooled buffer otherwise. Without
+// this method, io.Copy would allocate a fresh 32 KiB buffer per
+// response.
+//
+// http.ServeContent copies a body as io.CopyN(w, content, n), so a
+// segment-backed artifact arrives as an *io.LimitedReader over a
+// store.ArtifactReader, which net.sendFile cannot see through. ReadFrom
+// unwraps it to the segment file positioned at the section's offset,
+// then advances the section and the caller's limit by what was written.
 func (sw *statusWriter) ReadFrom(r io.Reader) (int64, error) {
 	if !sw.wrote {
 		sw.code, sw.wrote = http.StatusOK, true
 	}
-	if rf, ok := sw.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(r)
+	rf, ok := sw.ResponseWriter.(io.ReaderFrom)
+	if !ok {
+		return io.Copy(struct{ io.Writer }{sw.ResponseWriter}, r)
 	}
-	return io.Copy(struct{ io.Writer }{sw.ResponseWriter}, r)
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if sec, ok := lr.R.(fileSection); ok {
+			if f, left, err := sec.SectionFile(); err == nil {
+				sw.file = io.LimitedReader{R: f, N: min(lr.N, left)}
+				n, err := rf.ReadFrom(&sw.file)
+				lr.N -= n
+				if _, serr := sec.Seek(n, io.SeekCurrent); err == nil {
+					err = serr
+				}
+				return n, err
+			}
+		}
+	}
+	return rf.ReadFrom(r)
+}
+
+// fileSection is a body section backed by a file, as
+// store.ArtifactReader is: SectionFile returns the file positioned at
+// the section's next byte and the number of bytes left in the section.
+type fileSection interface {
+	io.Seeker
+	SectionFile() (*os.File, int64, error)
 }
 
 func (sw *statusWriter) status() int {
@@ -244,14 +279,17 @@ type varzProcess struct {
 }
 
 // varzZeroCopy is the zero-copy artifact serving census on /varz: how
-// responses found their bytes. A nonzero fallbacks means a persisted
-// segment disappeared under an in-flight request (compaction racing a
-// pinned read is the benign cause) and the server degraded to its
-// in-memory copy.
+// responses found their bytes. The first three split the static
+// artifacts, so file_reads over their sum is the share the segment
+// files served; computed responses are counted apart. A nonzero
+// fallbacks means a persisted segment disappeared under an in-flight
+// request (compaction racing a pinned read is the benign cause) and
+// the server degraded to its in-memory copy.
 type varzZeroCopy struct {
 	FileReads int64 `json:"file_reads"`
 	MemReads  int64 `json:"mem_reads"`
 	Fallbacks int64 `json:"fallbacks"`
+	Computed  int64 `json:"computed"`
 }
 
 // varzView is the /varz document. The snapshot, cache, rebuild, and

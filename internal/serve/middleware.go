@@ -21,8 +21,8 @@ import (
 //
 // The timeout layer is deadline-based, not http.TimeoutHandler:
 // TimeoutHandler buffers the entire response body in memory before
-// writing it, which would put a per-request copy back into the
-// zero-copy artifact path (and block sendfile). Instead the request
+// writing it, which would put a per-request copy of every artifact body
+// back on the heap (and rule out sendfile). Instead the request
 // context gets a deadline — every handler doing cancellable work reads
 // it — and the connection gets a write deadline covering the response,
 // so a stalled client cannot pin the connection either.

@@ -402,6 +402,7 @@ func (s *Server) varz(now time.Time) varzView {
 		FileReads: s.metrics.artifactFileReads.Load(),
 		MemReads:  s.metrics.artifactMemReads.Load(),
 		Fallbacks: s.metrics.artifactFallbacks.Load(),
+		Computed:  s.metrics.artifactComputed.Load(),
 	}
 	v.Rebuilds = &varzRebuilds{
 		Total:    s.metrics.rebuilds.Load(),

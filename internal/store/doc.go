@@ -58,11 +58,13 @@
 // segment file, rebuilt from the verified scan, never trusted from the
 // manifest). OpenArtifact returns a file-backed io.ReadSeeker over
 // exactly those bytes, so the serving layer can hand an artifact body
-// to http.ServeContent — Range requests, conditional gets, sendfile —
-// without ever copying it through a per-request buffer. Each call opens
-// its own file descriptor: a generation compacted or deleted mid-flight
-// surfaces as an I/O error on open (never torn bytes), which callers
-// treat as the signal to fall back to an in-memory copy.
+// to http.ServeContent (Range requests, conditional gets), and through
+// ArtifactReader.SectionFile give the segment file itself to sendfile:
+// past the first 512 bytes, which net/http copies to start the
+// response, the body never passes through a user-space buffer. Each
+// call opens its own file descriptor: a generation compacted or deleted
+// mid-flight surfaces as an I/O error on open (never torn bytes), which
+// callers treat as the signal to fall back to an in-memory copy.
 //
 // The store is safe for concurrent use. Append and CompactTo serialize
 // behind a write lock; Load, Latest, Generations, Stats and

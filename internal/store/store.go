@@ -304,10 +304,11 @@ func (s *Store) SegmentPath(gen uint64) (string, bool) {
 
 // ArtifactReader is an open, read-only view of one artifact body inside
 // a sealed segment file: an io.ReadSeeker/io.ReaderAt suitable for
-// http.ServeContent (Range requests and sendfile included). The caller
-// must Close it when done serving. Segments are immutable, so the bytes
-// read are exactly the bytes Append wrote; the frame's stored ETag is
-// in Info.
+// http.ServeContent (Range requests included). Reads go through pread
+// into the caller's buffer; to send the body without that copy, a
+// writer takes the file itself from SectionFile. The caller must Close
+// it when done serving. Segments are immutable, so the bytes read are
+// exactly the bytes Append wrote; the frame's stored ETag is in Info.
 type ArtifactReader struct {
 	*io.SectionReader
 	f    *os.File
@@ -316,6 +317,21 @@ type ArtifactReader struct {
 
 // Close releases the underlying segment file handle.
 func (r *ArtifactReader) Close() error { return r.f.Close() }
+
+// SectionFile positions the segment file at the body byte the reader
+// would read next (the frame offset plus the section's current
+// position) and returns the file with the number of body bytes left.
+// Reading the file from there, up to that count, yields exactly the
+// bytes the section would, so a caller can hand them to sendfile; it
+// must then Seek the reader past what it consumed. The file's own
+// offset is independent of the section, which reads by position.
+func (r *ArtifactReader) SectionFile() (*os.File, int64, error) {
+	pos, _ := r.Seek(0, io.SeekCurrent) // fails only for an invalid whence
+	if _, err := r.f.Seek(r.Info.Offset+pos, io.SeekStart); err != nil {
+		return nil, 0, fmt.Errorf("store: position artifact %q: %w", r.Info.Key, err)
+	}
+	return r.f, max(r.Size()-pos, 0), nil
+}
 
 // OpenArtifact opens generation gen's segment file and returns a
 // zero-copy reader over the stored body for (key, contentType). It

@@ -53,6 +53,8 @@ var contracts = []contract{
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
 		// /varz resolves sub-millisecond server latency.
 		"TestRouteLatencyResolvesSubMillisecond",
+		// Segment-backed artifacts reach sendfile over TCP, ranges included.
+		"TestArtifactSendfileOverTCP", "TestArtifactSendfileRange",
 	}},
 	{"ipv4market/internal/core", []string{
 		"TestFigure6WorkersDeterministic", "TestFigure2WorkersMatchesSerial",
@@ -84,7 +86,7 @@ var contracts = []contract{
 	}},
 	{"ipv4market/internal/scenario", []string{
 		"TestMatrixDeterminism", "TestScenarioIsolation", "TestDefaultAlias", "TestWarmStartMatrix",
-		"TestGoldenConfigsReplay",
+		"TestGoldenConfigsReplay", "TestSpecAtLIRsCapBuilds",
 	}},
 	{"ipv4market/internal/latency", []string{
 		"TestHistogramQuantileMatchesExact", "TestHistogramMergeAssociativity",
