@@ -3,11 +3,12 @@
 // root). The build and serve suites run through `go test -bench` and
 // the JSON is rewritten with the parsed results plus the recording
 // machine's metadata (CPU model, core count, GOMAXPROCS, Go version).
-// The cluster suite builds marketd and marketbench, then boots real
-// process topologies (leader-only and leader+2 followers behind a
-// round-robin router) and drives the mixed /v1 workload at them;
-// cmd/marketbench writes BENCH_cluster.json itself. scripts/bench.sh
-// is the front door:
+// The cluster suite builds marketd and marketbench, then lets
+// marketbench boot a replicated fleet (a leader and 2 followers behind
+// a round-robin router) on marketd's DefaultConfig world and drive the
+// mixed /v1 workload through it; marketbench writes BENCH_cluster.json
+// itself, procedure and note included. scripts/bench.sh is the front
+// door:
 //
 //	scripts/bench.sh            # re-record all baselines
 //	scripts/bench.sh -suite build
@@ -116,7 +117,7 @@ func run(w io.Writer, args []string) error {
 		which       = fs.String("suite", "all", `which baseline to re-record: "build", "serve", "cluster", or "all"`)
 		dir         = fs.String("dir", ".", "repository root (where the BENCH_*.json files live)")
 		benchtime   = fs.String("benchtime", "", "override the suite's default -benchtime (build/serve)")
-		clusterReqs = fs.Int("cluster-requests", 5000, "measured requests per topology for the cluster suite")
+		clusterReqs = fs.Int("cluster-requests", 5000, "measured requests for the cluster suite")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -148,9 +149,8 @@ func run(w io.Writer, args []string) error {
 }
 
 // recordCluster re-records BENCH_cluster.json: it builds marketd and
-// marketbench, then lets marketbench boot and drive the two recorded
-// topologies (leader-only, leader+2 followers behind the router) and
-// write the baseline itself — the schema lives in internal/loadgen and
+// marketbench, then lets marketbench boot and drive the fleet and write
+// the baseline itself — the schema lives in internal/loadgen and
 // TestBenchClusterJSONParses reads the file back through it.
 func recordCluster(w io.Writer, dir string, requests int) error {
 	tmp, err := os.MkdirTemp("", "benchrecord-cluster")
@@ -170,23 +170,10 @@ func recordCluster(w io.Writer, dir string, requests int) error {
 
 	args := []string{
 		"-marketd", filepath.Join(tmp, "marketd"),
-		"-topologies", "0,2",
 		"-requests", strconv.Itoa(requests),
 		"-out", filepath.Join(dir, "BENCH_cluster.json"),
-		"-procedure", "recorded by scripts/bench.sh -suite cluster (cmd/benchrecord): go build ./cmd/marketd " +
-			"./cmd/marketbench, then marketbench -topologies 0,2 -requests " + strconv.Itoa(requests) + " boots each " +
-			"topology over loopback (leader with a durable store; followers replicating with -max-lag 2 behind the " +
-			"round-robin router), drives the weighted /v1 endpoint mix closed-loop, triggers a rebuild under load, " +
-			"waits for follower catch-up, and writes this file whole. Numbers are machine-dependent — compare only " +
-			"against a baseline whose goos/goarch/cpu/num_cpu match. Never edit by hand; re-record instead.",
-		"-note", "closed-loop mixed /v1 workload per topology with a mid-run leader rebuild and follower catch-up; " +
-			"client percentiles from the deterministic streaming histogram, cross-checked against each node's " +
-			"/varz latency_counts export. error_budget.violated must be false in a committed baseline. " +
-			"Per-node rows report alloc bytes and mallocs per served request (from /varz process counter deltas, " +
-			"warmup and rebuild included) plus the zero-copy read split; per-endpoint bytes_per_op is mean " +
-			"response-body size on the wire.",
 	}
-	fmt.Fprintf(w, "benchrecord: running marketbench (%d requests per topology)...\n", requests)
+	fmt.Fprintf(w, "benchrecord: running marketbench (%d requests)...\n", requests)
 	cmd := exec.Command(filepath.Join(tmp, "marketbench"), args...)
 	cmd.Dir = dir
 	cmd.Stdout = w

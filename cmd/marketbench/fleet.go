@@ -16,17 +16,30 @@ import (
 	"ipv4market/internal/loadgen"
 )
 
-// eventTimeout bounds each mid-load milestone: the rebuild swap and the
-// followers' catch-up.
-const eventTimeout = 120 * time.Second
+const (
+	// followers is the fleet's follower count behind the router.
+	followers = 2
+	// topology names the fleet in reports.
+	topology = "leader+2"
+	// loadSeed fixes the request mix.
+	loadSeed = 1
+	// pollInterval is the followers' leader-poll period and the
+	// router's health-check period.
+	pollInterval = 250 * time.Millisecond
+	// maxLag is the followers' -max-lag readiness bound in generations.
+	maxLag = "2"
+	// eventTimeout bounds each mid-load milestone: the rebuild swap and
+	// the followers' catch-up.
+	eventTimeout = 120 * time.Second
+)
 
-// fleet is one booted topology: a leader, its followers, and (when
-// followers exist) a router in front.
+// fleet is the booted topology: a leader, its followers, and the
+// router in front of them.
 type fleet struct {
 	leader    *harness.Daemon
 	followers []*harness.Daemon
-	base      string // what the load is driven at
 	router    *loadgen.Router
+	base      string // the router's URL, where the load is driven
 
 	routerSrv    *http.Server
 	routerDone   chan error
@@ -36,15 +49,16 @@ type fleet struct {
 // nodes returns name→base for every marketd in the fleet.
 func (fl *fleet) nodes() map[string]string {
 	m := map[string]string{"leader": fl.leader.Base}
-	for i, d := range fl.followers {
-		m[fmt.Sprintf("follower%d", i+1)] = d.Base
+	for _, d := range fl.followers {
+		m[d.Name] = d.Base
 	}
 	return m
 }
 
 // shutdown tears the fleet down: router first (stop new traffic), then
-// every marketd at once. The first error wins; teardown continues
-// regardless so no process outlives the bench.
+// the router's idle backend connections, then every marketd at once.
+// The first error wins; teardown continues regardless so no process
+// outlives the bench.
 func (fl *fleet) shutdown() error {
 	var firstErr error
 	if fl.healthCancel != nil {
@@ -52,13 +66,16 @@ func (fl *fleet) shutdown() error {
 	}
 	if fl.routerSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := fl.routerSrv.Shutdown(ctx); err != nil && firstErr == nil {
+		if err := fl.routerSrv.Shutdown(ctx); err != nil {
 			firstErr = fmt.Errorf("router shutdown: %w", err)
 		}
 		cancel()
 		if err := <-fl.routerDone; err != nil && err != http.ErrServerClosed && firstErr == nil {
 			firstErr = fmt.Errorf("router serve: %w", err)
 		}
+	}
+	if fl.router != nil {
+		fl.router.CloseIdleConnections()
 	}
 	if err := harness.Stop(append([]*harness.Daemon{fl.leader}, fl.followers...)...); err != nil && firstErr == nil {
 		firstErr = err
@@ -67,63 +84,53 @@ func (fl *fleet) shutdown() error {
 }
 
 // bootFleet starts a leader with a durable store and admin rebuilds,
-// `followers` marketd followers replicating from it (readiness gated by
-// -max-lag), and — when there are followers — a round-robin router
-// whose health loop polls every node's /readyz.
-func bootFleet(w io.Writer, f *benchFlags, followers int, workdir string) (*fleet, error) {
-	world := []string{"-lirs", strconv.Itoa(f.lirs), "-days", strconv.Itoa(f.days)}
-	if f.worldSeed != 0 {
-		world = append(world, "-seed", strconv.FormatInt(f.worldSeed, 10))
+// the followers replicating from it (readiness gated by -max-lag), and
+// a round-robin router whose health loop polls every node's /readyz.
+func bootFleet(w io.Writer, f *benchFlags, workdir string) (*fleet, error) {
+	world := []string{
+		"-seed", strconv.FormatInt(f.world.Seed, 10),
+		"-lirs", strconv.Itoa(f.world.NumLIRs),
+		"-days", strconv.Itoa(f.world.RoutingDays),
 	}
-
 	leader, err := harness.Start(w, "leader", f.marketdBin, append([]string{
 		"-listen", "127.0.0.1:0", "-data-dir", filepath.Join(workdir, "leader"), "-admin"}, world...)...)
 	if err != nil {
 		return nil, err
 	}
-	fl := &fleet{leader: leader, base: leader.Base}
+	fl := &fleet{leader: leader}
+	targets := []string{leader.Base}
+	names := map[string]string{leader.Base: "leader"}
 
-	for i := 0; i < followers; i++ {
-		name := fmt.Sprintf("follower%d", i+1)
-		args := append([]string{
+	for i := 1; i <= followers; i++ {
+		name := fmt.Sprintf("follower%d", i)
+		d, err := harness.Start(w, name, f.marketdBin, append([]string{
 			"-listen", "127.0.0.1:0",
 			"-data-dir", filepath.Join(workdir, name),
 			"-follow", leader.Base,
-			"-poll-interval", f.pollEvery.String()}, world...)
-		if f.maxLag != "" {
-			args = append(args, "-max-lag", f.maxLag)
-		}
-		d, err := harness.Start(w, name, f.marketdBin, args...)
+			"-poll-interval", pollInterval.String(),
+			"-max-lag", maxLag}, world...)...)
 		if err != nil {
 			fl.shutdown()
 			return nil, err
 		}
 		fl.followers = append(fl.followers, d)
-	}
-
-	if followers == 0 {
-		return fl, nil
-	}
-
-	targets := []string{leader.Base}
-	names := map[string]string{leader.Base: "leader"}
-	for i, d := range fl.followers {
 		targets = append(targets, d.Base)
-		names[d.Base] = fmt.Sprintf("follower%d", i+1)
+		names[d.Base] = name
 	}
+
 	rt, err := loadgen.NewNamedRouter(targets, names)
 	if err != nil {
 		fl.shutdown()
 		return nil, err
 	}
+	fl.router = rt
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fl.shutdown()
 		return nil, fmt.Errorf("router listen: %w", err)
 	}
 	healthCtx, cancel := context.WithCancel(context.Background())
-	go rt.HealthLoop(healthCtx, f.pollEvery) // coordinated: exits when healthCancel fires in shutdown
-	fl.router = rt
+	go rt.HealthLoop(healthCtx, pollInterval) // coordinated: exits when healthCancel fires in shutdown
 	fl.routerSrv = &http.Server{Handler: rt}
 	fl.routerDone = make(chan error, 1)
 	fl.healthCancel = cancel
@@ -138,42 +145,40 @@ func bootFleet(w io.Writer, f *benchFlags, followers int, workdir string) (*flee
 	return fl, nil
 }
 
-// runTopology boots one topology, drives the configured load at it,
-// triggers a leader rebuild mid-run, waits for the swap and (with
-// followers) for every follower to catch back up, cross-checks the
-// client percentiles against each node's /varz buckets, and renders the
-// report row.
-func runTopology(ctx context.Context, w io.Writer, f *benchFlags, followers int) (*loadgen.TopologyReport, error) {
-	name := "leader"
-	if followers > 0 {
-		name = fmt.Sprintf("leader+%d", followers)
-	}
-	fmt.Fprintf(w, "marketbench: === topology %s (%d follower(s)) ===\n", name, followers)
+// runFleet boots the fleet, drives the load through its router,
+// triggers a leader rebuild mid-run, waits for the swap and for every
+// follower to catch back up, cross-checks the client percentiles
+// against each node's /varz buckets, and renders the report row. The
+// fleet's teardown error is the run's error when nothing failed before
+// it.
+func runFleet(ctx context.Context, w io.Writer, f *benchFlags) (report *loadgen.TopologyReport, err error) {
+	fmt.Fprintf(w, "marketbench: === %s: world seed %d, %d LIRs, %d days ===\n",
+		topology, f.world.Seed, f.world.NumLIRs, f.world.RoutingDays)
 
-	workdir, err := os.MkdirTemp("", "marketbench-"+name)
+	workdir, err := os.MkdirTemp("", "marketbench-fleet")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(workdir)
 
-	fl, err := bootFleet(w, f, followers, workdir)
+	fl, err := bootFleet(w, f, workdir)
 	if err != nil {
 		return nil, err
 	}
-	defer fl.shutdown()
+	defer func() {
+		if stopErr := fl.shutdown(); stopErr != nil && err == nil {
+			report, err = nil, fmt.Errorf("teardown: %w", stopErr)
+		}
+	}()
 
-	spec := loadgen.Spec{
+	runner, err := loadgen.NewRunner(loadgen.Spec{
 		BaseURL:        fl.base,
 		Mix:            loadgen.DefaultMix(),
-		Seed:           f.seed,
-		Mode:           f.mode,
+		Seed:           loadSeed,
 		Concurrency:    f.concurrency,
-		RatePerSec:     f.rate,
 		WarmupRequests: f.warmup,
 		Requests:       f.requests,
-		Duration:       f.duration,
-	}
-	runner, err := loadgen.NewRunner(spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +202,7 @@ func runTopology(ctx context.Context, w io.Writer, f *benchFlags, followers int)
 		loadDone <- runOutcome{res, err}
 	}()
 
-	events, eventErr := exerciseFleet(ctx, w, fl, runner, t0, f)
+	events, eventErr := exerciseFleet(ctx, w, fl, runner, t0, f.warmup)
 
 	outcome := <-loadDone
 	if outcome.err != nil {
@@ -208,29 +213,29 @@ func runTopology(ctx context.Context, w io.Writer, f *benchFlags, followers int)
 	}
 	res := outcome.res
 	printResult(w, res, f.budget)
-
-	report := loadgen.NewTopologyReport(name, followers, followers > 0, f.budget, res)
-	report.World = loadgen.WorldParams{Seed: f.worldSeed, LIRs: f.lirs, Days: f.days}
-	if f.mode == loadgen.OpenLoop {
-		report.Load.RatePerSec = f.rate
+	for _, b := range fl.router.Backends() {
+		fmt.Fprintf(w, "marketbench: router forwarded %d requests to %s\n", b.Forwarded(), b.Name())
 	}
-	report.Events = events
+
+	r := loadgen.NewTopologyReport(topology, followers, f.budget, res)
+	r.World = loadgen.WorldParams{Seed: f.world.Seed, LIRs: f.world.NumLIRs, Days: f.world.RoutingDays}
+	r.Events = events
 
 	afterVarz, err := scrapeFleetVarz(fl)
 	if err != nil {
 		return nil, fmt.Errorf("post-load varz scrape: %w", err)
 	}
-	if report.Server, err = crossCheck(w, afterVarz, res); err != nil {
+	if r.Server, err = crossCheck(w, afterVarz, res); err != nil {
 		return nil, err
 	}
 	for _, nodeName := range sortedKeys(fl.nodes()) {
 		if nr, ok := loadgen.NewNodeReport(nodeName, beforeVarz[nodeName], afterVarz[nodeName]); ok {
-			report.Nodes = append(report.Nodes, nr)
+			r.Nodes = append(r.Nodes, nr)
 			fmt.Fprintf(w, "marketbench: %s: %.0f alloc bytes/request, %.1f mallocs/request over %d requests (zero-copy file reads %d, fallbacks %d)\n",
 				nodeName, nr.AllocBytesPerRequest, nr.MallocsPerRequest, nr.Requests, nr.ZeroCopyFileReads, nr.ZeroCopyFallbacks)
 		}
 	}
-	return &report, nil
+	return &r, nil
 }
 
 // scrapeFleetVarz captures every node's /varz document, keyed by node
@@ -249,15 +254,15 @@ func scrapeFleetVarz(fl *fleet) (map[string]*loadgen.ServerVarz, error) {
 
 // exerciseFleet runs the mid-load milestones: once measurement is under
 // way it triggers a rebuild on the leader, waits for the new snapshot
-// to swap in, and — when followers exist — waits for every follower to
-// re-adopt the leader's newest generation. Offsets are relative to t0.
-func exerciseFleet(ctx context.Context, w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time, f *benchFlags) ([]loadgen.EventReport, error) {
+// to swap in, and waits for every follower to re-adopt the leader's
+// newest generation. Offsets are relative to t0.
+func exerciseFleet(ctx context.Context, w io.Writer, fl *fleet, runner *loadgen.Runner, t0 time.Time, warmup int) ([]loadgen.EventReport, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Wait for measurement to actually be in flight so the rebuild runs
 	// under load, not beside it.
 	deadline := time.Now().Add(eventTimeout)
-	for runner.Issued() <= int64(f.warmup) {
+	for runner.Issued() <= int64(warmup) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("load never reached the measured phase")
 		}
@@ -316,10 +321,6 @@ func exerciseFleet(ctx context.Context, w io.Writer, fl *fleet, runner *loadgen.
 	})
 	fmt.Fprintf(w, "marketbench: leader swapped generation %d at +%.2fs\n",
 		after.Snapshot.Gen, events[1].AtSeconds)
-
-	if len(fl.followers) == 0 {
-		return events, nil
-	}
 
 	// Followers must re-adopt the new generation while traffic flows;
 	// their -max-lag gate keeps the router away from them in between.

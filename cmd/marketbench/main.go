@@ -1,30 +1,25 @@
-// Command marketbench drives the real /v1 endpoint mix against marketd
-// servers and reports latency percentiles, throughput, and an error
-// budget verdict. It runs in two modes:
+// Command marketbench measures the replicated marketd fleet under load.
+// It boots a leader with a durable store, two followers replicating
+// from it, and a round-robin router over all three, on loopback; drives
+// the weighted /v1 endpoint mix (loadgen.DefaultMix) through the router
+// closed-loop; rebuilds the leader under that load and waits for both
+// followers to catch up; and, with -out, writes the BENCH_cluster.json
+// baseline:
 //
-// Single target — drive one already-running server:
+//	marketbench -marketd ./bin/marketd -requests 5000 -out BENCH_cluster.json
 //
-//	marketbench -target http://127.0.0.1:8090 -requests 5000
+// The world is marketd's simulation.DefaultConfig, the world it serves,
+// unless -lirs/-days shrink it (scripts/check.sh's load gate runs 14
+// LIRs over 40 days). The request mix is fixed by a constant seed
+// (internal/loadgen derives one splitmix64 stream per worker). Warmup
+// requests are issued and validated but never measured.
 //
-// Fleet — boot a leader, K followers replicating from it, and a
-// round-robin router over loopback, drive mixed traffic through the
-// router, exercise a rebuild under load and follower catch-up while
-// saturated, and write the BENCH_cluster.json baseline:
-//
-//	marketbench -marketd ./bin/marketd -topologies 0,2 -out BENCH_cluster.json
-//
-// The workload is deterministic: -seed fixes the request mix exactly
-// (internal/loadgen derives one splitmix64 stream per worker), -mode
-// picks closed-loop (fixed concurrency, the capacity question) or
-// open-loop (fixed arrival rate with shedding, the latency question).
-// Warmup requests are issued and validated but never measured.
-//
-// After every run marketbench scrapes each node's /varz and recomputes
+// After the run marketbench scrapes each node's /varz and recomputes
 // server-side percentiles from the machine-readable latency buckets —
 // a cross-check that the client-side numbers aren't an artifact of the
-// harness. Followers boot with -max-lag so the router's health loop
-// drains them while they trail the leader; the fleet run asserts they
-// catch up and rejoin.
+// harness. Followers boot with -max-lag, so the router's health loop
+// drains them while they trail the leader; the run asserts they catch
+// up. A node that does not exit cleanly at teardown fails the run.
 package main
 
 import (
@@ -34,11 +29,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"ipv4market/internal/loadgen"
+	"ipv4market/internal/simulation"
 )
 
 func main() {
@@ -48,132 +42,81 @@ func main() {
 	}
 }
 
-// benchFlags is the parsed CLI surface shared by both modes.
+// benchFlags is the parsed command line.
 type benchFlags struct {
-	target     string
-	marketdBin string
-	topologies []int
-	out        string
-	procedure  string
-	note       string
-
-	mode        loadgen.Mode
+	marketdBin  string
+	out         string
 	concurrency int
-	rate        float64
 	warmup      int
 	requests    int
-	duration    time.Duration
-	seed        uint64
 	budget      float64
-
-	worldSeed int64
-	lirs      int
-	days      int
-	pollEvery time.Duration
-	maxLag    string
-
-	scenarios []string
-}
-
-// mix builds the request mix: the default single-scenario workload, or
-// the same workload spread across the -scenario names, each endpoint
-// rebased onto its /v1/{scenario}/... prefix.
-func (f *benchFlags) mix() (*loadgen.Mix, error) {
-	if len(f.scenarios) == 0 {
-		return loadgen.DefaultMix(), nil
-	}
-	return loadgen.ScenarioMix(loadgen.DefaultMix(), f.scenarios...)
+	// world is the resolved config the fleet serves: DefaultConfig
+	// with -lirs/-days applied.
+	world simulation.Config
 }
 
 func parseFlags(args []string) (*benchFlags, error) {
 	fs := flag.NewFlagSet("marketbench", flag.ContinueOnError)
 	var (
-		target      = fs.String("target", "", "drive this base URL (single-target mode; no fleet is booted)")
-		marketdBin  = fs.String("marketd", "", "path to a built marketd binary (fleet mode)")
-		topologies  = fs.String("topologies", "0,2", "comma-separated follower counts to benchmark (fleet mode)")
-		out         = fs.String("out", "", "write the BENCH_cluster.json baseline here (fleet mode)")
-		procedure   = fs.String("procedure", "", "procedure string recorded in the baseline (how to re-record)")
-		note        = fs.String("note", "", "note recorded in the baseline")
-		mode        = fs.String("mode", "closed", "load model: closed (fixed concurrency) or open (fixed arrival rate)")
+		marketdBin  = fs.String("marketd", "", "path to a built marketd binary (required)")
+		out         = fs.String("out", "", "write the BENCH_cluster.json baseline here")
 		concurrency = fs.Int("concurrency", 8, "closed-loop worker count")
-		rate        = fs.Float64("rate", 200, "open-loop arrivals per second")
 		warmup      = fs.Int("warmup", 200, "warmup requests before measurement starts")
-		requests    = fs.Int("requests", 2000, "measured requests per run (0: duration-bounded)")
-		duration    = fs.Duration("duration", 0, "measured wall-clock bound (0: request-bounded)")
-		seed        = fs.Uint64("seed", 1, "load-mix seed; equal seeds yield equal request sequences")
+		requests    = fs.Int("requests", 2000, "measured requests")
 		budget      = fs.Float64("error-budget", 0.01, "max tolerated error fraction (transport+HTTP+validation)")
-		worldSeed   = fs.Int64("world-seed", 0, "simulation seed for booted servers (0: marketd default)")
-		lirs        = fs.Int("lirs", 24, "world size: LIR count for booted servers")
-		days        = fs.Int("days", 60, "world size: routing window days for booted servers")
-		pollEvery   = fs.Duration("poll-interval", 250*time.Millisecond, "follower leader-poll period (fleet mode)")
-		maxLag      = fs.String("max-lag", "2", "follower -max-lag readiness bound (fleet mode; empty: ungated)")
-		scenarios   = fs.String("scenario", "", "comma-separated scenario names: spread the mix across /v1/{scenario}/... (target must serve a marketd -scenarios matrix)")
+		lirs        = fs.Int("lirs", 0, "world size: LIR count (0: marketd's DefaultConfig)")
+		days        = fs.Int("days", 0, "world size: routing window days (0: marketd's DefaultConfig)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	switch {
+	case *marketdBin == "":
+		return nil, fmt.Errorf("-marketd is required (path to a built marketd binary)")
+	case *requests <= 0:
+		return nil, fmt.Errorf("-requests must be > 0")
+	case *budget < 0:
+		return nil, fmt.Errorf("-error-budget must be >= 0")
+	case *lirs < 0 || *days < 0:
+		return nil, fmt.Errorf("-lirs and -days must be >= 0 (0: marketd's DefaultConfig)")
+	}
 	f := &benchFlags{
-		target:      *target,
 		marketdBin:  *marketdBin,
 		out:         *out,
-		procedure:   *procedure,
-		note:        *note,
 		concurrency: *concurrency,
-		rate:        *rate,
 		warmup:      *warmup,
 		requests:    *requests,
-		duration:    *duration,
-		seed:        *seed,
 		budget:      *budget,
-		worldSeed:   *worldSeed,
-		lirs:        *lirs,
-		days:        *days,
-		pollEvery:   *pollEvery,
-		maxLag:      *maxLag,
+		world:       simulation.DefaultConfig(),
 	}
-	switch *mode {
-	case "closed":
-		f.mode = loadgen.ClosedLoop
-	case "open":
-		f.mode = loadgen.OpenLoop
-	default:
-		return nil, fmt.Errorf("marketbench: -mode %q: want closed or open", *mode)
+	if *lirs > 0 {
+		f.world.NumLIRs = *lirs
 	}
-	if f.budget < 0 {
-		return nil, fmt.Errorf("marketbench: -error-budget must be >= 0")
-	}
-	if f.target == "" && f.marketdBin == "" {
-		return nil, fmt.Errorf("marketbench: pick a mode: -target URL (drive one server) or -marketd BIN (boot a fleet)")
-	}
-	if f.target != "" && f.marketdBin != "" {
-		return nil, fmt.Errorf("marketbench: -target and -marketd are mutually exclusive")
-	}
-	for _, part := range strings.Split(*scenarios, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			f.scenarios = append(f.scenarios, part)
-		}
-	}
-	if len(f.scenarios) > 0 && f.target == "" {
-		return nil, fmt.Errorf("marketbench: -scenario drives an existing scenario matrix; it needs -target (fleet servers are single-scenario)")
-	}
-	if f.target != "" && f.out != "" {
-		return nil, fmt.Errorf("marketbench: -out records fleet topologies; it needs -marketd, not -target")
-	}
-	for _, part := range strings.Split(*topologies, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("marketbench: -topologies %q: want comma-separated follower counts >= 0", *topologies)
-		}
-		f.topologies = append(f.topologies, n)
-	}
-	if f.marketdBin != "" && len(f.topologies) == 0 {
-		return nil, fmt.Errorf("marketbench: -topologies lists no follower counts")
+	if *days > 0 {
+		f.world.RoutingDays = *days
 	}
 	return f, nil
+}
+
+// note is BENCH_cluster.json's description of what the numbers mean.
+const note = "closed-loop mixed /v1 workload through the round-robin router over a leader and two followers, " +
+	"with a mid-run leader rebuild and follower catch-up; client percentiles from the deterministic streaming " +
+	"histogram, cross-checked against each node's /varz latency_counts export. error_budget.violated must be " +
+	"false in a committed baseline. Per-node rows report alloc bytes and mallocs per served request (from /varz " +
+	"process counter deltas, warmup and rebuild included) plus the zero-copy read split; per-endpoint " +
+	"bytes_per_op is mean response-body size on the wire."
+
+// procedure is BENCH_cluster.json's recipe: how it was made and how to
+// make it again.
+func (f *benchFlags) procedure() string {
+	return fmt.Sprintf("recorded by scripts/bench.sh -suite cluster (cmd/benchrecord): go build ./cmd/marketd "+
+		"./cmd/marketbench, then marketbench -requests %d (concurrency %d, warmup %d, load seed %d, world seed %d "+
+		"with %d LIRs over %d days) boots a leader with a durable store and %d followers replicating with -max-lag %s "+
+		"behind the round-robin router over loopback, drives the weighted /v1 endpoint mix closed-loop, triggers a "+
+		"rebuild under load, waits for follower catch-up, and writes this file whole. Numbers are machine-dependent "+
+		"— compare only against a baseline whose goos/goarch/cpu/num_cpu match. Never edit by hand; re-record instead.",
+		f.requests, f.concurrency, f.warmup, loadSeed, f.world.Seed, f.world.NumLIRs, f.world.RoutingDays,
+		followers, maxLag)
 }
 
 func run(w io.Writer, args []string) error {
@@ -181,82 +124,34 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-
-	if f.target != "" {
-		res, err := driveTarget(ctx, w, f, f.target)
-		if err != nil {
-			return err
-		}
-		printResult(w, res, f.budget)
-		if res.BudgetViolated(f.budget) {
-			return fmt.Errorf("marketbench: error budget violated: %d errors in %d requests (allowed fraction %g)",
-				res.Aggregate.Errors(), res.Aggregate.Requests, f.budget)
-		}
-		return nil
+	report, err := runFleet(context.Background(), w, f)
+	if err != nil {
+		return err
 	}
-
-	recorded := time.Now().UTC().Format("2006-01-02")
-	procedure := f.procedure
-	if procedure == "" {
-		procedure = fmt.Sprintf("scripts/bench.sh cluster (marketbench -topologies %s -mode %s -concurrency %d -warmup %d -requests %d -seed %d)",
-			joinInts(f.topologies), f.mode, f.concurrency, f.warmup, f.requests, f.seed)
-	}
-	baseline := loadgen.NewClusterBaseline(recorded, procedure, f.note)
-
-	for _, followers := range f.topologies {
-		report, err := runTopology(ctx, w, f, followers)
-		if err != nil {
-			return err
-		}
-		baseline.Topologies = append(baseline.Topologies, *report)
-	}
-
 	if f.out != "" {
-		if err := writeBaseline(f.out, &baseline); err != nil {
+		b := loadgen.NewClusterBaseline(time.Now().UTC().Format("2006-01-02"), f.procedure(), note)
+		b.Topologies = []loadgen.TopologyReport{*report}
+		if err := writeBaseline(f.out, &b); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "marketbench: wrote %s (%d topologies)\n", f.out, len(baseline.Topologies))
+		fmt.Fprintf(w, "marketbench: wrote %s\n", f.out)
 	}
-	for _, t := range baseline.Topologies {
-		if t.ErrorBudget.Violated {
-			return fmt.Errorf("marketbench: topology %q violated its error budget: %d errors in %d requests (allowed fraction %g)",
-				t.Name, t.ErrorBudget.Errors, t.Aggregate.Requests, t.ErrorBudget.AllowedFraction)
-		}
+	return budgetVerdict(report)
+}
+
+// budgetVerdict fails a run whose errors exceed its budget.
+func budgetVerdict(t *loadgen.TopologyReport) error {
+	if t.ErrorBudget.Violated {
+		return fmt.Errorf("%s violated its error budget: %d errors in %d requests (allowed fraction %g)",
+			t.Name, t.ErrorBudget.Errors, t.Aggregate.Requests, t.ErrorBudget.AllowedFraction)
 	}
 	return nil
 }
 
-// driveTarget runs the configured load against one base URL.
-func driveTarget(ctx context.Context, w io.Writer, f *benchFlags, base string) (*loadgen.Result, error) {
-	mix, err := f.mix()
-	if err != nil {
-		return nil, err
-	}
-	spec := loadgen.Spec{
-		BaseURL:        strings.TrimRight(base, "/"),
-		Mix:            mix,
-		Seed:           f.seed,
-		Mode:           f.mode,
-		Concurrency:    f.concurrency,
-		RatePerSec:     f.rate,
-		WarmupRequests: f.warmup,
-		Requests:       f.requests,
-		Duration:       f.duration,
-	}
-	runner, err := loadgen.NewRunner(spec)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "marketbench: driving %s (%s loop, seed %d, warmup %d, requests %d)\n",
-		base, f.mode, f.seed, f.warmup, f.requests)
-	return runner.Run(ctx)
-}
-
 // printResult renders one run's human-readable summary.
 func printResult(w io.Writer, res *loadgen.Result, budget float64) {
-	fmt.Fprintf(w, "marketbench: %d measured in %.2fs = %.1f req/s (warmup %d, dropped %d)\n",
-		res.Completed, res.MeasuredSeconds, res.ThroughputRPS, res.Warmup, res.Dropped)
+	fmt.Fprintf(w, "marketbench: %d measured in %.2fs = %.1f req/s (warmup %d)\n",
+		res.Completed, res.MeasuredSeconds, res.ThroughputRPS, res.Warmup)
 	rows := append([]*loadgen.EndpointStats{res.Aggregate}, res.Endpoints...)
 	for _, es := range rows {
 		if es.Requests == 0 {
@@ -277,18 +172,10 @@ func printResult(w io.Writer, res *loadgen.Result, budget float64) {
 func writeBaseline(path string, b *loadgen.ClusterBaseline) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
-		return fmt.Errorf("marketbench: encode baseline: %w", err)
+		return fmt.Errorf("encode baseline: %w", err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("marketbench: write baseline: %w", err)
+		return fmt.Errorf("write baseline: %w", err)
 	}
 	return nil
-}
-
-func joinInts(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
 }

@@ -1,17 +1,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ipv4market/internal/loadgen"
+	"ipv4market/internal/simulation"
 )
 
 // fakeMarket answers every default-mix path plausibly enough to pass
@@ -32,18 +33,19 @@ func fakeMarket(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestFlagValidation pins the CLI contract: one mode must be chosen,
-// the modes are exclusive, and malformed values are refused.
+// TestFlagValidation pins the CLI contract: -marketd is required,
+// malformed values are refused, and a zero world size resolves to
+// marketd's DefaultConfig.
 func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{}, // no mode picked
-		{"-target", "http://x", "-marketd", "bin"},     // both modes
-		{"-target", "http://x", "-out", "b.json"},      // -out without fleet
-		{"-marketd", "bin", "-topologies", "a,b"},      // non-numeric counts
-		{"-marketd", "bin", "-topologies", "-1"},       // negative count
-		{"-marketd", "bin", "-topologies", ","},        // empty list
-		{"-target", "http://x", "-mode", "sideways"},   // unknown mode
-		{"-target", "http://x", "-error-budget", "-1"}, // negative budget
+		{},                                    // no marketd binary
+		{"-marketd", "bin", "-requests", "0"}, // nothing to measure
+		{"-marketd", "bin", "-error-budget", "-1"},  // negative budget
+		{"-marketd", "bin", "-lirs", "-3"},          // negative world size
+		{"-marketd", "bin", "-topologies", "0,2"},   // retired: one fleet only
+		{"-marketd", "bin", "-target", "http://x"},  // retired: no single-target mode
+		{"-marketd", "bin", "-mode", "open"},        // retired: closed loop only
+		{"-marketd", "bin", "-procedure", "recipe"}, // retired: marketbench owns the text
 	}
 	for _, args := range cases {
 		if _, err := parseFlags(args); err == nil {
@@ -51,51 +53,41 @@ func TestFlagValidation(t *testing.T) {
 		}
 	}
 
-	f, err := parseFlags([]string{"-marketd", "bin", "-topologies", " 0, 2 "})
+	f, err := parseFlags([]string{"-marketd", "bin"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.topologies) != 2 || f.topologies[0] != 0 || f.topologies[1] != 2 {
-		t.Errorf("topologies = %v, want [0 2]", f.topologies)
+	if !reflect.DeepEqual(f.world, simulation.DefaultConfig()) {
+		t.Errorf("default world %+v, want simulation.DefaultConfig()", f.world)
 	}
-}
-
-// TestSingleTargetRun drives the single-target mode against a fake
-// server: the run must complete, report, and stay inside the budget.
-func TestSingleTargetRun(t *testing.T) {
-	ts := fakeMarket(t)
-	var buf bytes.Buffer
-	err := run(&buf, []string{
-		"-target", ts.URL, "-warmup", "10", "-requests", "200",
-		"-concurrency", "4", "-seed", "7",
-	})
+	f, err = parseFlags([]string{"-marketd", "bin", "-lirs", "14", "-days", "40"})
 	if err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
+		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"200 measured", "aggregate", "within budget"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
-		}
+	if want := simulation.DefaultConfig().Seed; f.world.NumLIRs != 14 || f.world.RoutingDays != 40 || f.world.Seed != want {
+		t.Errorf("world %+v, want 14 LIRs, 40 days, seed %d", f.world, want)
 	}
 }
 
-// TestSingleTargetBudgetViolation makes every response a 500 and
-// expects the run to fail its zero budget.
-func TestSingleTargetBudgetViolation(t *testing.T) {
+// TestBudgetViolation drives an all-500 server and expects the rendered
+// report to fail its zero budget.
+func TestBudgetViolation(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "overloaded", http.StatusInternalServerError)
 	}))
 	t.Cleanup(ts.Close)
-	var buf bytes.Buffer
-	err := run(&buf, []string{
-		"-target", ts.URL, "-requests", "50", "-warmup", "0", "-error-budget", "0",
-	})
+	tp := loadgen.NewTopologyReport(topology, followers, 0, driveFake(t, ts.URL))
+	err := budgetVerdict(&tp)
 	if err == nil {
 		t.Fatal("all-500 run passed a zero error budget")
 	}
-	if !strings.Contains(err.Error(), "error budget violated") {
+	if !strings.Contains(err.Error(), "violated its error budget") {
 		t.Errorf("error = %v, want a budget violation", err)
+	}
+
+	tp = loadgen.NewTopologyReport(topology, followers, 0, driveFake(t, fakeMarket(t).URL))
+	if err := budgetVerdict(&tp); err != nil {
+		t.Errorf("clean run failed its zero budget: %v", err)
 	}
 }
 
@@ -106,7 +98,7 @@ func TestWriteBaselineRoundTrips(t *testing.T) {
 	res := driveFake(t, ts.URL)
 
 	b := loadgen.NewClusterBaseline("2020-01-02", "scripts/bench.sh cluster", "test")
-	tp := loadgen.NewTopologyReport("leader", 0, false, 0.01, res)
+	tp := loadgen.NewTopologyReport(topology, followers, 0.01, res)
 	tp.World = loadgen.WorldParams{Seed: 1, LIRs: 14, Days: 40}
 	b.Topologies = []loadgen.TopologyReport{tp}
 

@@ -93,9 +93,11 @@ import (
 	"ipv4market/internal/simulation"
 )
 
+// main prints run's error as is: every error run returns already
+// starts with "marketd: ".
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "marketd:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
@@ -140,7 +142,7 @@ func run(w io.Writer, args []string) error {
 
 	httpSrv := &http.Server{Handler: reg}
 	if err := serve.Serve(ctx, httpSrv, ln, d.drain); err != nil {
-		return err
+		return fmt.Errorf("marketd: %w", err)
 	}
 	reg.Wait() // let in-flight rebuilds finish before exiting
 	fmt.Fprintln(w, "marketd: shut down cleanly")
@@ -148,7 +150,8 @@ func run(w io.Writer, args []string) error {
 }
 
 // parseFlags turns the command line into the worlds to serve: the
-// -scenarios specs, or one implicit spec built from -seed/-lirs/-days.
+// -scenarios specs, or one implicit spec built from -seed/-lirs/-days
+// and validated like a spec file.
 func parseFlags(w io.Writer, args []string) (*daemon, error) {
 	fs := flag.NewFlagSet("marketd", flag.ContinueOnError)
 	var (
@@ -169,7 +172,7 @@ func parseFlags(w io.Writer, args []string) (*daemon, error) {
 		maxLag    = fs.String("max-lag", "", "follower: /readyz answers 503 beyond this lag — an integer bounds generations behind the leader, a duration (e.g. 30s) bounds time since the last successful sync")
 	)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("marketd: %w", err)
 	}
 
 	cfg := simulation.DefaultConfig()
@@ -198,7 +201,11 @@ func parseFlags(w io.Writer, args []string) (*daemon, error) {
 		return nil, fmt.Errorf("marketd: -selfcheck and -follow are mutually exclusive (selfcheck the leader instead)")
 	}
 
-	specs := []scenario.Spec{scenario.Implicit(cfg)}
+	implicit, err := scenario.Implicit(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("marketd: -seed/-lirs/-days: %w", err)
+	}
+	specs := []scenario.Spec{implicit}
 	if *scenDir != "" {
 		if *seed != 0 {
 			return nil, fmt.Errorf("marketd: -seed conflicts with -scenarios (each scenario spec carries its own seed)")
@@ -375,7 +382,10 @@ func loopbackServer(reg *scenario.Registry, drain time.Duration) (base string, s
 		cancel()
 		err := <-done
 		reg.Wait()
-		return err
+		if err != nil {
+			return fmt.Errorf("marketd: selfcheck %w", err)
+		}
+		return nil
 	}
 	return "http://" + ln.Addr().String(), shutdown, nil
 }

@@ -119,6 +119,51 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestImplicitWorldBounds holds -seed/-lirs/-days to the bounds a spec
+// file has: an out-of-range world fails at flag parsing, not at boot,
+// with or without -scenarios (where -lirs/-days set the base scale).
+func TestImplicitWorldBounds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-lirs", "260"},
+		{"-lirs", "260", "-scenarios", filepath.Join("..", "..", "examples", "scenarios")},
+		{"-days", "20001"},
+		{"-seed", "-2"},
+	} {
+		_, err := parseFlags(io.Discard, args)
+		if err == nil {
+			t.Errorf("%v accepted", args)
+			continue
+		}
+		field := strings.TrimPrefix(args[0], "-")
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("%v: error %q does not name %s", args, err, field)
+		}
+	}
+	if _, err := parseFlags(io.Discard, []string{"-lirs", "200", "-days", "20000"}); err != nil {
+		t.Errorf("world at the spec bounds rejected: %v", err)
+	}
+}
+
+// TestErrorsCarryOnePrefix pins what main prints: run's error as is,
+// which starts with exactly one "marketd: ".
+func TestErrorsCarryOnePrefix(t *testing.T) {
+	for _, args := range [][]string{
+		{"-lirs", "260", "-seed", "2", "-days", "40"},
+		{"-nosuchflag"},
+		{"-follow", "http://127.0.0.1:1"},
+		append([]string{"-listen", "256.0.0.1:http"}, smallWorld...),
+	} {
+		err := run(io.Discard, args)
+		if err == nil {
+			t.Errorf("%v accepted", args)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "marketd: ") || strings.Count(msg, "marketd:") != 1 {
+			t.Errorf("%v: error %q, want exactly one leading marketd: prefix", args, msg)
+		}
+	}
+}
+
 func TestBadListenAddress(t *testing.T) {
 	var buf bytes.Buffer
 	args := append([]string{"-listen", "256.0.0.1:http"}, smallWorld...)

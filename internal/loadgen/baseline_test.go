@@ -4,16 +4,21 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
+
+	"ipv4market/internal/simulation"
 )
 
 // TestBenchClusterJSONParses keeps the committed BENCH_cluster.json
-// well-formed: it must decode through the same ClusterBaseline schema
-// cmd/marketbench writes, validate structurally, cover both recorded
-// topologies (leader-only and leader+2 followers), and record zero
-// error-budget violations — the acceptance bar scripts/bench.sh
-// re-records against. scripts/check.sh runs it explicitly alongside the
-// other baseline schema tests.
+// well-formed and current: it must decode through the same
+// ClusterBaseline schema cmd/marketbench writes, validate structurally,
+// hold the one leader+2 fleet row with zero error-budget violations,
+// and carry the suite's fingerprint — the world is
+// simulation.DefaultConfig() and the endpoint rows are exactly
+// DefaultMix's endpoints. Changing either without re-recording
+// (scripts/bench.sh -suite cluster) fails here.
 func TestBenchClusterJSONParses(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_cluster.json"))
 	if err != nil {
@@ -26,40 +31,40 @@ func TestBenchClusterJSONParses(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatalf("BENCH_cluster.json is malformed: %v", err)
 	}
-
-	have := make(map[string]TopologyReport, len(b.Topologies))
-	for _, tp := range b.Topologies {
-		have[tp.Name] = tp
+	if len(b.Topologies) != 1 {
+		t.Fatalf("baseline records %d topologies, want the one leader+2 fleet", len(b.Topologies))
 	}
-	leader, ok := have["leader"]
-	if !ok {
-		t.Fatal("baseline lacks the leader-only topology")
+	fleet := b.Topologies[0]
+	if fleet.Name != "leader+2" || fleet.Followers != 2 {
+		t.Errorf("topology %q with %d followers, want leader+2 with 2", fleet.Name, fleet.Followers)
 	}
-	if leader.Followers != 0 {
-		t.Errorf("leader topology records %d followers, want 0", leader.Followers)
+	if fleet.ErrorBudget.Violated {
+		t.Error("recorded with a violated error budget")
 	}
-	fleet, ok := have["leader+2"]
-	if !ok {
-		t.Fatal("baseline lacks the leader+2 topology")
+	if len(fleet.Server) == 0 {
+		t.Error("no server-side /varz cross-check rows")
 	}
-	if fleet.Followers != 2 {
-		t.Errorf("leader+2 topology records %d followers, want 2", fleet.Followers)
-	}
-	if !fleet.Router {
-		t.Error("leader+2 topology was not driven through the router")
+	for _, e := range fleet.Events {
+		if e.Name == "" || e.AtSeconds < 0 {
+			t.Errorf("malformed event %+v", e)
+		}
 	}
 
-	for _, tp := range b.Topologies {
-		if tp.ErrorBudget.Violated {
-			t.Errorf("topology %q: recorded with a violated error budget", tp.Name)
-		}
-		if len(tp.Server) == 0 {
-			t.Errorf("topology %q: no server-side /varz cross-check rows", tp.Name)
-		}
-		for _, e := range tp.Events {
-			if e.Name == "" || e.AtSeconds < 0 {
-				t.Errorf("topology %q: malformed event %+v", tp.Name, e)
-			}
-		}
+	cfg := simulation.DefaultConfig()
+	if want := (WorldParams{Seed: cfg.Seed, LIRs: cfg.NumLIRs, Days: cfg.RoutingDays}); fleet.World != want {
+		t.Errorf("recorded world %+v, want simulation.DefaultConfig() %+v: re-record with scripts/bench.sh -suite cluster",
+			fleet.World, want)
+	}
+	var want, got []string
+	for _, e := range DefaultMix().Endpoints() {
+		want = append(want, e.Name)
+	}
+	for _, e := range fleet.Endpoints {
+		got = append(got, e.Name)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded endpoint rows %v, want DefaultMix's %v: re-record with scripts/bench.sh -suite cluster", got, want)
 	}
 }

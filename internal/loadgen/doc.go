@@ -1,5 +1,5 @@
 // Package loadgen is the cluster load-generation subsystem: workload
-// specifications over the serving layer's /v1 endpoint mix, an open- and
+// specifications over the serving layer's /v1 endpoint mix, a
 // closed-loop HTTP load runner with warmup and per-endpoint latency
 // accounting, a round-robin loopback router with readiness-based
 // draining, and the BENCH_cluster.json report schema.
@@ -12,12 +12,12 @@
 // server-side recording, are comparable bucket by bucket — and tests
 // assert on seeded request counts, never on wall-clock time.
 //
-// The pieces compose in two ways. cmd/marketbench drives a single
-// target ("point the runner at a URL") or orchestrates a full topology:
-// leader + K follower marketd processes, a Router over all of them, a
-// Runner driving mixed traffic through the router while the leader
-// rebuilds and the followers catch up. scripts/check.sh runs the same
-// stack at smoke scale as the load gate.
+// cmd/marketbench composes the pieces into one topology: a leader and
+// two follower marketd processes, a Router over all three, and a Runner
+// driving mixed traffic through the router while the leader rebuilds
+// and the followers catch up. scripts/check.sh runs the same stack at
+// smoke scale as the load gate. Latency at a fixed offered rate, and
+// the single-server read path, are marketperf's to measure.
 //
 // Layering: loadgen knows the serving layer's HTTP surface (paths,
 // response shapes, the /varz bucket export) but imports none of the

@@ -31,15 +31,13 @@ type ClusterBaseline struct {
 	Topologies []TopologyReport `json:"topologies"`
 }
 
-// TopologyReport is one topology's load run.
+// TopologyReport is one fleet's load run: a leader and its followers,
+// driven through the round-robin router.
 type TopologyReport struct {
-	// Name identifies the topology ("leader", "leader+2", "target").
+	// Name identifies the topology ("leader+2").
 	Name string `json:"name"`
-	// Followers is the follower count behind the router (0: leader only).
+	// Followers is the follower count behind the router.
 	Followers int `json:"followers"`
-	// Router reports whether traffic went through the round-robin
-	// router (false: driven directly at a single server).
-	Router bool `json:"router"`
 
 	// World identifies the synthetic world the fleet served.
 	World WorldParams `json:"world"`
@@ -49,8 +47,6 @@ type TopologyReport struct {
 
 	ThroughputRPS   float64 `json:"throughput_rps"`
 	MeasuredSeconds float64 `json:"measured_seconds"`
-	// Dropped counts open-loop arrivals shed at the in-flight cap.
-	Dropped int64 `json:"dropped,omitempty"`
 
 	ErrorBudget BudgetReport `json:"error_budget"`
 
@@ -126,14 +122,12 @@ type WorldParams struct {
 	Days int   `json:"days"`
 }
 
-// LoadParams echoes the runner spec.
+// LoadParams echoes the closed-loop runner spec.
 type LoadParams struct {
-	Mode           string  `json:"mode"`
-	Seed           uint64  `json:"seed"`
-	Concurrency    int     `json:"concurrency"`
-	RatePerSec     float64 `json:"rate_per_sec,omitempty"`
-	WarmupRequests int     `json:"warmup_requests"`
-	Requests       int     `json:"requests"`
+	Seed           uint64 `json:"seed"`
+	Concurrency    int    `json:"concurrency"`
+	WarmupRequests int    `json:"warmup_requests"`
+	Requests       int    `json:"requests"`
 }
 
 // BudgetReport is the run's error budget verdict.
@@ -208,14 +202,12 @@ func NewEndpointReport(es *EndpointStats) EndpointReport {
 }
 
 // NewTopologyReport renders a Result (plus its parameters) into a
-// report row; the caller fills World, Server, and Events.
-func NewTopologyReport(name string, followers int, router bool, budget float64, res *Result) TopologyReport {
+// report row; the caller fills World, Server, Events, and Nodes.
+func NewTopologyReport(name string, followers int, budget float64, res *Result) TopologyReport {
 	t := TopologyReport{
 		Name:      name,
 		Followers: followers,
-		Router:    router,
 		Load: LoadParams{
-			Mode:           res.Mode,
 			Seed:           res.Seed,
 			Concurrency:    res.Concurrency,
 			WarmupRequests: int(res.Warmup),
@@ -223,7 +215,6 @@ func NewTopologyReport(name string, followers int, router bool, budget float64, 
 		},
 		ThroughputRPS:   res.ThroughputRPS,
 		MeasuredSeconds: res.MeasuredSeconds,
-		Dropped:         res.Dropped,
 		ErrorBudget: BudgetReport{
 			AllowedFraction: budget,
 			ErrorFraction:   res.ErrorFraction(),

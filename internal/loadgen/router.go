@@ -17,19 +17,13 @@ type Backend struct {
 
 	healthy   atomic.Bool
 	forwarded atomic.Int64
-	checks    atomic.Int64
-	drains    atomic.Int64 // healthy→unhealthy transitions observed
 }
 
-// Name returns the backend's label (its base URL unless named).
+// Name returns the backend's label.
 func (b *Backend) Name() string { return b.name }
 
 // Forwarded returns how many requests the router sent this backend.
 func (b *Backend) Forwarded() int64 { return b.forwarded.Load() }
-
-// Healthy reports the backend's last observed readiness. Backends start
-// healthy; only a failed health check drains one.
-func (b *Backend) Healthy() bool { return b.healthy.Load() }
 
 // Router is a round-robin HTTP reverse proxy over a fixed backend set —
 // the loopback stand-in for the load balancer in front of a replica
@@ -38,35 +32,20 @@ func (b *Backend) Healthy() bool { return b.healthy.Load() }
 // the router fails open and rotates over all of them, because serving
 // stale data beats serving nothing.
 type Router struct {
-	backends []*Backend
-	next     atomic.Uint64
-	proxy    *httputil.ReverseProxy
-	client   *http.Client
-	errors   atomic.Int64
+	backends  []*Backend
+	next      atomic.Uint64
+	proxy     *httputil.ReverseProxy
+	transport *http.Transport // the proxy's, shared by the health probes
 }
 
-// NewRouter returns a router over the given base URLs (e.g.
-// "http://127.0.0.1:34001"). Names default to the URL; use
-// NewNamedRouter for friendlier report labels.
-func NewRouter(targets []string) (*Router, error) {
-	names := make(map[string]string, len(targets))
-	for _, t := range targets {
-		names[t] = t
-	}
-	return newRouter(targets, names)
-}
-
-// NewNamedRouter is NewRouter with a name per target URL for reports
-// ("leader", "follower1", ...). Every target must have a name.
+// NewNamedRouter returns a router over the given base URLs (e.g.
+// "http://127.0.0.1:34001"), each labelled in reports by its entry in
+// names ("leader", "follower1", ...).
 func NewNamedRouter(targets []string, names map[string]string) (*Router, error) {
-	return newRouter(targets, names)
-}
-
-func newRouter(targets []string, names map[string]string) (*Router, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("loadgen: router needs at least one backend")
 	}
-	rt := &Router{client: &http.Client{Timeout: 5 * time.Second}}
+	rt := &Router{transport: http.DefaultTransport.(*http.Transport).Clone()}
 	for _, t := range targets {
 		u, err := url.Parse(t)
 		if err != nil {
@@ -75,15 +54,12 @@ func newRouter(targets []string, names map[string]string) (*Router, error) {
 		if u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("loadgen: router backend %q: want an absolute base URL", t)
 		}
-		name := names[t]
-		if name == "" {
-			name = t
-		}
-		b := &Backend{name: name, url: u}
+		b := &Backend{name: names[t], url: u}
 		b.healthy.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
 	rt.proxy = &httputil.ReverseProxy{
+		Transport: rt.transport,
 		Rewrite: func(pr *httputil.ProxyRequest) {
 			b := rt.pick()
 			b.forwarded.Add(1)
@@ -92,12 +68,18 @@ func newRouter(targets []string, names map[string]string) (*Router, error) {
 			pr.SetURL(b.url)
 		},
 		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
-			rt.errors.Add(1)
 			http.Error(w, fmt.Sprintf(`{"error":"router: %v"}`, err), http.StatusBadGateway)
 		},
 	}
 	return rt, nil
 }
+
+// CloseIdleConnections closes the router's idle backend connections.
+// Call it before stopping the backends: the proxy's transport can hold
+// a connection it dialed but never used, and net/http counts such a
+// connection as active for 5 s, holding up the backend's graceful
+// shutdown.
+func (rt *Router) CloseIdleConnections() { rt.transport.CloseIdleConnections() }
 
 // ServeHTTP proxies one request to the next healthy backend.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -121,10 +103,6 @@ func (rt *Router) pick() *Backend {
 // Backends returns the router's backends in declaration order.
 func (rt *Router) Backends() []*Backend { return rt.backends }
 
-// ProxyErrors returns how many requests failed at the proxy layer
-// (backend unreachable, connection reset mid-response).
-func (rt *Router) ProxyErrors() int64 { return rt.errors.Load() }
-
 // CheckHealth probes every backend's /readyz once: 200 keeps (or
 // restores) the backend in rotation, anything else — including a
 // follower answering 503 because its replication lag exceeds -max-lag —
@@ -133,11 +111,7 @@ func (rt *Router) CheckHealth(ctx context.Context) int {
 	healthy := 0
 	for _, b := range rt.backends {
 		ok := rt.probe(ctx, b)
-		was := b.healthy.Swap(ok)
-		b.checks.Add(1)
-		if was && !ok {
-			b.drains.Add(1)
-		}
+		b.healthy.Store(ok)
 		if ok {
 			healthy++
 		}
@@ -148,9 +122,6 @@ func (rt *Router) CheckHealth(ctx context.Context) int {
 // HealthLoop runs CheckHealth every interval until ctx is cancelled.
 // Run it on its own goroutine alongside the router's listener.
 func (rt *Router) HealthLoop(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -171,7 +142,7 @@ func (rt *Router) probe(ctx context.Context, b *Backend) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		return false
 	}

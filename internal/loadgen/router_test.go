@@ -44,7 +44,8 @@ func newFleetNode(t *testing.T, id string) *fleetNode {
 // backends.
 func TestRouterRoundRobin(t *testing.T) {
 	a, b, c := newFleetNode(t, "a"), newFleetNode(t, "b"), newFleetNode(t, "c")
-	rt, err := NewRouter([]string{a.ts.URL, b.ts.URL, c.ts.URL})
+	rt, err := NewNamedRouter([]string{a.ts.URL, b.ts.URL, c.ts.URL},
+		map[string]string{a.ts.URL: "a", b.ts.URL: "b", c.ts.URL: "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +68,9 @@ func TestRouterRoundRobin(t *testing.T) {
 	}
 	var forwarded int64
 	for _, be := range rt.Backends() {
+		if got := be.Forwarded(); got != n/3 {
+			t.Errorf("router accounted %d forwards to %s, want %d", got, be.Name(), n/3)
+		}
 		forwarded += be.Forwarded()
 	}
 	if forwarded != n {
@@ -141,10 +145,10 @@ func TestRouterDrainsUnready(t *testing.T) {
 
 // TestRouterRejectsBadBackends covers constructor validation.
 func TestRouterRejectsBadBackends(t *testing.T) {
-	if _, err := NewRouter(nil); err == nil {
+	if _, err := NewNamedRouter(nil, nil); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewRouter([]string{"not-a-url"}); err == nil {
+	if _, err := NewNamedRouter([]string{"not-a-url"}, map[string]string{"not-a-url": "x"}); err == nil {
 		t.Error("relative backend URL accepted")
 	}
 }

@@ -13,33 +13,11 @@ import (
 	"ipv4market/internal/latency"
 )
 
-// Mode selects the runner's load model.
-type Mode int
+// requestTimeout bounds each request.
+const requestTimeout = 10 * time.Second
 
-const (
-	// ClosedLoop runs Concurrency workers that each issue the next
-	// request as soon as the previous one finishes: offered load adapts
-	// to the server, which is the right model for capacity questions
-	// ("how fast can N clients be served").
-	ClosedLoop Mode = iota
-	// OpenLoop issues requests at a fixed arrival rate regardless of
-	// completions (bounded by MaxInFlight, beyond which arrivals are
-	// shed and counted): the right model for latency-under-offered-load
-	// questions, because it does not let a slow server throttle its own
-	// measurement (coordinated omission).
-	OpenLoop
-)
-
-// String returns the mode's report label.
-func (m Mode) String() string {
-	if m == OpenLoop {
-		return "open"
-	}
-	return "closed"
-}
-
-// Spec describes one load run. BaseURL, Mix, and a request bound
-// (Requests and/or Duration) are required; the rest defaults.
+// Spec describes one closed-loop load run. BaseURL, Mix and Requests
+// are required; Concurrency defaults to 8.
 type Spec struct {
 	// BaseURL is the target, e.g. "http://127.0.0.1:8090". Paths from
 	// the mix are appended verbatim.
@@ -50,31 +28,15 @@ type Spec struct {
 	// Derive(Seed, i), so equal seeds yield equal per-worker request
 	// sequences.
 	Seed uint64
-	// Mode selects closed-loop (default) or open-loop load.
-	Mode Mode
-	// Concurrency is the closed-loop worker count (default 8).
+	// Concurrency is the worker count: each worker issues its next
+	// request as soon as the previous one finishes, so offered load
+	// adapts to the server (default 8).
 	Concurrency int
-	// RatePerSec is the open-loop arrival rate (default 100).
-	RatePerSec float64
-	// MaxInFlight caps open-loop outstanding requests; arrivals beyond
-	// it are shed and counted as Dropped (default 4×Concurrency's
-	// default, 256). Ignored in closed loop, where Concurrency is the
-	// in-flight bound by construction.
-	MaxInFlight int
 	// WarmupRequests are issued and validated before measurement starts;
 	// their latencies never enter the histograms (default 0).
 	WarmupRequests int
-	// Requests bounds the measured request count. 0 means unbounded —
-	// then Duration (or the caller's context) must stop the run.
+	// Requests is the measured request count.
 	Requests int
-	// Duration, when positive, stops the run that long after Run starts,
-	// whether or not Requests have completed.
-	Duration time.Duration
-	// Timeout bounds each request (default 10s).
-	Timeout time.Duration
-	// Client is the HTTP client (default: a dedicated client with
-	// pooling sized to the concurrency).
-	Client *http.Client
 }
 
 func (s Spec) withDefaults() (Spec, error) {
@@ -84,27 +46,11 @@ func (s Spec) withDefaults() (Spec, error) {
 	if s.Mix == nil {
 		return s, fmt.Errorf("loadgen: Spec.Mix is required")
 	}
-	if s.Requests <= 0 && s.Duration <= 0 {
-		return s, fmt.Errorf("loadgen: Spec needs a bound: Requests or Duration")
+	if s.Requests <= 0 {
+		return s, fmt.Errorf("loadgen: Spec.Requests must be > 0")
 	}
 	if s.Concurrency <= 0 {
 		s.Concurrency = 8
-	}
-	if s.RatePerSec <= 0 {
-		s.RatePerSec = 100
-	}
-	if s.MaxInFlight <= 0 {
-		s.MaxInFlight = 256
-	}
-	if s.Timeout <= 0 {
-		s.Timeout = 10 * time.Second
-	}
-	if s.Client == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        s.Concurrency + s.MaxInFlight,
-			MaxIdleConnsPerHost: s.Concurrency + s.MaxInFlight,
-		}
-		s.Client = &http.Client{Transport: tr}
 	}
 	return s, nil
 }
@@ -144,14 +90,12 @@ func (e *EndpointStats) merge(o *EndpointStats) {
 // Aggregate folds all endpoints together (histograms merge exactly, so
 // aggregate percentiles are as good as per-endpoint ones).
 type Result struct {
-	Mode        string
 	Seed        uint64
 	Concurrency int
 
 	Issued    int64 // requests started, warmup included
 	Warmup    int64 // warmup completions (excluded from stats)
 	Completed int64 // measured completions (= Aggregate.Requests)
-	Dropped   int64 // open-loop arrivals shed at MaxInFlight
 
 	// MeasuredSeconds is the wall-clock span of the measured phase
 	// (first post-warmup issue to last completion); ThroughputRPS is
@@ -193,11 +137,11 @@ func (r *Result) BudgetViolated(budget float64) bool {
 // Runner executes one Spec. A Runner is single-use: construct, Run once,
 // read the Result.
 type Runner struct {
-	spec Spec
+	spec   Spec
+	client *http.Client
 
 	inFlight atomic.Int64
 	issued   atomic.Int64
-	dropped  atomic.Int64
 
 	// measuredStart is the wall-clock time the first measured (post-
 	// warmup) request was issued, recorded once.
@@ -211,13 +155,14 @@ func NewRunner(spec Spec) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{spec: s}, nil
+	tr := &http.Transport{MaxIdleConns: s.Concurrency, MaxIdleConnsPerHost: s.Concurrency}
+	return &Runner{spec: s, client: &http.Client{Transport: tr}}, nil
 }
 
 // InFlight returns the number of requests currently outstanding. It is
-// 0 before Run, bounded by Concurrency (closed loop) or MaxInFlight
-// (open loop) during it, and 0 again after Run returns — Run joins
-// every worker before returning, even on cancellation.
+// 0 before Run, bounded by Concurrency during it, and 0 again after Run
+// returns — Run joins every worker before returning, even on
+// cancellation.
 func (r *Runner) InFlight() int64 { return r.inFlight.Load() }
 
 // Issued returns the number of requests started so far, warmup included.
@@ -244,46 +189,24 @@ func (ws *workerStats) endpoint(e *Endpoint) *EndpointStats {
 	return es
 }
 
-// Run drives the load until the spec's bound is reached or ctx is
-// cancelled, then joins every worker and returns the merged result.
-// A cancelled run returns the partial result plus ctx's error, with
-// the accounting invariant intact either way: InFlight() == 0 and
-// Issued() == warmup + measured completions + transport errors in
-// flight at cancellation (every issued request is accounted exactly
-// once).
+// Run drives Concurrency workers off a shared ticket counter until
+// WarmupRequests+Requests have been issued or ctx is cancelled, then
+// joins every worker and returns the merged result. The ticket is the
+// request's global index, which makes the warmup boundary exact:
+// tickets 1..WarmupRequests are warmup, the rest measured. A cancelled
+// run returns the partial result plus ctx's error, with the accounting
+// invariant intact either way: InFlight() == 0 and Issued() == warmup
+// + measured completions + transport errors in flight at cancellation
+// (every issued request is accounted exactly once).
+//
+// Before returning, Run closes the client's idle connections. The
+// transport can dial a connection that never carries a request (the
+// request it was dialed for took an idle one first), and net/http
+// counts such a connection as active for 5 s, which would hold up a
+// graceful shutdown of the server it points at.
 func (r *Runner) Run(ctx context.Context) (*Result, error) {
-	if r.spec.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.spec.Duration)
-		defer cancel()
-	}
-
-	var stats []*workerStats
-	switch r.spec.Mode {
-	case OpenLoop:
-		stats = r.runOpen(ctx)
-	default:
-		stats = r.runClosed(ctx)
-	}
-
-	end := time.Now()
-	res := r.mergeStats(stats, end)
-	if err := ctx.Err(); err != nil && r.spec.Duration <= 0 {
-		// A Duration-bounded run ending by its own deadline is a normal
-		// completion; an external cancellation is reported to the caller.
-		return res, err
-	}
-	return res, nil
-}
-
-// runClosed runs Concurrency workers off a shared ticket counter. The
-// ticket is the request's global index, which makes the warmup boundary
-// exact: tickets 1..WarmupRequests are warmup, the rest measured.
-func (r *Runner) runClosed(ctx context.Context) []*workerStats {
-	total := int64(0)
-	if r.spec.Requests > 0 {
-		total = int64(r.spec.WarmupRequests + r.spec.Requests)
-	}
+	defer r.client.CloseIdleConnections()
+	total := int64(r.spec.WarmupRequests + r.spec.Requests)
 	var (
 		ticket atomic.Int64
 		wg     sync.WaitGroup
@@ -296,7 +219,7 @@ func (r *Runner) runClosed(ctx context.Context) []*workerStats {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				t := ticket.Add(1)
-				if total > 0 && t > total {
+				if t > total {
 					return
 				}
 				r.one(ctx, ws, rng, t <= int64(r.spec.WarmupRequests))
@@ -304,57 +227,7 @@ func (r *Runner) runClosed(ctx context.Context) []*workerStats {
 		}(stats[i], Derive(r.spec.Seed, uint64(i)))
 	}
 	wg.Wait()
-	return stats
-}
-
-// runOpen paces arrivals at RatePerSec; each arrival runs on its own
-// goroutine with its own derived RNG stream (index-derived, so the mix
-// stays deterministic even though dispatch order is not). Arrivals that
-// would exceed MaxInFlight are shed and counted.
-func (r *Runner) runOpen(ctx context.Context) []*workerStats {
-	interval := time.Duration(float64(time.Second) / r.spec.RatePerSec)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-
-	total := int64(0)
-	if r.spec.Requests > 0 {
-		total = int64(r.spec.WarmupRequests + r.spec.Requests)
-	}
-
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		stats   []*workerStats
-		arrival int64
-	)
-	for ctx.Err() == nil && (total == 0 || arrival < total) {
-		select {
-		case <-ctx.Done():
-		case <-ticker.C:
-			if r.inFlight.Load() >= int64(r.spec.MaxInFlight) {
-				r.dropped.Add(1)
-				continue
-			}
-			arrival++
-			idx := arrival
-			ws := newWorkerStats()
-			mu.Lock()
-			stats = append(stats, ws)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.one(ctx, ws, Derive(r.spec.Seed, uint64(idx)), idx <= int64(r.spec.WarmupRequests))
-			}()
-		}
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return stats
+	return r.mergeStats(stats, time.Now()), ctx.Err()
 }
 
 // one issues a single request drawn from the mix and accounts it.
@@ -369,11 +242,11 @@ func (r *Runner) one(ctx context.Context, ws *workerStats, rng *RNG, warmup bool
 	r.inFlight.Add(1)
 	defer r.inFlight.Add(-1)
 
-	rctx, cancel := context.WithTimeout(ctx, r.spec.Timeout)
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 
 	begin := time.Now()
-	status, header, body, err := doRequest(rctx, r.spec.Client, r.spec.BaseURL+path)
+	status, header, body, err := doRequest(rctx, r.client, r.spec.BaseURL+path)
 	elapsed := time.Since(begin)
 
 	if warmup {
@@ -444,12 +317,10 @@ func (r *Runner) mergeStats(stats []*workerStats, end time.Time) *Result {
 	}
 
 	res := &Result{
-		Mode:        r.spec.Mode.String(),
 		Seed:        r.spec.Seed,
 		Concurrency: r.spec.Concurrency,
 		Issued:      r.issued.Load(),
 		Warmup:      warmup,
-		Dropped:     r.dropped.Load(),
 		Aggregate:   &EndpointStats{Name: "aggregate", Hist: latency.NewHistogram()},
 	}
 	names := make([]string, 0, len(merged))

@@ -85,50 +85,6 @@ func MustMix(endpoints ...Endpoint) *Mix {
 	return m
 }
 
-// ForScenario rebases every endpoint of the mix onto one scenario's
-// /v1/{name}/... prefix. Names gain an "@{name}" suffix so per-endpoint
-// report rows stay distinguishable in a merged multi-scenario mix;
-// Route labels are unchanged because the scenario router strips the
-// prefix before the server's mux (and its /varz route labels) see the
-// request.
-func (m *Mix) ForScenario(name string) *Mix {
-	endpoints := make([]Endpoint, len(m.endpoints))
-	for i, e := range m.endpoints {
-		path := e.Path // capture per endpoint, not the loop variable's last value
-		e.Name = e.Name + "@" + name
-		e.Path = func(rng *RNG) string {
-			return "/v1/" + name + path(rng)
-		}
-		endpoints[i] = e
-	}
-	return MustMix(endpoints...)
-}
-
-// MergeMixes concatenates mixes into one weighted mix. Endpoint names
-// must stay unique across the inputs (ForScenario's @name suffix
-// guarantees that for per-scenario variants of the same base mix).
-func MergeMixes(mixes ...*Mix) (*Mix, error) {
-	var endpoints []Endpoint
-	for _, m := range mixes {
-		endpoints = append(endpoints, m.endpoints...)
-	}
-	return NewMix(endpoints...)
-}
-
-// ScenarioMix spreads base evenly across the named scenarios: each
-// scenario gets the full base mix rebased onto its /v1/{name}/...
-// prefix, with equal aggregate weight per scenario.
-func ScenarioMix(base *Mix, names ...string) (*Mix, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("loadgen: ScenarioMix needs at least one scenario name")
-	}
-	mixes := make([]*Mix, len(names))
-	for i, name := range names {
-		mixes[i] = base.ForScenario(name)
-	}
-	return MergeMixes(mixes...)
-}
-
 // ValidateJSON is the standard validator: 200 OK, a JSON content type,
 // and a body that starts like a JSON document. It reads no semantics —
 // byte-level correctness across replicas is the fleet gate's job;

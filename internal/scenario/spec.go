@@ -131,10 +131,13 @@ const ImplicitName = "default"
 
 // Implicit is the spec of the one world a server runs without a
 // scenario directory: base's seed and scale, no knobs, so
-// Implicit(base).Config(base) is base for any knob-free base.
-func Implicit(base simulation.Config) Spec {
-	return Spec{Name: ImplicitName, Default: true, Seed: base.Seed,
+// Implicit(base).Config(base) is base for any knob-free base. It is
+// validated like a spec file, apart from its reserved name, so a seed
+// or scale outside a spec's bounds fails here rather than at boot.
+func Implicit(base simulation.Config) (Spec, error) {
+	s := Spec{Name: ImplicitName, Default: true, Seed: base.Seed,
 		LIRs: base.NumLIRs, RoutingDays: base.RoutingDays}
+	return s, s.validate("", false)
 }
 
 // Parse decodes one spec from JSON, rejecting unknown keys, and
@@ -188,13 +191,18 @@ const maxLIRs = 200
 
 // Validate checks every field and returns all failures joined, each a
 // *FieldError naming its field.
-func (s *Spec) Validate(file string) error {
+func (s *Spec) Validate(file string) error { return s.validate(file, true) }
+
+// validate is Validate with the name check optional: the implicit spec
+// carries the reserved ImplicitName by design.
+func (s *Spec) validate(file string, checkName bool) error {
 	var errs []error
 	bad := func(field, msg string) {
 		errs = append(errs, &FieldError{File: file, Field: field, Msg: msg})
 	}
 
 	switch {
+	case !checkName:
 	case s.Name == "":
 		bad("name", "required")
 	case !nameRE.MatchString(s.Name):

@@ -21,11 +21,12 @@ import (
 // formatting, and no intermediate []market.PriceCell copy.
 //
 // Byte-exactness contract: render(f) must produce exactly the bytes of
-// newArtifact(viewPriceCells(filterPriceCells(cells, f.match)),
-// priceCellsCSV(cells...)) — same bodies, same ETags — so warm-started
-// and cold-built servers, and servers from before this layout existed,
-// answer filtered queries identically. TestPriceTableRenderIdentity
-// pins it.
+// the row-at-a-time reference newArtifact(viewPriceCells(cells),
+// priceCellsCSV(cells)) over cells = filterPriceCells(cells, f.match)
+// — same bodies, same ETags — so warm-started and cold-built servers,
+// and servers from before this layout existed, answer filtered queries
+// identically. The reference lives beside TestPriceTableRenderIdentity,
+// which pins the contract.
 type priceTable struct {
 	bits    []int
 	region  []registry.RIR

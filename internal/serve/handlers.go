@@ -166,11 +166,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.current()
 	art, err := st.cache.do(f.key(), s.metrics, func() (*artifact, error) {
-		if t := st.snap.prices; t != nil {
-			return t.render(f), nil
-		}
-		cells := filterPriceCells(st.snap.PriceCells, f.match)
-		return newArtifact(viewPriceCells(cells), priceCellsCSV(cells))
+		return st.snap.prices.render(f), nil
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

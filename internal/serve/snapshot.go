@@ -344,18 +344,6 @@ func (s *Snapshot) table1CSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// filterPriceCells returns the cells matching the (optional) filters; a
-// nil filter component matches everything.
-func filterPriceCells(cells []market.PriceCell, match func(market.PriceCell) bool) []market.PriceCell {
-	out := make([]market.PriceCell, 0, len(cells))
-	for _, c := range cells {
-		if match(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // utilizationCSV renders the quarterly utilization series.
 func utilizationCSV(points []core.UtilizationPoint) func(io.Writer) error {
 	return func(w io.Writer) error {
@@ -392,30 +380,6 @@ func rpkiCSV(res core.RPKISeriesResult) func(io.Writer) error {
 			err := cw.Write([]string{
 				fmtDate(b.Date), strconv.Itoa(b.Days), f2(b.MeanPresent),
 				strconv.Itoa(b.MaxPresent), strconv.Itoa(b.Churn), f2(b.MeanChurnDay),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}
-}
-
-// priceCellsCSV renders filtered price cells in the Figure1CSV column
-// layout so filtered and unfiltered responses share a schema.
-func priceCellsCSV(cells []market.PriceCell) func(io.Writer) error {
-	return func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"quarter", "prefix_bits", "region", "n", "min", "q1", "median", "q3", "max", "mean"}); err != nil {
-			return err
-		}
-		f2 := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
-		for _, c := range cells {
-			err := cw.Write([]string{
-				c.Quarter.String(), strconv.Itoa(c.Bits), c.Region.String(),
-				strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
-				f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
 			})
 			if err != nil {
 				return err

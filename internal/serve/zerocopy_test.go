@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ipv4market/internal/market"
 	"ipv4market/internal/store"
 )
 
@@ -34,6 +36,43 @@ func storedServer(t *testing.T) (*Server, *store.Store, string) {
 		t.Fatal("snapshot was not persisted")
 	}
 	return srv, st, dir
+}
+
+// filterPriceCells returns the cells matching the (optional) filters; a
+// nil filter component matches everything. With priceCellsCSV it is the
+// row-at-a-time reference the columnar price table must reproduce.
+func filterPriceCells(cells []market.PriceCell, match func(market.PriceCell) bool) []market.PriceCell {
+	out := make([]market.PriceCell, 0, len(cells))
+	for _, c := range cells {
+		if match(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// priceCellsCSV renders filtered price cells in the Figure1CSV column
+// layout so filtered and unfiltered responses share a schema.
+func priceCellsCSV(cells []market.PriceCell) func(io.Writer) error {
+	return func(w io.Writer) error {
+		cw := csv.NewWriter(w)
+		if err := cw.Write([]string{"quarter", "prefix_bits", "region", "n", "min", "q1", "median", "q3", "max", "mean"}); err != nil {
+			return err
+		}
+		f2 := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+		for _, c := range cells {
+			err := cw.Write([]string{
+				c.Quarter.String(), strconv.Itoa(c.Bits), c.Region.String(),
+				strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
+				f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
+			})
+			if err != nil {
+				return err
+			}
+		}
+		cw.Flush()
+		return cw.Error()
+	}
 }
 
 // TestPriceTableRenderIdentity pins the columnar fast path to the

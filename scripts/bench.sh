@@ -7,10 +7,11 @@
 # JSON is rewritten with the results plus the recording machine's
 # metadata (CPU model, num_cpu, GOMAXPROCS, Go version) so two
 # recordings are only ever compared on like hardware. The cluster
-# suite builds marketd and marketbench, boots real process topologies
-# (leader-only and leader+2 followers behind a round-robin router) over
-# loopback, drives the mixed /v1 workload at them — including a rebuild
-# under load and follower catch-up — and writes BENCH_cluster.json.
+# suite builds marketd and marketbench, boots a real replicated fleet
+# (a leader and 2 followers behind a round-robin router) over loopback
+# on marketd's DefaultConfig world, drives the mixed /v1 workload
+# through it — including a rebuild under load and follower catch-up —
+# and writes BENCH_cluster.json.
 #
 #   scripts/bench.sh                   # all suites
 #   scripts/bench.sh -suite build      # just BenchmarkSnapshotBuild

@@ -45,11 +45,11 @@
 #                   json.MarshalIndent) on top of the committed corpus, which
 #                   replays in the test gate
 #   load          — a race-enabled marketbench boots a race-enabled
-#                   marketd fleet (leader-only and leader+2 followers
-#                   behind the round-robin router) at smoke scale and
-#                   drives the mixed /v1 workload through it — rebuild
-#                   under load, follower catch-up while saturated, zero
-#                   error budget
+#                   marketd fleet (a leader and 2 followers behind the
+#                   round-robin router) at smoke scale and drives the
+#                   mixed /v1 workload through it — rebuild under load,
+#                   follower catch-up while saturated, zero error
+#                   budget, and every node exiting cleanly at teardown
 #
 # CHECK_SKIP skips gates by name (comma-separated), for iterating on
 # one subsystem without paying for the rest:
@@ -135,7 +135,7 @@ gate_load() {
     go build -race -o "$check_dir/marketd-race" ./cmd/marketd
     go build -race -o "$check_dir/marketbench-race" ./cmd/marketbench
     "$check_dir/marketbench-race" -marketd "$check_dir/marketd-race" \
-        -topologies 0,2 -lirs 14 -days 40 \
+        -lirs 14 -days 40 \
         -concurrency 4 -warmup 50 -requests 600 -error-budget 0
 }
 

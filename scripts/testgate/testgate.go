@@ -92,8 +92,7 @@ var contracts = []contract{
 		"TestHistogramQuantileMatchesExact", "TestHistogramMergeAssociativity",
 	}},
 	{"ipv4market/internal/loadgen", []string{
-		"TestClosedLoopAccounting", "TestClosedLoopCancellation", "TestOpenLoopSheds",
-		"TestBenchClusterJSONParses",
+		"TestClosedLoopAccounting", "TestClosedLoopCancellation", "TestBenchClusterJSONParses",
 	}},
 	{"ipv4market/internal/lint", []string{
 		// Every analyzer over the module, and no stale //lint:ignore.
