@@ -1,8 +1,11 @@
 // Command benchrecord re-records the repository's benchmark baselines
 // (BENCH_build.json, BENCH_serve.json, BENCH_cluster.json at the repo
 // root). The build and serve suites run through `go test -bench` and
-// the JSON is rewritten with the parsed results plus the recording
-// machine's metadata (CPU model, core count, GOMAXPROCS, Go version).
+// the JSON is rewritten with the parsed results, the recording machine's
+// metadata (CPU model, core count, GOMAXPROCS, Go version) and the
+// suite's fingerprint: the world configs and build stages it measured,
+// which the suite logs and internal/serve's baseline tests compare with
+// the suite's current ones.
 // The cluster suite builds marketd and marketbench, then lets
 // marketbench boot a replicated fleet (a leader and 2 followers behind
 // a round-robin router) on marketd's DefaultConfig world and drive the
@@ -86,22 +89,25 @@ type result struct {
 }
 
 // baseline is the BENCH_*.json schema. internal/serve's
-// TestBenchBaselinesWellFormed reads these files back, so the two
-// schemas evolve together.
+// TestBenchBuildJSONParses and TestBenchServeJSONParses read these files
+// back, so the two schemas evolve together.
 type baseline struct {
-	Suite      string   `json:"suite"`
-	Package    string   `json:"package"`
-	Recorded   string   `json:"recorded"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	CPU        string   `json:"cpu"`
-	NumCPU     int      `json:"num_cpu"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	GoVersion  string   `json:"go_version"`
-	Benchtime  string   `json:"benchtime"`
-	Procedure  string   `json:"procedure"`
-	Note       string   `json:"note"`
-	Results    []result `json:"results"`
+	Suite      string `json:"suite"`
+	Package    string `json:"package"`
+	Recorded   string `json:"recorded"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Benchtime  string `json:"benchtime"`
+	Procedure  string `json:"procedure"`
+	Note       string `json:"note"`
+	// Fingerprint is the JSON the suite logged as "fingerprint {...}":
+	// its world configs and build stages, copied verbatim.
+	Fingerprint json.RawMessage `json:"fingerprint"`
+	Results     []result        `json:"results"`
 }
 
 func main() {
@@ -188,7 +194,9 @@ func recordCluster(w io.Writer, dir string, requests int) error {
 // record runs one suite and rewrites its baseline file.
 func record(w io.Writer, dir string, s suiteDef) error {
 	fmt.Fprintf(w, "benchrecord: running %s (-benchtime %s)...\n", s.Suite, s.Benchtime)
-	cmd := exec.Command("go", "test", "-run", "^$",
+	// -v: a parent benchmark's log, where the fingerprint is, prints only
+	// in verbose mode.
+	cmd := exec.Command("go", "test", "-v", "-run", "^$",
 		"-bench", "^"+s.Suite+"$", "-benchmem", "-benchtime", s.Benchtime,
 		benchPackage)
 	cmd.Dir = dir
@@ -201,7 +209,11 @@ func record(w io.Writer, dir string, s suiteDef) error {
 	if err != nil {
 		return err
 	}
-	b := newBaseline(s, results, cpu, time.Now())
+	fp, err := parseFingerprint(s.Suite, string(out))
+	if err != nil {
+		return err
+	}
+	b := newBaseline(s, results, cpu, fp, time.Now())
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return fmt.Errorf("benchrecord: encode %s: %w", s.File, err)
@@ -216,7 +228,7 @@ func record(w io.Writer, dir string, s suiteDef) error {
 
 // newBaseline assembles the baseline document for one suite run,
 // stamping the recording machine's metadata alongside the numbers.
-func newBaseline(s suiteDef, results []result, cpu string, now time.Time) baseline {
+func newBaseline(s suiteDef, results []result, cpu string, fp json.RawMessage, now time.Time) baseline {
 	return baseline{
 		Suite:      s.Suite,
 		Package:    benchPackage,
@@ -228,12 +240,13 @@ func newBaseline(s suiteDef, results []result, cpu string, now time.Time) baseli
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		Benchtime:  s.Benchtime,
-		Procedure: "recorded by scripts/bench.sh (cmd/benchrecord): go test -run '^$' -bench '^" + s.Suite +
+		Procedure: "recorded by scripts/bench.sh (cmd/benchrecord): go test -v -run '^$' -bench '^" + s.Suite +
 			"$' -benchmem -benchtime " + s.Benchtime + " " + benchPackage + ", output parsed and this file " +
 			"rewritten whole. Numbers are machine-dependent — compare only against a baseline whose " +
 			"goos/goarch/cpu/num_cpu match. Never edit by hand; re-record instead.",
-		Note:    s.Note,
-		Results: results,
+		Note:        s.Note,
+		Fingerprint: fp,
+		Results:     results,
 	}
 }
 
@@ -241,6 +254,27 @@ func newBaseline(s suiteDef, results []result, cpu string, now time.Time) baseli
 //
 //	BenchmarkSnapshotServe/table1-4  218061  11011 ns/op  9787 B/op  38 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+
+// fingerprintLine matches the suite's logged fingerprint:
+//
+//	bench_test.go:78: fingerprint {"worlds":{...},"stages":[...]}
+var fingerprintLine = regexp.MustCompile(`^\S+\.go:\d+: fingerprint (\{.*\})$`)
+
+// parseFingerprint extracts the fingerprint the suite logged; a suite
+// run without one cannot be checked for staleness, so it is an error.
+func parseFingerprint(suite, out string) (json.RawMessage, error) {
+	for _, line := range strings.Split(out, "\n") {
+		m := fingerprintLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		if !json.Valid([]byte(m[1])) {
+			return nil, fmt.Errorf("benchrecord: %s fingerprint is not JSON: %s", suite, m[1])
+		}
+		return json.RawMessage(m[1]), nil
+	}
+	return nil, fmt.Errorf("benchrecord: %s logged no fingerprint line", suite)
+}
 
 // gomaxprocsSuffix is the -N the testing package appends to bench names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)

@@ -12,6 +12,9 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: ipv4market/internal/serve
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSnapshotServe
+    bench_test.go:78: fingerprint {"worlds":{"test":{"Seed":1,"NumLIRs":14}},"stages":["table1","temporal"]}
+BenchmarkSnapshotServe/table1
 BenchmarkSnapshotServe/table1-4          218061     11011 ns/op    9787 B/op    38 allocs/op
 BenchmarkSnapshotServe/prices_full-4       8406     71248 ns/op  220792 B/op    39 allocs/op
 BenchmarkSnapshotServe/table1_304-4      139862      8602.5 ns/op  8040 B/op    35 allocs/op
@@ -42,6 +45,19 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+func TestParseFingerprint(t *testing.T) {
+	fp, err := parseFingerprint("BenchmarkSnapshotServe", sampleOutput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"worlds":{"test":{"Seed":1,"NumLIRs":14}},"stages":["table1","temporal"]}`; string(fp) != want {
+		t.Errorf("fingerprint = %s, want %s", fp, want)
+	}
+	if _, err := parseFingerprint("BenchmarkSnapshotServe", "PASS\nok x 0.1s\n"); err == nil {
+		t.Error("output without a fingerprint accepted")
+	}
+}
+
 func TestParseBenchOutputRejectsEmpty(t *testing.T) {
 	if _, _, err := parseBenchOutput("BenchmarkSnapshotServe", "PASS\nok x 0.1s\n"); err == nil {
 		t.Error("output without result rows accepted")
@@ -56,7 +72,11 @@ func TestBaselineDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBaseline(suites[1], results, cpu, time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC))
+	fp, err := parseFingerprint("BenchmarkSnapshotServe", sampleOutput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBaseline(suites[1], results, cpu, fp, time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC))
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +86,7 @@ func TestBaselineDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"suite", "package", "recorded", "goos", "goarch", "cpu",
-		"num_cpu", "gomaxprocs", "go_version", "benchtime", "procedure", "note", "results"} {
+		"num_cpu", "gomaxprocs", "go_version", "benchtime", "procedure", "note", "fingerprint", "results"} {
 		if _, ok := back[key]; !ok {
 			t.Errorf("baseline document lacks %q", key)
 		}

@@ -22,9 +22,12 @@ import (
 // the events between two dates. All three are computed from the snapshot's
 // temporal index — rebuilt on cold builds, restored byte-identically from
 // the _state/temporal artifact on warm starts — and, with ?gen=N, from the
-// temporal state of a persisted past generation. Responses are cached per
-// (generation, query) in the singleflight query cache and served with
-// strong ETags, so conditional requests get 304s like any artifact.
+// temporal state of a persisted past generation. Point and timeline
+// responses are cached per (generation, query) in the singleflight query
+// cache; diff responses are concatenated from the generation's event-row
+// table (eventrows.go) instead, since their keys, two dates, almost never
+// repeat. All are served with strong ETags, so conditional requests get
+// 304s like any artifact.
 
 // temporalInput maps a simulated world to the temporal event model: the
 // registry's final allocations and its transfer log (in execution order),
@@ -56,9 +59,10 @@ func temporalInput(cfg simulation.Config, w *simulation.World) temporal.Input {
 }
 
 // temporalForRequest resolves the temporal index a request should query,
-// honoring a ?gen=N pin, and the generation number that scopes its cache
-// keys. The boolean is false after an error response has been written.
-func (s *Server) temporalForRequest(w http.ResponseWriter, q url.Values) (*temporal.Index, uint64, bool) {
+// honoring a ?gen=N pin, with its event-row table and the generation
+// number that scopes its cache keys. The boolean is false after an error
+// response has been written.
+func (s *Server) temporalForRequest(w http.ResponseWriter, q url.Values) (*temporal.Index, *eventRows, uint64, bool) {
 	raw := q.Get("gen")
 	if raw == "" {
 		snap := s.current().snap
@@ -67,32 +71,32 @@ func (s *Server) temporalForRequest(w http.ResponseWriter, q url.Values) (*tempo
 			// kept so a future partial snapshot fails loudly, not with a
 			// nil dereference.
 			writeError(w, http.StatusNotFound, "snapshot has no temporal index")
-			return nil, 0, false
+			return nil, nil, 0, false
 		}
-		return snap.Temporal, snap.Gen, true
+		return snap.Temporal, snap.eventRows, snap.Gen, true
 	}
 	gen, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil || gen == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("gen %q: want a positive generation ID", raw))
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	pg, err := s.pinnedGen(gen)
 	switch {
 	case errors.Is(err, errNoStore):
 		writeError(w, http.StatusNotFound, errNoStore.Error())
-		return nil, 0, false
+		return nil, nil, 0, false
 	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d not in store (compacted or never persisted)", gen))
-		return nil, 0, false
+		return nil, nil, 0, false
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	if pg.temporal == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no temporal index (persisted before as-of serving)", gen))
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
-	return pg.temporal, gen, true
+	return pg.temporal, pg.eventRows, gen, true
 }
 
 // parseAsofDate validates a date parameter against the index's epoch:
@@ -188,8 +192,9 @@ type asofTimelineView struct {
 	Delegations []asofDelegationView `json:"delegations,omitempty"`
 }
 
-// asofEventView is one event in a diff window. Only the fields for the
-// event's kind are present.
+// asofEventView is one event in a diff window, the element of the
+// document's events array. Only the fields for the event's kind are
+// present.
 type asofEventView struct {
 	Date   string `json:"date"`
 	Kind   string `json:"kind"`
@@ -205,16 +210,6 @@ type asofEventView struct {
 	Parent string `json:"parent,omitempty"`
 	FromAS uint32 `json:"from_as,omitempty"`
 	ToAS   uint32 `json:"to_as,omitempty"`
-}
-
-// asofDiffView is the GET /v1/asof/diff document: the events in (from, to]
-// — exactly what turns the as-of state at `from` into the state at `to`.
-type asofDiffView struct {
-	From   string          `json:"from"`
-	To     string          `json:"to"`
-	Gen    uint64          `json:"gen,omitempty"`
-	Count  int             `json:"count"`
-	Events []asofEventView `json:"events"`
 }
 
 // viewAsofDelegations renders delegation spans.
@@ -280,7 +275,7 @@ func viewAsofPoint(ix *temporal.Index, gen uint64, p netblock.Prefix, d time.Tim
 // delegation state and price context of one prefix on one date.
 func (s *Server) handleAsof(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, gen, ok := s.temporalForRequest(w, q)
+	ix, _, gen, ok := s.temporalForRequest(w, q)
 	if !ok {
 		return
 	}
@@ -315,7 +310,7 @@ func (s *Server) handleAsof(w http.ResponseWriter, r *http.Request) {
 // span of the block governing P and every delegation span touching P.
 func (s *Server) handleAsofTimeline(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, gen, ok := s.temporalForRequest(w, q)
+	ix, _, gen, ok := s.temporalForRequest(w, q)
 	if !ok {
 		return
 	}
@@ -363,10 +358,12 @@ func (s *Server) handleAsofTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAsofDiff serves GET /v1/asof/diff?from=D1&to=D2: the events in the
-// half-open window (from, to].
+// half-open window (from, to], assembled from the generation's rendered
+// event rows. Diffs bypass the query cache: their keys almost never
+// repeat, and a whole-epoch body would count as one entry however large.
 func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, gen, ok := s.temporalForRequest(w, q)
+	ix, rows, gen, ok := s.temporalForRequest(w, q)
 	if !ok {
 		return
 	}
@@ -389,38 +386,7 @@ func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("from %s is after to %s", fmtDate(from), fmtDate(to)))
 		return
 	}
-	st := s.current()
-	key := "asof_diff|gen=" + strconv.FormatUint(gen, 10) + "|from=" + fmtDate(from) + "|to=" + fmtDate(to)
-	art, err := st.cache.do(key, s.metrics, func() (*artifact, error) {
-		events := ix.Diff(from, to)
-		view := asofDiffView{
-			From: fmtDate(from), To: fmtDate(to), Gen: gen,
-			Count:  len(events),
-			Events: make([]asofEventView, 0, len(events)),
-		}
-		// Events come in date order (UTC midnights) and many share a
-		// day: render each distinct date once.
-		var day time.Time
-		var dayStr string
-		for _, e := range events {
-			if dayStr == "" || !e.Date.Equal(day) {
-				day, dayStr = e.Date, fmtDate(e.Date)
-			}
-			ev := asofEventView{Date: dayStr, Kind: string(e.Kind), Prefix: e.Prefix.String()}
-			switch e.Kind {
-			case temporal.EventTransfer:
-				ev.From, ev.To = e.From, e.To
-				ev.FromRIR, ev.ToRIR = e.FromRIR.String(), e.ToRIR.String()
-				ev.Type = e.Type
-				ev.PricePerAddr = e.PricePerAddr
-			default:
-				ev.Parent = e.Parent.String()
-				ev.FromAS, ev.ToAS = e.FromAS, e.ToAS
-			}
-			view.Events = append(view.Events, ev)
-		}
-		return newArtifact(view, nil)
-	})
+	art, err := rows.diff(gen, from, to)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

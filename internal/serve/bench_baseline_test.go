@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -24,7 +25,9 @@ type benchBaseline struct {
 	Benchtime  string `json:"benchtime"`
 	Procedure  string `json:"procedure"`
 	Note       string `json:"note"`
-	Results    []struct {
+	// Fingerprint is the suite's benchFingerprint at recording time.
+	Fingerprint json.RawMessage `json:"fingerprint"`
+	Results     []struct {
 		Name     string `json:"name"`
 		NsPerOp  int64  `json:"ns_per_op"`
 		BPerOp   int64  `json:"bytes_per_op"`
@@ -72,11 +75,31 @@ func loadBaseline(t *testing.T, file, suite string) benchBaseline {
 	return b
 }
 
+// checkFingerprint fails unless the baseline was recorded against fp,
+// the suite's current worlds and stages.
+func checkFingerprint(t *testing.T, b benchBaseline, file, suite string, fp benchFingerprint) {
+	t.Helper()
+	want, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, b.Fingerprint); err != nil {
+		t.Fatalf("%s: fingerprint: %v", file, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s was recorded against\n%s\nbut %s now measures\n%s\nre-record with scripts/bench.sh -suite %s",
+			file, got.Bytes(), suite, want, suite)
+	}
+}
+
 // TestBenchBuildJSONParses keeps the BenchmarkSnapshotBuild baseline
-// well-formed, with at least the serial (workers=1) reference row.
-// scripts/check.sh runs it explicitly alongside the determinism gate.
+// well-formed and current: it needs the serial (workers=1) reference
+// row, and a baseline recorded against other worlds or another stage
+// list (buildFingerprint) fails.
 func TestBenchBuildJSONParses(t *testing.T) {
 	b := loadBaseline(t, "BENCH_build.json", "BenchmarkSnapshotBuild")
+	checkFingerprint(t, b, "BENCH_build.json", "build", buildFingerprint())
 	serial := false
 	for _, r := range b.Results {
 		if r.Name == "workers=1" {
@@ -90,10 +113,13 @@ func TestBenchBuildJSONParses(t *testing.T) {
 
 // TestBenchServeJSONParses keeps the BenchmarkSnapshotServe baseline
 // well-formed and current: every sub-benchmark the suite runs
-// (serveBenchRows) needs a row, so adding one without re-recording the
-// baseline (scripts/bench.sh -suite serve) fails here.
+// (serveBenchRows) needs a row, and the baseline must have been recorded
+// against the suite's world and stage list (serveFingerprint), so
+// changing either without re-recording the baseline (scripts/bench.sh
+// -suite serve) fails here.
 func TestBenchServeJSONParses(t *testing.T) {
 	b := loadBaseline(t, "BENCH_serve.json", "BenchmarkSnapshotServe")
+	checkFingerprint(t, b, "BENCH_serve.json", "serve", serveFingerprint())
 	have := make(map[string]bool, len(b.Results))
 	for _, r := range b.Results {
 		have[r.Name] = true

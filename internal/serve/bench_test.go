@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,10 +26,56 @@ import (
 // and delegations each run routing surveys; the study stage itself
 // takes about 10ms), so on a single-core machine all rows converge.
 func BenchmarkSnapshotBuild(b *testing.B) {
+	logFingerprint(b, buildFingerprint())
 	benchBuild(b, testConfig(), []int{1, 4, runtime.NumCPU()})
 	b.Run("default", func(b *testing.B) {
 		benchBuild(b, simulation.DefaultConfig(), []int{1, runtime.NumCPU()})
 	})
+}
+
+// benchFingerprint is what a baseline's numbers were measured on: the
+// world config behind each group of rows ("test" for the unprefixed rows,
+// "default" for the default/ rows) and the snapshot build stages, by
+// name. Each suite logs its fingerprint, cmd/benchrecord copies it into
+// the baseline, and TestBenchBuildJSONParses and TestBenchServeJSONParses
+// fail when the suite's current fingerprint differs from the recorded
+// one — a changed world or stage list means re-recording.
+type benchFingerprint struct {
+	Worlds map[string]simulation.Config `json:"worlds"`
+	Stages []string                     `json:"stages"`
+}
+
+// buildFingerprint is BenchmarkSnapshotBuild's fingerprint.
+func buildFingerprint() benchFingerprint {
+	return benchFingerprint{
+		Worlds: map[string]simulation.Config{"test": testConfig(), "default": simulation.DefaultConfig()},
+		Stages: stageNames(),
+	}
+}
+
+// serveFingerprint is BenchmarkSnapshotServe's fingerprint.
+func serveFingerprint() benchFingerprint {
+	return benchFingerprint{Worlds: map[string]simulation.Config{"test": testConfig()}, Stages: stageNames()}
+}
+
+// stageNames lists snapshotStages by name, in build order.
+func stageNames() []string {
+	names := make([]string, len(snapshotStages))
+	for i, st := range snapshotStages {
+		names[i] = st.name
+	}
+	return names
+}
+
+// logFingerprint prints fp as the one "fingerprint {json}" line
+// cmd/benchrecord looks for in the benchmark output (a benchmark's log
+// is printed whatever -v says).
+func logFingerprint(b *testing.B, fp benchFingerprint) {
+	data, err := json.Marshal(fp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("fingerprint %s", data)
 }
 
 // benchBuild runs one workers=N sub-benchmark per distinct count.
@@ -165,6 +212,7 @@ func asofDiffWindows() []string {
 // validated once per row outside the timer, then discarded through
 // benchWriter inside it. Baselines live in BENCH_serve.json.
 func BenchmarkSnapshotServe(b *testing.B) {
+	logFingerprint(b, serveFingerprint())
 	srv := benchServer(b)
 	h := srv.Handler()
 	for _, row := range serveBenchRows {
@@ -206,13 +254,15 @@ func BenchmarkSnapshotServe(b *testing.B) {
 	}
 }
 
-// TestAsofDiffAllocs is the allocation budget of one as-of diff rendered
-// on a cache miss, at the world marketd serves (DefaultConfig), over
-// the first half of 2018 (a body of about 119 KB). Through
-// json.MarshalIndent, fmt-rendered prefixes and one date string per
-// event it took about 2,200; it now takes about 700, and the budget
-// sits 25% above that, so a per-event allocation that creeps back in
-// trips it.
+// TestAsofDiffAllocs is the allocation budget of one as-of diff at the
+// world marketd serves (DefaultConfig), over the first half of 2018 (a
+// body of about 119 KB), through the whole handler stack. Rendered per
+// request — json.Marshal of the whole document, then the indenter — it
+// took about 700 allocations (budget 870); concatenated from warm event
+// rows it takes a handful, for the body, its ETag and the request
+// plumbing, so a per-event allocation that creeps back in trips the
+// budget at once. The diff must also stay out of the query cache: its
+// keys almost never repeat.
 func TestAsofDiffAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the production-scale world")
@@ -225,10 +275,10 @@ func TestAsofDiffAllocs(t *testing.T) {
 	cache := srv.current().cache
 	tmpl := httptest.NewRequest(http.MethodGet, "/v1/asof/diff?from=2018-01-01&to=2018-06-30", nil)
 	w := &benchWriter{header: make(http.Header, 8)}
+	cached := cache.size()
+	// AllocsPerRun's warm-up run renders the window's rows; the measured
+	// runs read them warm.
 	allocs := testing.AllocsPerRun(20, func() {
-		cache.mu.Lock()
-		clear(cache.entries)
-		cache.mu.Unlock()
 		w.reset()
 		req := *tmpl
 		h.ServeHTTP(w, &req)
@@ -236,10 +286,13 @@ func TestAsofDiffAllocs(t *testing.T) {
 			t.Fatalf("status %d", w.status)
 		}
 	})
-	const budget = 870
-	t.Logf("asof diff miss: %.0f allocs, %d-byte body (budget %d)", allocs, w.n, budget)
+	if n := cache.size(); n != cached {
+		t.Errorf("query cache holds %d entries after the diffs, %d before: a diff landed in the cache", n, cached)
+	}
+	const budget = 34
+	t.Logf("asof diff, warm rows: %.0f allocs, %d-byte body (budget %d)", allocs, w.n, budget)
 	if allocs > budget {
-		t.Errorf("asof diff miss allocates %.0f times, budget %d", allocs, budget)
+		t.Errorf("asof diff allocates %.0f times, budget %d", allocs, budget)
 	}
 }
 

@@ -67,7 +67,11 @@ func encodeJSON(v any) ([]byte, error) {
 // the bytes between structural characters are copied in runs and string
 // literals are skipped whole, with no per-byte scanner state.
 func appendIndent(dst, src []byte, prefix string) []byte {
-	var pad []byte // "\n", prefix, then at least 2*depth spaces
+	// pad is "\n", prefix, then at least 2*depth spaces. It starts in a
+	// stack array, so indenting a small value (one event row) allocates
+	// nothing but dst's growth.
+	var padBuf [64]byte
+	pad := padBuf[:0]
 	depth := 0
 	run := 0 // start of the bytes not yet copied to dst
 	for i := 0; i < len(src); i++ {

@@ -73,11 +73,13 @@ func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
 
 // pinnedGen is one past generation decoded for ?gen= reads: the static
 // artifact map, plus the restored temporal index behind pinned /v1/asof
-// queries (nil for generations persisted before as-of serving existed —
-// those answer 404 on asof, never a nil dereference).
+// queries and its event-row table (both nil for generations persisted
+// before as-of serving existed — those answer 404 on asof, never a nil
+// dereference).
 type pinnedGen struct {
-	static   map[string]*artifact
-	temporal *temporal.Index
+	static    map[string]*artifact
+	temporal  *temporal.Index
+	eventRows *eventRows
 }
 
 // genCache keeps recently loaded past generations decoded in memory so
@@ -136,7 +138,7 @@ var errNoStore = errors.New("no durable store configured (-data-dir)")
 func (s *Server) pinnedGen(gen uint64) (*pinnedGen, error) {
 	snap := s.Snapshot()
 	if snap.Gen == gen && snap.Gen != 0 {
-		return &pinnedGen{static: snap.static, temporal: snap.Temporal}, nil
+		return &pinnedGen{static: snap.static, temporal: snap.Temporal, eventRows: snap.eventRows}, nil
 	}
 	if s.opts.Store == nil {
 		return nil, errNoStore
@@ -155,6 +157,7 @@ func (s *Server) pinnedGen(gen uint64) (*pinnedGen, error) {
 			if pg.temporal, err = temporal.Restore(data); err != nil {
 				return nil, fmt.Errorf("serve: generation %d: restore temporal index: %w", gen, err)
 			}
+			pg.eventRows = newEventRows(pg.temporal)
 		}
 		return pg, nil
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -81,7 +82,15 @@ func recovery(m *Metrics, h http.Handler) http.Handler {
 // Serve runs srv on ln until ctx is cancelled, then shuts down
 // gracefully, giving in-flight requests up to drain to finish. It returns
 // nil on a clean shutdown and the serve or shutdown error otherwise.
+//
+// Connections a client dialed but never sent a request on are closed as
+// soon as shutdown starts: net/http counts such a connection as active
+// for its first 5 seconds, so one idle pre-connect (a load balancer's or
+// a proxy transport's) would otherwise hold Shutdown until the drain
+// deadline and fail it. Serve takes over srv.ConnState for this, calling
+// any hook already set.
 func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
+	fresh := trackFresh(srv)
 	errc := make(chan error, 1)
 	go func() {
 		errc <- srv.Serve(ln) // coordinated: result drained via errc below
@@ -94,6 +103,7 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 		return nil
 	case <-ctx.Done():
 	}
+	fresh.closeAll()
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
@@ -102,4 +112,47 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 	//lint:ignore ctxflow Shutdown has returned, so Serve has already unblocked: this receive is bounded, not cancellable
 	<-errc // always http.ErrServerClosed after Shutdown
 	return nil
+}
+
+// freshConns is the set of a server's connections still in
+// http.StateNew: accepted, with no request read yet.
+type freshConns struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool // shutdown has started: close new connections on arrival
+}
+
+// trackFresh hooks srv.ConnState to keep the set of srv's fresh
+// connections.
+func trackFresh(srv *http.Server) *freshConns {
+	f := &freshConns{conns: make(map[net.Conn]struct{})}
+	prev := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		f.mu.Lock()
+		switch {
+		case st != http.StateNew:
+			delete(f.conns, c)
+		case f.closing:
+			c.Close()
+		default:
+			f.conns[c] = struct{}{}
+		}
+		f.mu.Unlock()
+		if prev != nil {
+			prev(c, st)
+		}
+	}
+	return f
+}
+
+// closeAll closes every fresh connection, and every one accepted from
+// now on before it reads a request.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closing = true
+	for c := range f.conns {
+		c.Close()
+	}
+	clear(f.conns)
 }

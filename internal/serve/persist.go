@@ -238,6 +238,7 @@ func restoreSnapshot(meta store.Meta, arts []store.Artifact, base simulation.Con
 	if snap.Temporal, err = temporal.Restore(data); err != nil {
 		return nil, fmt.Errorf("serve: restore temporal index: %w", err)
 	}
+	snap.eventRows = newEventRows(snap.Temporal)
 	return snap, nil
 }
 

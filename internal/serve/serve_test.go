@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -39,7 +41,7 @@ var (
 
 // sharedServer returns one admin-enabled server reused by all read-only
 // tests; tests that mutate serving state build their own.
-func sharedServer(t *testing.T) *Server {
+func sharedServer(t testing.TB) *Server {
 	t.Helper()
 	sharedOnce.Do(func() {
 		sharedSrv, sharedErr = New(testConfig(), Options{EnableAdmin: true})
@@ -608,5 +610,68 @@ func TestReadyCheckGatesReadyz(t *testing.T) {
 	}
 	if _, ok := doc["seq"]; !ok {
 		t.Error("unready body lacks the snapshot identity fields")
+	}
+}
+
+// TestServeClosesUnusedConnsOnShutdown: a connection a client dialed but
+// never sent a request on must not hold shutdown to the drain deadline.
+// net/http counts such a connection as active for 5 s, which is the
+// drain used here (and marketd's default -drain), so without Serve
+// closing it shutdown fails with a deadline error. A slow request in
+// flight when shutdown starts must still complete.
+func TestServeClosesUnusedConnsOnShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(started)
+		<-release
+		io.WriteString(w, "ok")
+	})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, srv, ln, 5*time.Second) }()
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := client.Get("http://" + ln.Addr().String() + "/slow")
+		if err != nil {
+			t.Errorf("slow request: %v", err)
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-started
+	cancel()
+	time.Sleep(200 * time.Millisecond) // shutdown is under way with the request in flight
+	close(release)
+	finished := time.Now()
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("slow request answered %d during shutdown, want 200", code)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		if d := time.Since(finished); d > time.Second {
+			t.Errorf("Serve returned %v after the last request finished, want under 1s", d)
+		}
+	case <-time.After(6 * time.Second):
+		t.Fatal("Serve did not return within the drain")
 	}
 }

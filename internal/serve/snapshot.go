@@ -63,6 +63,10 @@ type Snapshot struct {
 	// followers answer /v1/asof byte-identically.
 	Temporal *temporal.Index
 
+	// eventRows is Temporal's rendered event rows behind /v1/asof/diff,
+	// set wherever Temporal is and filled on demand (eventrows.go).
+	eventRows *eventRows
+
 	// static maps endpoint keys ("table1", "fig1", ...) to their
 	// pre-encoded bodies.
 	static map[string]*artifact
@@ -252,13 +256,14 @@ var snapshotStages = []buildStage{
 	}},
 	{"temporal", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		// The as-of index has no static artifact of its own — every
-		// /v1/asof response is computed (and query-cached) per request.
-		// The index itself rides to the store as _state/temporal.
+		// /v1/asof response is computed per request, point and timeline
+		// answers query-cached, diffs from the event-row table. The index
+		// itself rides to the store as _state/temporal.
 		ix, err := temporal.New(temporalInput(snap.Cfg, study.World))
 		if err != nil {
 			return nil, err
 		}
-		snap.Temporal = ix
+		snap.Temporal, snap.eventRows = ix, newEventRows(ix)
 		return nil, nil
 	}},
 }

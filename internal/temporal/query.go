@@ -179,14 +179,27 @@ func (ix *Index) Timeline(p netblock.Prefix) TimelineResult {
 	return res
 }
 
-// Diff returns the events in the half-open window (from, to]: exactly the
-// events that turn the world state at `from` into the state at `to` (At
-// applies every event dated on or before its query date).
-func (ix *Index) Diff(from, to time.Time) []Event {
+// EventRange returns the positions [lo, hi) in the event stream of the
+// events in the half-open window (from, to]: exactly the events that turn
+// the world state at `from` into the state at `to` (At applies every
+// event dated on or before its query date). lo <= hi always; an empty
+// window, or one with to before from, answers lo == hi.
+func (ix *Index) EventRange(from, to time.Time) (lo, hi int) {
 	from, to = day(from), day(to)
-	lo := sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(from) })
-	hi := sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(to) })
-	if lo >= hi {
+	lo = sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(from) })
+	hi = sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(to) })
+	return lo, max(lo, hi)
+}
+
+// Event returns entry i of the merged, date-sorted event stream, for i in
+// [0, EventCount()).
+func (ix *Index) Event(i int) Event { return ix.events[i] }
+
+// Diff returns the events in the half-open window (from, to], the range
+// EventRange names, copied out of the index.
+func (ix *Index) Diff(from, to time.Time) []Event {
+	lo, hi := ix.EventRange(from, to)
+	if lo == hi {
 		return nil
 	}
 	return append([]Event(nil), ix.events[lo:hi]...)

@@ -227,6 +227,20 @@ func TestDiffWindow(t *testing.T) {
 	if evs := ix.Diff(onDay(t, "2014-01-01"), onDay(t, "2014-01-01")); len(evs) != 0 {
 		t.Errorf("empty window returned %d events", len(evs))
 	}
+
+	// EventRange names the same events, and never a negative range.
+	lo, hi := ix.EventRange(onDay(t, "2017-12-31"), onDay(t, "2019-01-01"))
+	if hi-lo != len(evs) {
+		t.Fatalf("EventRange = [%d, %d), Diff returned %d events", lo, hi, len(evs))
+	}
+	for i, e := range evs {
+		if got := ix.Event(lo + i); got != e {
+			t.Errorf("Event(%d) = %+v, Diff's event %d is %+v", lo+i, got, i, e)
+		}
+	}
+	if lo, hi := ix.EventRange(onDay(t, "2019-01-01"), onDay(t, "2013-01-01")); lo != hi {
+		t.Errorf("reversed window: EventRange = [%d, %d), want empty", lo, hi)
+	}
 }
 
 func TestPriceContext(t *testing.T) {

@@ -48,7 +48,7 @@ var contracts = []contract{
 		"TestWarmStartMatchesColdBuild", "TestRestartETagContinuity", "TestSnapshotRecordRestoreRoundTrip",
 		// The /v1/asof surface.
 		"TestAsofMatchesNaiveReplay", "TestAsofPinnedGeneration", "TestAsofRestoreServesIdenticalViews",
-		"TestAsofRequestValidation", "TestAsofDiffAllocs",
+		"TestAsofRequestValidation", "TestAsofDiffAllocs", "TestAsofDiffRowsMatchView",
 		// Byte oracles at production scale, and the JSON indenter.
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
 		// /varz resolves sub-millisecond server latency.
