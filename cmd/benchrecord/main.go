@@ -32,6 +32,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,6 +49,9 @@ type suiteDef struct {
 	// Benchtime is the default -benchtime (build is seconds-per-op, so
 	// a fixed iteration count keeps recording time bounded).
 	Benchtime string
+	// Count is the go test -count: each row is recorded as the median of
+	// that many runs, so one slow run cannot move a baseline.
+	Count int
 	// Note documents what the numbers mean, carried into the JSON.
 	Note string
 }
@@ -60,6 +64,7 @@ var suites = []suiteDef{
 		Suite:     "BenchmarkSnapshotBuild",
 		File:      "BENCH_build.json",
 		Benchtime: "3x",
+		Count:     5,
 		Note: "full snapshot build (world generation + every analysis pipeline + encoding) at different " +
 			"build-stage worker counts, on the test world (workers=N rows) and on DefaultConfig " +
 			"(default/workers=N rows); workers=1 is the serial reference and the workers=NumCPU row is " +
@@ -72,11 +77,12 @@ var suites = []suiteDef{
 		Suite:     "BenchmarkSnapshotServe",
 		File:      "BENCH_serve.json",
 		Benchtime: "0.5s",
+		Count:     1,
 		Note: "parallel (RunParallel) request cost against a prebuilt, store-backed snapshot; snapshot build " +
-			"excluded by design. Static artifact rows serve zero-copy from the sealed segment file. Responses " +
-			"are discarded through a ReaderFrom writer with a pooled copy buffer (like a production net/http " +
-			"connection), so bytes_per_op measures handler allocations, not harness buffer growth — numbers " +
-			"recorded with the pre-zero-copy recorder harness are not comparable.",
+			"excluded by design. Every artifact body, static or computed, is written from memory in one Write. " +
+			"Responses are discarded through a writer that also implements ReaderFrom with a pooled copy buffer " +
+			"(like a production net/http connection), so bytes_per_op measures handler allocations, not harness " +
+			"buffer growth.",
 	},
 }
 
@@ -193,12 +199,12 @@ func recordCluster(w io.Writer, dir string, requests int) error {
 
 // record runs one suite and rewrites its baseline file.
 func record(w io.Writer, dir string, s suiteDef) error {
-	fmt.Fprintf(w, "benchrecord: running %s (-benchtime %s)...\n", s.Suite, s.Benchtime)
+	fmt.Fprintf(w, "benchrecord: running %s (-benchtime %s -count %d)...\n", s.Suite, s.Benchtime, s.Count)
 	// -v: a parent benchmark's log, where the fingerprint is, prints only
 	// in verbose mode.
 	cmd := exec.Command("go", "test", "-v", "-run", "^$",
 		"-bench", "^"+s.Suite+"$", "-benchmem", "-benchtime", s.Benchtime,
-		benchPackage)
+		"-count", strconv.Itoa(s.Count), benchPackage)
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -241,9 +247,10 @@ func newBaseline(s suiteDef, results []result, cpu string, fp json.RawMessage, n
 		GoVersion:  runtime.Version(),
 		Benchtime:  s.Benchtime,
 		Procedure: "recorded by scripts/bench.sh (cmd/benchrecord): go test -v -run '^$' -bench '^" + s.Suite +
-			"$' -benchmem -benchtime " + s.Benchtime + " " + benchPackage + ", output parsed and this file " +
-			"rewritten whole. Numbers are machine-dependent — compare only against a baseline whose " +
-			"goos/goarch/cpu/num_cpu match. Never edit by hand; re-record instead.",
+			"$' -benchmem -benchtime " + s.Benchtime + " -count " + strconv.Itoa(s.Count) + " " + benchPackage +
+			", output parsed and this file rewritten whole; each row holds, per column, the median of its " +
+			strconv.Itoa(s.Count) + " run(s). Numbers are machine-dependent — compare only against a baseline " +
+			"whose goos/goarch/cpu/num_cpu match. Never edit by hand; re-record instead.",
 		Note:        s.Note,
 		Fingerprint: fp,
 		Results:     results,
@@ -281,7 +288,8 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseBenchOutput extracts the result rows for suite (subtest names
 // normalized: suite prefix and GOMAXPROCS suffix stripped) and the
-// "cpu:" banner go test prints.
+// "cpu:" banner go test prints. Rows a -count run repeats fold into one
+// row per name, in first-seen order, holding each column's median.
 func parseBenchOutput(suite, out string) ([]result, string, error) {
 	var (
 		results []result
@@ -323,5 +331,37 @@ func parseBenchOutput(suite, out string) ([]result, string, error) {
 	if len(results) == 0 {
 		return nil, "", fmt.Errorf("benchrecord: no %s result rows in go test output:\n%s", suite, out)
 	}
-	return results, cpu, nil
+	return medianRows(results), cpu, nil
+}
+
+// medianRows folds the rows sharing a name into one whose every column
+// is the median of theirs (the upper middle for an even count).
+func medianRows(rows []result) []result {
+	var names []string
+	byName := make(map[string][]result)
+	for _, r := range rows {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	median := func(runs []result, col func(result) int64) int64 {
+		vals := make([]int64, len(runs))
+		for i, r := range runs {
+			vals[i] = col(r)
+		}
+		slices.Sort(vals)
+		return vals[len(vals)/2]
+	}
+	out := make([]result, len(names))
+	for i, name := range names {
+		runs := byName[name]
+		out[i] = result{
+			Name:     name,
+			NsPerOp:  median(runs, func(r result) int64 { return r.NsPerOp }),
+			BPerOp:   median(runs, func(r result) int64 { return r.BPerOp }),
+			AllocsOp: median(runs, func(r result) int64 { return r.AllocsOp }),
+		}
+	}
+	return out
 }

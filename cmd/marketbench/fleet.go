@@ -231,8 +231,8 @@ func runFleet(ctx context.Context, w io.Writer, f *benchFlags) (report *loadgen.
 	for _, nodeName := range sortedKeys(fl.nodes()) {
 		if nr, ok := loadgen.NewNodeReport(nodeName, beforeVarz[nodeName], afterVarz[nodeName]); ok {
 			r.Nodes = append(r.Nodes, nr)
-			fmt.Fprintf(w, "marketbench: %s: %.0f alloc bytes/request, %.1f mallocs/request over %d requests (zero-copy file reads %d, fallbacks %d)\n",
-				nodeName, nr.AllocBytesPerRequest, nr.MallocsPerRequest, nr.Requests, nr.ZeroCopyFileReads, nr.ZeroCopyFallbacks)
+			fmt.Fprintf(w, "marketbench: %s: %.0f alloc bytes/request, %.1f mallocs/request over %d requests\n",
+				nodeName, nr.AllocBytesPerRequest, nr.MallocsPerRequest, nr.Requests)
 		}
 	}
 	return &r, nil

@@ -103,7 +103,7 @@ const note = "closed-loop mixed /v1 workload through the round-robin router over
 	"with a mid-run leader rebuild and follower catch-up; client percentiles from the deterministic streaming " +
 	"histogram, cross-checked against each node's /varz latency_counts export. error_budget.violated must be " +
 	"false in a committed baseline. Per-node rows report alloc bytes and mallocs per served request (from /varz " +
-	"process counter deltas, warmup and rebuild included) plus the zero-copy read split; per-endpoint " +
+	"process counter deltas, warmup and rebuild included); per-endpoint " +
 	"bytes_per_op is mean response-body size on the wire."
 
 // procedure is BENCH_cluster.json's recipe: how it was made and how to

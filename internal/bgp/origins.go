@@ -211,6 +211,25 @@ func (s *OriginSurvey) Pairs() []PrefixOrigin {
 	return out
 }
 
+// EachVisiblePrefix calls fn, in record order, once for each prefix no
+// monitor saw originated by an AS_SET and that some origin AS announces
+// to at least minVisibility of all monitors: the prefixes of the Pairs
+// entries that pass both filters, without building or sorting Pairs.
+func (s *OriginSurvey) EachVisiblePrefix(minVisibility float64, fn func(netblock.Prefix)) {
+	total := s.NumMonitors()
+	for _, obs := range s.prefixes {
+		if obs.asSet {
+			continue
+		}
+		for _, o := range obs.origins {
+			if total > 0 && float64(o.monitors.len())/float64(total) >= minVisibility {
+				fn(obs.prefix)
+				break
+			}
+		}
+	}
+}
+
 // CleanPairs applies steps (ii) and (iii) of the inference algorithm:
 // it keeps pairs seen by at least minVisibility of all monitors (the paper
 // uses 0.5) and drops prefixes originated by AS_SETs or multiple ASes.

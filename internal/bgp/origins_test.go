@@ -156,3 +156,38 @@ func TestPrefixSurveyMatchesObserve(t *testing.T) {
 		t.Errorf("Pairs = %+v, want the /8 seen by 4, a MOAS /16 and an AS_SET-flagged 11/8", got)
 	}
 }
+
+// TestEachVisiblePrefix checks the prefixes EachVisiblePrefix yields
+// against the Pairs entries that pass the AS_SET and visibility
+// filters: a MOAS prefix with one visible origin comes once, a prefix
+// flagged by an AS_SET path never, whatever its other origins' reach.
+func TestEachVisiblePrefix(t *testing.T) {
+	s := NewOriginSurvey()
+	s.AddView("m0", []Route{
+		originRoute("10.0.0.0/8", NewPath(1, 3)),
+		originRoute("11.0.0.0/8", NewPath(1, 4)),
+		originRoute("12.0.0.0/8", NewPath(1, 6)),
+		originRoute("13.0.0.0/8", NewPath(1, 7)),
+	})
+	s.AddView("m1", []Route{
+		originRoute("10.0.0.0/8", NewPath(1, 3)),
+		originRoute("11.0.0.0/8", NewPath(1, 5)),
+		originRoute("12.0.0.0/8", NewPath(1, 6)),
+	})
+	s.AddView("m2", []Route{
+		originRoute("11.0.0.0/8", NewPath(1, 5)),
+		originRoute("12.0.0.0/8", NewPath(2).AppendSet(8, 9)),
+	})
+	var got []netblock.Prefix
+	s.EachVisiblePrefix(0.5, func(p netblock.Prefix) { got = append(got, p) })
+	var want []netblock.Prefix
+	for _, po := range s.Pairs() {
+		if !po.ASSet && po.Visibility(s.NumMonitors()) >= 0.5 &&
+			(len(want) == 0 || want[len(want)-1] != po.Prefix) {
+			want = append(want, po.Prefix)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != 2 {
+		t.Errorf("EachVisiblePrefix = %v, want %v (10/8 and the MOAS 11/8)", got, want)
+	}
+}

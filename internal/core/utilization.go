@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ipv4market/internal/netblock"
 	"ipv4market/internal/parallel"
+	"ipv4market/internal/registry"
 	"ipv4market/internal/rpki"
 	"ipv4market/internal/simulation"
 )
@@ -55,9 +57,10 @@ func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 		}
 		q = next
 	}
+	allocated := s.allocatedOn(sampleDays)
 	points, err := parallel.Map(context.Background(), workers, len(sampleDays),
 		func(_ context.Context, i int) (UtilizationPoint, error) {
-			return s.utilizationAt(sampleDays[i]), nil
+			return s.utilizationAt(sampleDays[i], allocated[i]), nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: utilization sampling: %w", err)
@@ -65,31 +68,35 @@ func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 	return points, nil
 }
 
-// utilizationAt computes one quarter's point. Pure derivation of the
-// read-only world: safe for concurrent calls on distinct days.
-func (s *Study) utilizationAt(day int) UtilizationPoint {
+// allocatedOn returns, for each of the ascending routing-window days,
+// the address count of the allocations dated on or before it, from one
+// date-ordered sweep of the registry. Its live allocations are
+// disjoint, so the running sum of their sizes is the size of their
+// union.
+func (s *Study) allocatedOn(days []int) []uint64 {
+	allocs := s.World.Registry.Allocations()
+	slices.SortFunc(allocs, func(a, b *registry.Allocation) int { return a.Date.Compare(b.Date) })
+	out := make([]uint64, len(days))
+	var sum uint64
+	next := 0
+	for i, day := range days {
+		at := s.Cfg.RoutingStart.AddDate(0, 0, day)
+		for ; next < len(allocs) && !allocs[next].Date.After(at); next++ {
+			sum += allocs[next].Prefix.NumAddrs()
+		}
+		out[i] = sum
+	}
+	return out
+}
+
+// utilizationAt computes one quarter's point, given the day's allocated
+// address count. Pure derivation of the read-only world: safe for
+// concurrent calls on distinct days.
+func (s *Study) utilizationAt(day int, allocated uint64) UtilizationPoint {
 	at := s.Cfg.RoutingStart.AddDate(0, 0, day)
 
-	allocated := netblock.NewSet()
-	for _, a := range s.World.Registry.Allocations() {
-		if a.Date.After(at) {
-			continue
-		}
-		allocated.AddPrefix(a.Prefix)
-	}
-
-	survey := s.Routing.SurveyAt(day)
-	total := survey.NumMonitors()
 	routed := netblock.NewSet()
-	for _, po := range survey.Pairs() {
-		if po.ASSet {
-			continue
-		}
-		if po.Visibility(total) < utilizationMinVisibility {
-			continue
-		}
-		routed.AddPrefix(po.Prefix)
-	}
+	s.Routing.SurveyAt(day).EachVisiblePrefix(utilizationMinVisibility, routed.AddPrefix)
 
 	// Active addresses: the activity fraction applied per canonical
 	// disjoint prefix of the routed set (disjointness prevents leased
@@ -102,7 +109,7 @@ func (s *Study) utilizationAt(day int) UtilizationPoint {
 	return UtilizationPoint{
 		Quarter:   fmt.Sprintf("%dQ%d", at.Year(), (int(at.Month())-1)/3+1),
 		Date:      at,
-		Allocated: allocated.Size(),
+		Allocated: allocated,
 		Routed:    routed.Size(),
 		Active:    active,
 	}

@@ -78,17 +78,12 @@ type TopologyReport struct {
 // and the per-route request counters between two scrapes. The deltas
 // span warmup and the mid-run rebuild as well as the measured phase, so
 // the per-request figures are an upper bound on pure serving cost — the
-// useful property is comparability run-over-run. The zero-copy fields
-// are the run-end read-path split: file_reads counts artifact responses
-// served straight from the sealed segment, fallbacks counts degradations
-// to the in-memory copy.
+// useful property is comparability run-over-run.
 type NodeReport struct {
 	Node                 string  `json:"node"`
 	Requests             int64   `json:"requests"`
 	AllocBytesPerRequest float64 `json:"alloc_bytes_per_request"`
 	MallocsPerRequest    float64 `json:"mallocs_per_request"`
-	ZeroCopyFileReads    int64   `json:"zero_copy_file_reads"`
-	ZeroCopyFallbacks    int64   `json:"zero_copy_fallbacks"`
 }
 
 // NewNodeReport derives one node's allocation accounting from a pair of
@@ -102,17 +97,12 @@ func NewNodeReport(node string, before, after *ServerVarz) (NodeReport, bool) {
 	if requests <= 0 {
 		return NodeReport{}, false
 	}
-	nr := NodeReport{
+	return NodeReport{
 		Node:                 node,
 		Requests:             requests,
 		AllocBytesPerRequest: float64(after.Process.TotalAllocBytes-before.Process.TotalAllocBytes) / float64(requests),
 		MallocsPerRequest:    float64(after.Process.Mallocs-before.Process.Mallocs) / float64(requests),
-	}
-	if after.ZeroCopy != nil {
-		nr.ZeroCopyFileReads = after.ZeroCopy.FileReads
-		nr.ZeroCopyFallbacks = after.ZeroCopy.Fallbacks
-	}
-	return nr, true
+	}, true
 }
 
 // WorldParams pins the synthetic world the topology served.

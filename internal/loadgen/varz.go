@@ -62,11 +62,11 @@ type ProcessVarz struct {
 	Mallocs         uint64 `json:"mallocs"`
 }
 
-// ZeroCopyVarz is the zero_copy section: how static artifact responses
-// were served — straight from the sealed segment file, from the
-// in-memory copy (no persisted generation), or via fallback after a
-// file error — and, apart from those, how many responses were computed
-// per query (filters, lookups, as-of views), which live only in memory.
+// ZeroCopyVarz is the zero_copy section: mem_reads counts static
+// artifact responses and computed the responses rendered per query
+// (filters, lookups, as-of views). marketd serves every body from
+// memory and no longer reports file_reads or fallbacks, so those two
+// decode as zero; they stay while marketperf reads them.
 type ZeroCopyVarz struct {
 	FileReads int64 `json:"file_reads"`
 	MemReads  int64 `json:"mem_reads"`

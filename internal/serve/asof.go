@@ -303,7 +303,7 @@ func (s *Server) handleAsof(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.serveArtifact(w, r, q, art, artifactRef{})
+	s.serveArtifact(w, r, q, art, true)
 }
 
 // handleAsofTimeline serves GET /v1/asof/timeline?prefix=P: every holding
@@ -354,7 +354,7 @@ func (s *Server) handleAsofTimeline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.serveArtifact(w, r, q, art, artifactRef{})
+	s.serveArtifact(w, r, q, art, true)
 }
 
 // handleAsofDiff serves GET /v1/asof/diff?from=D1&to=D2: the events in the
@@ -391,5 +391,5 @@ func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.serveArtifact(w, r, q, art, artifactRef{})
+	s.serveArtifact(w, r, q, art, true)
 }

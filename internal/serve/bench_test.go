@@ -103,8 +103,7 @@ func benchBuild(b *testing.B, cfg simulation.Config, counts []int) {
 
 // benchWriter is the benchmark's ResponseWriter: it discards bodies but
 // — unlike httptest.ResponseRecorder — implements io.ReaderFrom with a
-// pooled copy buffer, as a production *http.response does for readers
-// its connection cannot sendfile. This keeps the measured bytes/op
+// pooled copy buffer, as a production *http.response does. This keeps the measured bytes/op
 // about the handler's own allocations instead of recorder buffer
 // growth: with the recorder, a 200 KB body showed up as ~200 KB/op of
 // pure harness artifact.
@@ -147,8 +146,7 @@ func (w *benchWriter) reset() {
 }
 
 // benchServer builds the server the serve benchmarks run against:
-// store-backed (like marketd with -data-dir), so the static artifact
-// rows measure the zero-copy segment-file path production takes.
+// store-backed, like marketd with -data-dir.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	st, err := store.Open(b.TempDir())
@@ -296,15 +294,14 @@ func TestAsofDiffAllocs(t *testing.T) {
 	}
 }
 
-// TestServeAllocRegression holds the zero-copy read path to its
-// budget: serving the full price artifact must stay well under the
-// ~220 KB/op the buffer-copying path cost, even measured through the
-// same discarding harness. A handler or wrapper that reintroduces a
-// per-request body copy trips this immediately. benchWriter's ReadFrom
-// never reaches net.TCPConn.ReadFrom, so this test cannot see whether a
-// body goes out by sendfile (it passed while net/http copied every
-// artifact through a fresh 32 KiB buffer); TestArtifactSendfileOverTCP
-// measures that over a real connection.
+// TestServeAllocRegression holds the read path to its budget: serving
+// the full price artifact must stay well under the ~220 KB/op the
+// buffer-copying path cost, even measured through the same discarding
+// harness. A handler or wrapper that reintroduces a per-request body
+// copy trips this immediately. benchWriter never reaches
+// net.TCPConn.ReadFrom, so this test cannot see whether a body goes out
+// in one write or through a fresh 32 KiB copy buffer;
+// TestArtifactOneWriteOverTCP measures that over a real connection.
 func TestServeAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed regression check in -short mode")

@@ -33,13 +33,12 @@
 //     Filtered /v1/prices responses slice a columnar per-snapshot table
 //     (one pre-rendered JSON/CSV row per cell), so a filter render is
 //     row selection plus concatenation, never re-marshalling.
-//   - When a store is attached, unfiltered artifact responses are served
-//     zero-copy: http.ServeContent serves the pre-encoded body from the
-//     sealed segment file (Range and If-Range included), and the metrics
-//     wrapper hands that file to net/http, so over TCP the body goes out
-//     by sendfile rather than through a user-space buffer; /varz counts
-//     the file/memory/fallback split, and computed responses, under
-//     zero_copy.
+//   - Every artifact body is served from memory: http.ServeContent
+//     serves it from a bytes.Reader (Range and If-Range included), and
+//     the metrics wrapper writes a whole body with one Write, so a small
+//     body shares one write(2) with the header and a large one skips
+//     net/http's sniff-and-copy loop. No request opens a segment file;
+//     /varz counts static and computed responses under zero_copy.
 //
 // Endpoints: /v1/table1, /v1/figures/{1..4}, /v1/prices, /v1/transfers,
 // /v1/delegations, /v1/leasing, /v1/headline, /v1/history, plus

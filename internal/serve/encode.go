@@ -157,62 +157,29 @@ func wantCSV(r *http.Request, q url.Values) bool {
 		q.Get("format") == ""
 }
 
-// artifactRef names an artifact's persisted identity: the store key and
-// the generation whose sealed segment carries its bytes. A ref with a
-// key but gen 0 marks a static artifact no persisted generation backs
-// (storeless servers); a zero ref marks a computed response (filters,
-// lookups, as-of views). Both serve from the in-memory body, and /varz
-// counts them apart.
-type artifactRef struct {
-	key string
-	gen uint64
-}
-
 // serveArtifact serves one encoding of art through http.ServeContent,
 // which supplies the conditional-request machinery (If-None-Match →
 // 304, Range and If-Range against the pre-set strong ETag) for every
-// artifact endpoint.
-//
-// When ref names a persisted generation the body comes from the sealed
-// segment file (store.OpenArtifact), so replication followers serve the
-// leader's exact frame bytes. ServeContent copies it through the
-// statusWriter, whose ReadFrom hands the segment file to net/http and
-// so to sendfile on a TCP connection: after the first 512 bytes, which
-// net/http copies through its pooled buffer, the body never enters user
-// space. When the segment cannot be opened (compacted or deleted
-// mid-flight) the server degrades to the in-memory copy and counts the
-// fallback on /varz zero_copy.fallbacks.
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, q url.Values, art *artifact, ref artifactRef) {
-	body, etag, ctype, storeCtype := art.json, art.jsonETag, "application/json", ctypeJSON
+// artifact endpoint. The body is always the in-memory one: every
+// snapshot, restored or pinned generation holds its artifacts' bytes,
+// so no request opens a segment file. ServeContent copies the body
+// through the statusWriter, whose ReadFrom sends a whole body in one
+// Write. computed marks a response rendered per query (filters,
+// lookups, as-of views), which /varz counts apart from static artifacts.
+func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, q url.Values, art *artifact, computed bool) {
+	body, etag, ctype := art.json, art.jsonETag, "application/json"
 	if wantCSV(r, q) {
 		if art.csv == nil {
 			writeError(w, http.StatusBadRequest, "no CSV encoding for this endpoint")
 			return
 		}
-		body, etag, ctype, storeCtype = art.csv, art.csvETag, "text/csv; charset=utf-8", ctypeCSV
+		body, etag, ctype = art.csv, art.csvETag, "text/csv; charset=utf-8"
 	}
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Content-Type", ctype)
-	if ref.gen != 0 && s.opts.Store != nil {
-		ar, err := s.opts.Store.OpenArtifact(ref.gen, ref.key, storeCtype)
-		if err == nil && ar.Info.ETag != etag {
-			// The stored frame does not carry the bytes this ETag promises
-			// (it should never happen — both derive from the same persist);
-			// the in-memory copy is authoritative.
-			ar.Close()
-			err = fmt.Errorf("serve: artifact %q gen %d: stored ETag %s != serving ETag %s",
-				ref.key, ref.gen, ar.Info.ETag, etag)
-		}
-		if err == nil {
-			defer ar.Close()
-			s.metrics.artifactFileReads.Add(1)
-			http.ServeContent(w, r, "", time.Time{}, ar)
-			return
-		}
-		s.metrics.artifactFallbacks.Add(1)
-	} else if ref.key == "" {
+	if computed {
 		s.metrics.artifactComputed.Add(1)
 	} else {
 		s.metrics.artifactMemReads.Add(1)

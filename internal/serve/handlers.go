@@ -24,8 +24,8 @@ func (s *Server) routes() {
 	static := func(key string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			q := queryOf(r)
-			if art, ref, ok := s.artifactForRequest(w, q, key); ok {
-				s.serveArtifact(w, r, q, art, ref)
+			if art, ok := s.artifactForRequest(w, q, key); ok {
+				s.serveArtifact(w, r, q, art, false)
 			}
 		}
 	}
@@ -70,8 +70,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := queryOf(r)
-	if art, ref, ok := s.artifactForRequest(w, q, "fig"+id); ok {
-		s.serveArtifact(w, r, q, art, ref)
+	if art, ok := s.artifactForRequest(w, q, "fig"+id); ok {
+		s.serveArtifact(w, r, q, art, false)
 	}
 }
 
@@ -145,9 +145,9 @@ func (f priceFilter) match(c market.PriceCell) bool {
 }
 
 // handlePrices serves /v1/prices. Unfiltered requests hit the snapshot's
-// pre-encoded artifact (zero-copy from the sealed segment when
-// persisted); filtered ones are sliced out of the columnar price table
-// once per snapshot generation through the singleflight query cache.
+// pre-encoded artifact; filtered ones are sliced out of the columnar
+// price table once per snapshot generation through the singleflight
+// query cache.
 func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
 	f, err := parsePriceFilter(q)
@@ -159,8 +159,8 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f.empty() {
-		if art, ref, ok := s.artifactForRequest(w, q, "prices"); ok {
-			s.serveArtifact(w, r, q, art, ref)
+		if art, ok := s.artifactForRequest(w, q, "prices"); ok {
+			s.serveArtifact(w, r, q, art, false)
 		}
 		return
 	}
@@ -172,7 +172,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.serveArtifact(w, r, q, art, artifactRef{})
+	s.serveArtifact(w, r, q, art, true)
 }
 
 // handleDelegations serves /v1/delegations: without a prefix parameter,
@@ -185,8 +185,8 @@ func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if raw == "" {
-		if art, ref, ok := s.artifactForRequest(w, q, "delegations"); ok {
-			s.serveArtifact(w, r, q, art, ref)
+		if art, ok := s.artifactForRequest(w, q, "delegations"); ok {
+			s.serveArtifact(w, r, q, art, false)
 		}
 		return
 	}
@@ -212,7 +212,7 @@ func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.serveArtifact(w, r, q, art, artifactRef{})
+	s.serveArtifact(w, r, q, art, true)
 }
 
 // handleScenarios serves GET /v1/scenarios: the scenario matrix this

@@ -173,45 +173,41 @@ func (s *Server) pinnedArtifacts(gen uint64) (map[string]*artifact, error) {
 }
 
 // artifactForRequest resolves the artifact to serve for key, honoring a
-// ?gen=N pin, along with the artifactRef naming its persisted frame
-// (gen 0 when the snapshot was never persisted — serveArtifact then
-// uses the in-memory body). q is the request's parsed query (queryOf).
-// The boolean is false after an error response has already been
-// written.
-func (s *Server) artifactForRequest(w http.ResponseWriter, q url.Values, key string) (*artifact, artifactRef, bool) {
+// ?gen=N pin. q is the request's parsed query (queryOf). The boolean is
+// false after an error response has already been written.
+func (s *Server) artifactForRequest(w http.ResponseWriter, q url.Values, key string) (*artifact, bool) {
 	raw := q.Get("gen")
 	if raw == "" {
-		snap := s.current().snap
-		art, ok := snap.staticArtifact(key)
+		art, ok := s.current().snap.staticArtifact(key)
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown artifact "+key)
-			return nil, artifactRef{}, false
+			return nil, false
 		}
-		return art, artifactRef{key: key, gen: snap.Gen}, true
+		return art, true
 	}
 	gen, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil || gen == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("gen %q: want a positive generation ID", raw))
-		return nil, artifactRef{}, false
+		return nil, false
 	}
 	arts, err := s.pinnedArtifacts(gen)
 	switch {
 	case errors.Is(err, errNoStore):
 		writeError(w, http.StatusNotFound, errNoStore.Error())
-		return nil, artifactRef{}, false
+		return nil, false
 	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d not in store (compacted or never persisted)", gen))
-		return nil, artifactRef{}, false
+		return nil, false
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, artifactRef{}, false
+		return nil, false
 	}
 	art, ok := arts[key]
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no artifact %q", gen, key))
-		return nil, artifactRef{}, false
+		return nil, false
 	}
-	return art, artifactRef{key: key, gen: gen}, true
+	return art, true
 }
 
 // rejectPinnedFilter answers 400 for query combinations that cannot be

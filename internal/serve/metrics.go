@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
@@ -25,18 +25,12 @@ type Metrics struct {
 	rebuilds       atomic.Int64
 	rebuildErrors  atomic.Int64
 
-	// Zero-copy artifact accounting: file_reads are static artifacts
-	// served straight from a sealed segment file, mem_reads are static
-	// artifacts served from the in-memory copy because no persisted
-	// generation backs them (storeless servers), fallbacks are static
-	// artifacts that *should* have come from a segment but degraded to
-	// memory (segment deleted or compacted mid-flight, frame mismatch),
-	// and computed are responses rendered per query (price filters,
-	// delegation lookups, as-of views), which only ever live in memory.
-	artifactFileReads atomic.Int64
-	artifactMemReads  atomic.Int64
-	artifactFallbacks atomic.Int64
-	artifactComputed  atomic.Int64
+	// Artifact accounting: mem_reads are static artifacts (every one is
+	// served from the in-memory body its snapshot or pinned generation
+	// holds), computed are responses rendered per query (price filters,
+	// delegation lookups, as-of views).
+	artifactMemReads atomic.Int64
+	artifactComputed atomic.Int64
 
 	routes map[string]*routeStats
 }
@@ -107,7 +101,6 @@ type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
-	file  io.LimitedReader // ReadFrom's segment-file reader, kept here to spare an allocation
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
@@ -125,47 +118,31 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 }
 
 // ReadFrom keeps the underlying writer's copy path reachable through
-// the wrapper: net/http's *response hands the reader to the TCP
-// connection, which uses sendfile for an *os.File (or an
-// io.LimitedReader over one) and a pooled buffer otherwise. Without
-// this method, io.Copy would allocate a fresh 32 KiB buffer per
-// response.
+// the wrapper; without this method, io.Copy would allocate a fresh
+// 32 KiB buffer per response.
 //
-// http.ServeContent copies a body as io.CopyN(w, content, n), so a
-// segment-backed artifact arrives as an *io.LimitedReader over a
-// store.ArtifactReader, which net.sendFile cannot see through. ReadFrom
-// unwraps it to the segment file positioned at the section's offset,
-// then advances the section and the caller's limit by what was written.
+// http.ServeContent copies a body as io.CopyN(w, content, n), so an
+// artifact arrives as an *io.LimitedReader over a *bytes.Reader. When
+// the limit covers the rest of the reader (every response but a Range
+// slice), the body goes out through WriteTo as one Write: net/http then
+// sends the header and a body of up to a few KiB in one write(2), and a
+// larger body straight from the artifact's bytes, skipping the 512-byte
+// content sniff and the copy-buffer loop of its own ReadFrom.
 func (sw *statusWriter) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if br, ok := lr.R.(*bytes.Reader); ok && int64(br.Len()) <= lr.N {
+			n, err := br.WriteTo(sw)
+			lr.N -= n
+			return n, err
+		}
+	}
 	if !sw.wrote {
 		sw.code, sw.wrote = http.StatusOK, true
 	}
-	rf, ok := sw.ResponseWriter.(io.ReaderFrom)
-	if !ok {
-		return io.Copy(struct{ io.Writer }{sw.ResponseWriter}, r)
+	if rf, ok := sw.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r)
 	}
-	if lr, ok := r.(*io.LimitedReader); ok {
-		if sec, ok := lr.R.(fileSection); ok {
-			if f, left, err := sec.SectionFile(); err == nil {
-				sw.file = io.LimitedReader{R: f, N: min(lr.N, left)}
-				n, err := rf.ReadFrom(&sw.file)
-				lr.N -= n
-				if _, serr := sec.Seek(n, io.SeekCurrent); err == nil {
-					err = serr
-				}
-				return n, err
-			}
-		}
-	}
-	return rf.ReadFrom(r)
-}
-
-// fileSection is a body section backed by a file, as
-// store.ArtifactReader is: SectionFile returns the file positioned at
-// the section's next byte and the number of bytes left in the section.
-type fileSection interface {
-	io.Seeker
-	SectionFile() (*os.File, int64, error)
+	return io.Copy(struct{ io.Writer }{sw.ResponseWriter}, r)
 }
 
 func (sw *statusWriter) status() int {
@@ -278,18 +255,12 @@ type varzProcess struct {
 	Mallocs         uint64 `json:"mallocs"`
 }
 
-// varzZeroCopy is the zero-copy artifact serving census on /varz: how
-// responses found their bytes. The first three split the static
-// artifacts, so file_reads over their sum is the share the segment
-// files served; computed responses are counted apart. A nonzero
-// fallbacks means a persisted segment disappeared under an in-flight
-// request (compaction racing a pinned read is the benign cause) and
-// the server degraded to its in-memory copy.
+// varzZeroCopy is the artifact serving census on /varz: mem_reads
+// counts static artifacts, computed the responses rendered per query.
+// Both are served from memory in one write.
 type varzZeroCopy struct {
-	FileReads int64 `json:"file_reads"`
-	MemReads  int64 `json:"mem_reads"`
-	Fallbacks int64 `json:"fallbacks"`
-	Computed  int64 `json:"computed"`
+	MemReads int64 `json:"mem_reads"`
+	Computed int64 `json:"computed"`
 }
 
 // varzView is the /varz document. The snapshot, cache, rebuild, and
@@ -319,8 +290,8 @@ type varzView struct {
 	// through a registry, so it is always present there. The flat fields
 	// above always describe this server's own scenario.
 	Scenarios any `json:"scenarios,omitempty"`
-	// ZeroCopy reports how artifact responses found their bytes (sealed
-	// segment file vs in-memory copy); present on snapshot servers only.
+	// ZeroCopy counts static and computed artifact responses; present on
+	// snapshot servers only.
 	ZeroCopy *varzZeroCopy        `json:"zero_copy,omitempty"`
 	Routes   map[string]varzRoute `json:"routes"`
 }

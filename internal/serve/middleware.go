@@ -23,7 +23,7 @@ import (
 // The timeout layer is deadline-based, not http.TimeoutHandler:
 // TimeoutHandler buffers the entire response body in memory before
 // writing it, which would put a per-request copy of every artifact body
-// back on the heap (and rule out sendfile). Instead the request
+// back on the heap. Instead the request
 // context gets a deadline — every handler doing cancellable work reads
 // it — and the connection gets a write deadline covering the response,
 // so a stalled client cannot pin the connection either.
@@ -42,9 +42,8 @@ func Wrap(h http.Handler, m *Metrics, route string, timeout time.Duration) http.
 
 // timeoutLayer bounds a request without buffering its response: the
 // handler sees a context that expires after timeout, and the underlying
-// connection gets a write deadline so the response bytes — streamed
-// straight from a segment file on the zero-copy path — must also finish
-// by then. Writers that do not support deadlines (test recorders) just
+// connection gets a write deadline so the response bytes must also
+// finish by then. Writers that do not support deadlines (test recorders) just
 // skip that half.
 func timeoutLayer(h http.Handler, timeout time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -399,10 +399,8 @@ func (s *Server) varz(now time.Time) varzView {
 		Entries:   st.cache.size(),
 	}
 	v.ZeroCopy = &varzZeroCopy{
-		FileReads: s.metrics.artifactFileReads.Load(),
-		MemReads:  s.metrics.artifactMemReads.Load(),
-		Fallbacks: s.metrics.artifactFallbacks.Load(),
-		Computed:  s.metrics.artifactComputed.Load(),
+		MemReads: s.metrics.artifactMemReads.Load(),
+		Computed: s.metrics.artifactComputed.Load(),
 	}
 	v.Rebuilds = &varzRebuilds{
 		Total:    s.metrics.rebuilds.Load(),

@@ -51,20 +51,17 @@
 // compaction, so a pinned reader can never observe two different
 // payloads under one ID.
 //
-// # Zero-copy reads
+// # Artifact readers
 //
 // Because sealed segments are immutable, the store keeps a frame-offset
 // index (byte offset and length of every artifact body inside its
 // segment file, rebuilt from the verified scan, never trusted from the
 // manifest). OpenArtifact returns a file-backed io.ReadSeeker over
-// exactly those bytes, so the serving layer can hand an artifact body
-// to http.ServeContent (Range requests, conditional gets), and through
-// ArtifactReader.SectionFile give the segment file itself to sendfile:
-// past the first 512 bytes, which net/http copies to start the
-// response, the body never passes through a user-space buffer. Each
+// exactly those bytes, Range-capable through http.ServeContent. Each
 // call opens its own file descriptor: a generation compacted or deleted
-// mid-flight surfaces as an I/O error on open (never torn bytes), which
-// callers treat as the signal to fall back to an in-memory copy.
+// mid-flight surfaces as an I/O error on open, never as torn bytes. The
+// serving layer does not use it per request; it answers from the
+// bodies Load restored into memory.
 //
 // The store is safe for concurrent use. Append and CompactTo serialize
 // behind a write lock; Load, Latest, Generations, Stats and

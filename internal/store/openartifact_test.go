@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestOpenArtifactServesExactBytes checks the zero-copy reader against
+// TestOpenArtifactServesExactBytes checks the file-backed reader against
 // every artifact Append wrote: full reads, seek-based partial reads
 // (the Range path), and ReadAt.
 func TestOpenArtifactServesExactBytes(t *testing.T) {
@@ -140,8 +140,7 @@ func TestOpenArtifactAfterImport(t *testing.T) {
 
 // TestOpenArtifactErrors pins the error contract: unknown generation,
 // unknown key, and wrong content type are ErrNotFound; a deleted
-// segment file is an I/O error (the serve layer's fallback trigger),
-// not ErrNotFound.
+// segment file is an I/O error, not ErrNotFound.
 func TestOpenArtifactErrors(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -66,7 +66,7 @@ type Artifact struct {
 	// Offset and Length locate the body inside the sealed segment file
 	// the artifact belongs to. They are populated by the decoder (and by
 	// Append, for the segment it just wrote) so OpenArtifact can hand
-	// out zero-copy file-backed readers; both are zero for an artifact
+	// out file-backed readers; both are zero for an artifact
 	// that has not been persisted yet. Length is len(Body) even when the
 	// body itself was dropped after verification.
 	Offset int64

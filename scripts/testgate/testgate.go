@@ -53,8 +53,9 @@ var contracts = []contract{
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
 		// /varz resolves sub-millisecond server latency.
 		"TestRouteLatencyResolvesSubMillisecond",
-		// Segment-backed artifacts reach sendfile over TCP, ranges included.
-		"TestArtifactSendfileOverTCP", "TestArtifactSendfileRange",
+		// Artifact bodies leave in one write over TCP, ranges still slice,
+		// and static reads survive the loss of every segment file.
+		"TestArtifactOneWriteOverTCP", "TestArtifactRange", "TestStaticReadsSurviveSegmentLoss",
 	}},
 	{"ipv4market/internal/core", []string{
 		"TestFigure6WorkersDeterministic", "TestFigure2WorkersMatchesSerial",
