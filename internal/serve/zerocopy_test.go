@@ -208,6 +208,128 @@ func TestArtifactRangeRequests(t *testing.T) {
 	}
 }
 
+// TestZeroCopyFileReads pins the bytes a store-backed server sends for
+// every static path to its sealed segment copy: the body and ETag must
+// equal both the in-memory artifact and the frame Store.OpenArtifact
+// reads back from the segment file, so serving from memory sends
+// exactly what was persisted. Each response counts as a mem_read on
+// /varz.
+func TestZeroCopyFileReads(t *testing.T) {
+	srv, st, _ := storedServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	type encoding struct {
+		query, ctype, etag string
+		body               []byte
+	}
+	snap := srv.Snapshot()
+	checked := 0
+	for key, art := range snap.static {
+		path := "/v1/" + key
+		if id, ok := strings.CutPrefix(key, "fig"); ok {
+			path = "/v1/figures/" + id
+		}
+		encodings := []encoding{{"", ctypeJSON, art.jsonETag, art.json}}
+		if art.csv != nil {
+			encodings = append(encodings, encoding{"?format=csv", ctypeCSV, art.csvETag, art.csv})
+		}
+		for _, enc := range encodings {
+			r, err := st.OpenArtifact(snap.Gen, key, enc.ctype)
+			if err != nil {
+				t.Fatalf("OpenArtifact(%q, %q): %v", key, enc.ctype, err)
+			}
+			stored, err := io.ReadAll(r)
+			r.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stored, enc.body) || r.Info.ETag != enc.etag {
+				t.Errorf("%s%s: sealed segment copy differs from the in-memory artifact", path, enc.query)
+			}
+			resp, body := get(t, ts, path+enc.query)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s%s: status %d", path, enc.query, resp.StatusCode)
+			}
+			if !bytes.Equal(body, stored) {
+				t.Errorf("%s%s: served body differs from the sealed segment copy", path, enc.query)
+			}
+			if got := resp.Header.Get("ETag"); got != r.Info.ETag {
+				t.Errorf("%s%s: ETag %s, want the stored %s", path, enc.query, got, r.Info.ETag)
+			}
+			checked++
+		}
+	}
+	if checked < 12 {
+		t.Fatalf("only %d static bodies checked", checked)
+	}
+
+	_, raw := get(t, ts, "/varz")
+	var v struct {
+		ZeroCopy *varzZeroCopy `json:"zero_copy"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.ZeroCopy == nil || v.ZeroCopy.MemReads < int64(checked) {
+		t.Errorf("varz zero_copy = %+v, want mem_reads >= %d", v.ZeroCopy, checked)
+	}
+}
+
+// TestDeletedSegmentFallback deletes the serving generation's segment
+// out from under a store-backed server: the store can no longer open
+// the artifact, yet the server answers from memory with identical bytes
+// and ETag, and /varz counts the response as a mem_read.
+func TestDeletedSegmentFallback(t *testing.T) {
+	srv, st, dir := storedServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, before := get(t, ts, "/v1/table1")
+	etag := resp.Header.Get("ETag")
+
+	gen := srv.Snapshot().Gen
+	g, ok := st.Generation(gen)
+	if !ok {
+		t.Fatal("serving generation not in store")
+	}
+	if err := os.Remove(filepath.Join(dir, g.File)); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := st.OpenArtifact(gen, "table1", ctypeJSON); err == nil {
+		r.Close()
+		t.Fatal("OpenArtifact succeeded on a deleted segment")
+	}
+
+	readVarz := func() varzZeroCopy {
+		_, raw := get(t, ts, "/varz")
+		var v struct {
+			ZeroCopy *varzZeroCopy `json:"zero_copy"`
+		}
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.ZeroCopy == nil {
+			t.Fatal("varz has no zero_copy section")
+		}
+		return *v.ZeroCopy
+	}
+	was := readVarz()
+	resp2, after := get(t, ts, "/v1/table1")
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("post-deletion status %d", resp2.StatusCode)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("post-deletion body differs from the one served before")
+	}
+	if resp2.Header.Get("ETag") != etag {
+		t.Errorf("post-deletion ETag %s, want %s", resp2.Header.Get("ETag"), etag)
+	}
+	if now := readVarz(); now.MemReads != was.MemReads+1 || now.Computed != was.Computed {
+		t.Errorf("zero_copy %+v -> %+v, want one more mem_read", was, now)
+	}
+}
+
 // TestZeroCopyCounters checks how /varz zero_copy splits responses: a
 // computed response moves only computed, a static artifact only
 // mem_reads, on a store-backed and a storeless server alike.
