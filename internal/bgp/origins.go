@@ -18,8 +18,9 @@ import (
 // of monitors seeing it as a bitset, so recording a sighting costs a bit
 // set and no allocation. A survey fed from RIBs (AddView, Observe) finds
 // each route's prefix record through a map; a survey whose prefixes are
-// known up front (NewPrefixSurvey) records sightings by record index
-// (ObserveAt) with no lookup at all.
+// known up front (NewPrefixSurvey) records sightings by record index,
+// one monitor at a time (ObserveAt) or a bitset of them (ObserveSetAt),
+// with no lookup at all.
 type OriginSurvey struct {
 	monitors map[string]int // monitor ID → index
 	// index maps each recorded prefix to its record; it is built on the
@@ -63,6 +64,23 @@ func (m *monitorSet) add(i int) {
 	m.hi[w] |= 1 << uint(i%64)
 }
 
+// addWords adds the monitors of a non-empty bitset whose word w holds
+// monitors 64w to 64w+63, growing the overflow only to its last
+// non-zero word.
+func (m *monitorSet) addWords(words []uint64) {
+	m.lo |= words[0]
+	last := len(words) - 1
+	for last > 0 && words[last] == 0 {
+		last--
+	}
+	for len(m.hi) < last {
+		m.hi = append(m.hi, 0)
+	}
+	for w := 1; w <= last; w++ {
+		m.hi[w-1] |= words[w]
+	}
+}
+
 func (m *monitorSet) len() int {
 	n := bits.OnesCount64(m.lo)
 	for _, w := range m.hi {
@@ -77,10 +95,11 @@ func NewOriginSurvey() *OriginSurvey {
 }
 
 // NewPrefixSurvey returns an empty survey with one record for each of
-// the distinct prefixes, record i for prefixes[i], for ObserveAt. Each
-// record's first origin comes from one block allocated here, so only a
-// prefix with several origins allocates later. Prefixes in ascending
-// order leave Pairs an already-sorted list.
+// the distinct prefixes, record i for prefixes[i], for ObserveAt and
+// ObserveSetAt. Each record's first origin comes from one block
+// allocated here, so only a prefix with several origins allocates
+// later. Prefixes in ascending order leave Pairs an already-sorted
+// list.
 func NewPrefixSurvey(prefixes []netblock.Prefix) *OriginSurvey {
 	s := NewOriginSurvey()
 	s.prefixes = make([]prefixObs, len(prefixes))
@@ -134,19 +153,40 @@ func (s *OriginSurvey) ObserveAt(m, i int, origin ASN, asSet bool) {
 	s.prefixes[i].observe(m, origin, asSet)
 }
 
+// ObserveSetAt records ObserveAt(m, i, origin, asSet) for every monitor
+// m in monitors, a bitset whose word w holds monitors 64w to 64w+63, in
+// one step: a survey that knows each record's sightings as a bitset
+// sets them without a call per monitor. The words are not retained.
+func (s *OriginSurvey) ObserveSetAt(i int, origin ASN, asSet bool, monitors []uint64) {
+	if !slices.ContainsFunc(monitors, func(w uint64) bool { return w != 0 }) {
+		return
+	}
+	obs := &s.prefixes[i]
+	if asSet {
+		obs.asSet = true
+		return
+	}
+	obs.originObs(origin).addWords(monitors)
+}
+
 func (obs *prefixObs) observe(m int, origin ASN, asSet bool) {
 	if asSet {
 		obs.asSet = true
 		return
 	}
+	obs.originObs(origin).add(m)
+}
+
+// originObs returns the monitor set of the prefix's pair with origin,
+// adding the pair if it is new.
+func (obs *prefixObs) originObs(origin ASN) *monitorSet {
 	for i := range obs.origins {
 		if obs.origins[i].origin == origin {
-			obs.origins[i].monitors.add(m)
-			return
+			return &obs.origins[i].monitors
 		}
 	}
 	obs.origins = append(obs.origins, originObs{origin: origin})
-	obs.origins[len(obs.origins)-1].monitors.add(m)
+	return &obs.origins[len(obs.origins)-1].monitors
 }
 
 // record returns p's record index, creating the record on first sight.

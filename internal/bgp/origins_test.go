@@ -108,10 +108,12 @@ func TestOriginSurveyASSet(t *testing.T) {
 }
 
 // TestPrefixSurveyMatchesObserve feeds the same sightings to a survey
-// by record index and to one by prefix: MOAS (a second origin beyond the
-// preallocated first), AS_SET, a record nobody sees, and a monitor past
-// the first bitset word. A later Observe on the indexed survey finds
-// the existing record and adds a new one.
+// by record index, to one by prefix, and to one by record index and
+// monitor bitset (ObserveSetAt, one call per record and outcome, with
+// an all-zero bitset that must record nothing): MOAS (a second origin
+// beyond the preallocated first), AS_SET, a record nobody sees, and a
+// monitor past the first bitset word. A later Observe on the indexed
+// surveys finds the existing record and adds a new one.
 func TestPrefixSurveyMatchesObserve(t *testing.T) {
 	prefixes := []netblock.Prefix{pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("11.0.0.0/8"), pfx("12.0.0.0/8")}
 	type sighting struct {
@@ -126,11 +128,20 @@ func TestPrefixSurveyMatchesObserve(t *testing.T) {
 	}
 	indexed := NewPrefixSurvey(prefixes)
 	byPrefix := NewOriginSurvey()
+	bySet := NewPrefixSurvey(prefixes)
 	for m := 0; m <= 70; m++ {
 		id := fmt.Sprintf("m%d", m)
 		indexed.AddMonitor(id)
 		byPrefix.AddMonitor(id)
+		bySet.AddMonitor(id)
 	}
+	type outcome struct {
+		rec    int
+		origin ASN
+		asSet  bool
+	}
+	var outcomes []outcome
+	sets := make(map[outcome][]uint64)
 	for _, s := range sightings {
 		indexed.ObserveAt(s.m, s.rec, s.origin, s.asSet)
 		path := NewPath(1, s.origin)
@@ -138,19 +149,35 @@ func TestPrefixSurveyMatchesObserve(t *testing.T) {
 			path = NewPath(1).AppendSet(7, 8)
 		}
 		byPrefix.Observe(s.m, prefixes[s.rec], path)
+		o := outcome{s.rec, s.origin, s.asSet}
+		if sets[o] == nil {
+			outcomes = append(outcomes, o)
+			sets[o] = make([]uint64, 2)
+		}
+		sets[o][s.m/64] |= 1 << uint(s.m%64)
 	}
-	for _, s := range []*OriginSurvey{indexed, byPrefix} {
+	for _, o := range outcomes {
+		bySet.ObserveSetAt(o.rec, o.origin, o.asSet, sets[o])
+	}
+	bySet.ObserveSetAt(3, 9, false, make([]uint64, 2)) // nobody: no pair
+	for _, s := range []*OriginSurvey{indexed, byPrefix, bySet} {
 		s.Observe(3, pfx("10.0.0.0/8"), NewPath(1, 3))
 		s.Observe(3, pfx("13.0.0.0/8"), NewPath(1, 4))
 	}
-	if got, want := indexed.Pairs(), byPrefix.Pairs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Pairs by index = %+v\nby prefix = %+v", got, want)
-	}
-	if got, want := indexed.RawPairs(), byPrefix.RawPairs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("RawPairs by index = %v, by prefix %v", got, want)
-	}
-	if got, want := indexed.CleanPairs(0), byPrefix.CleanPairs(0); !reflect.DeepEqual(got, want) {
-		t.Errorf("CleanPairs by index = %v, by prefix %v", got, want)
+	for _, c := range []struct {
+		name string
+		s    *OriginSurvey
+	}{{"by index", indexed}, {"by bitset", bySet}} {
+		name, s := c.name, c.s
+		if got, want := s.Pairs(), byPrefix.Pairs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Pairs %s = %+v\nby prefix = %+v", name, got, want)
+		}
+		if got, want := s.RawPairs(), byPrefix.RawPairs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("RawPairs %s = %v, by prefix %v", name, got, want)
+		}
+		if got, want := s.CleanPairs(0), byPrefix.CleanPairs(0); !reflect.DeepEqual(got, want) {
+			t.Errorf("CleanPairs %s = %v, by prefix %v", name, got, want)
+		}
 	}
 	if got := indexed.Pairs(); len(got) != 5 || got[0].Monitors != 4 || !got[1].MOAS || !got[3].ASSet {
 		t.Errorf("Pairs = %+v, want the /8 seen by 4, a MOAS /16 and an AS_SET-flagged 11/8", got)

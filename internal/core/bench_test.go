@@ -27,3 +27,25 @@ func BenchmarkUtilization(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRPKISeries measures the build's rpki stage on its own: the
+// ROA-delegation history at DefaultConfig (one presence day set per
+// adopting lease over the 882-day window), its presence and churn
+// series, and the consistency-rule grid.
+func BenchmarkRPKISeries(b *testing.B) {
+	s, err := NewStudy(simulation.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.RPKISeries()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Delegations == 0 {
+			b.Fatal("empty RPKI history")
+		}
+	}
+}

@@ -96,20 +96,46 @@ func (h *History) DayOf(t time.Time) int {
 }
 
 // Observe records that the delegation was visible on the given day.
-// Out-of-range days are ignored.
+// Out-of-range days are ignored. A caller recording many days of one
+// delegation should use a Recorder, which finds the delegation's
+// presence set once rather than on every call.
 func (h *History) Observe(day int, d Delegation) {
+	r := h.Recorder(d)
+	r.Observe(day)
+}
+
+// Recorder records the days on which one delegation is visible.
+type Recorder struct {
+	h  *History
+	k  delegKey
+	ds *dayset // nil until the first in-range Observe
+}
+
+// Recorder returns a Recorder for the delegation. The delegation's key
+// is looked up, or created, on the Recorder's first in-range Observe,
+// so a delegation observed on no day adds no key, and keys are created
+// in the order of their first observation, as with History.Observe.
+func (h *History) Recorder(d Delegation) Recorder {
+	ck := childKey{uint32(d.Child.Addr()), uint8(d.Child.Bits())}
+	return Recorder{h: h, k: delegKey{child: ck, from: d.From, to: d.To}}
+}
+
+// Observe records that the delegation was visible on the given day.
+// Out-of-range days are ignored.
+func (r *Recorder) Observe(day int) {
+	h := r.h
 	if day < 0 || day >= h.days {
 		return
 	}
-	ck := childKey{uint32(d.Child.Addr()), uint8(d.Child.Bits())}
-	k := delegKey{child: ck, from: d.From, to: d.To}
-	ds := h.keys[k]
-	if ds == nil {
-		ds = newDayset(h.days)
-		h.keys[k] = ds
-		h.byChild[ck] = append(h.byChild[ck], k)
+	if r.ds == nil {
+		r.ds = h.keys[r.k]
+		if r.ds == nil {
+			r.ds = newDayset(h.days)
+			h.keys[r.k] = r.ds
+			h.byChild[r.k.child] = append(h.byChild[r.k.child], r.k)
+		}
 	}
-	ds.set(day)
+	r.ds.set(day)
 }
 
 // NumDelegations returns the number of distinct delegation keys observed.

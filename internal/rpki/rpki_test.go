@@ -133,6 +133,39 @@ func TestHistoryObserveAndPresence(t *testing.T) {
 	}
 }
 
+// TestRecorder pins the key creation a Recorder defers: one that sees
+// only out-of-range days adds no delegation, a delegation already
+// observed is shared with History.Observe, and keys of one child are
+// grouped in the order of their first in-range observation.
+func TestRecorder(t *testing.T) {
+	h := NewHistory(day0(), 10)
+	a, b := dtest("185.0.0.0/24", 1, 2), dtest("185.0.0.0/24", 1, 3)
+	ra, rb := h.Recorder(a), h.Recorder(b)
+	ra.Observe(-1)
+	ra.Observe(10)
+	if h.NumDelegations() != 0 || len(h.byChild) != 0 {
+		t.Fatalf("out-of-range days added %d delegations", h.NumDelegations())
+	}
+	rb.Observe(2)
+	h.Observe(4, a)
+	ra.Observe(5)
+	if h.NumDelegations() != 2 {
+		t.Fatalf("NumDelegations = %d, want 2", h.NumDelegations())
+	}
+	for day := 0; day < 10; day++ {
+		if got, want := h.ObservedOn(day, a), day == 4 || day == 5; got != want {
+			t.Errorf("ObservedOn(%d, a) = %v, want %v", day, got, want)
+		}
+		if got, want := h.ObservedOn(day, b), day == 2; got != want {
+			t.Errorf("ObservedOn(%d, b) = %v, want %v", day, got, want)
+		}
+	}
+	keys := h.byChild[childKey{uint32(a.Child.Addr()), uint8(a.Child.Bits())}]
+	if len(keys) != 2 || keys[0].to != b.To || keys[1].to != a.To {
+		t.Errorf("byChild = %+v, want b's key, then a's", keys)
+	}
+}
+
 func TestEvaluateRule(t *testing.T) {
 	h := NewHistory(day0(), 20)
 	d := dtest("185.0.0.0/24", 1, 2)

@@ -238,9 +238,10 @@ var snapshotStages = []buildStage{
 		// stage (workers=1): the stage itself already executes inside
 		// the DAG's worker budget, and nested fan-out would oversubscribe
 		// it without changing the bytes. At DefaultConfig its ten
-		// surveys take about 3ms each. The stage takes 40-50ms,
-		// against 10-20ms for each of the others: still the largest,
-		// so it sets the multi-worker build's critical path.
+		// surveys take about 2ms each. The stage takes about 30ms,
+		// level with temporal and against 20ms or less for each of
+		// the others, so the two set the multi-worker build's
+		// critical path.
 		var err error
 		if snap.Utilization, err = study.UtilizationWorkers(1); err != nil {
 			return nil, err

@@ -32,6 +32,8 @@ type RoutingSim struct {
 	scrubEvents []scrubEvent
 	// transit maps each origin AS to its upstream.
 	transit map[ASN]ASN
+	// table is SurveyAt's per-world state; see routeTable.
+	table routeTable
 }
 
 type scrubEvent struct {
@@ -155,7 +157,99 @@ func NewRoutingSim(w *World) *RoutingSim {
 			asSet:  []ASN{base.origin, ASN(10000 + rng.Intn(500))},
 		})
 	}
+	rs.buildTable()
 	return rs
+}
+
+// routeTable is everything SurveyAt needs that does not depend on the
+// day: the monitors, and the steady announcements (rs.anns, about 7,700
+// of the roughly 7,950 a DefaultConfig day carries) in prefix order
+// with their sanitize verdicts. NewRoutingSim builds it; anything that
+// edits the announcements or the peers afterwards must rebuild it.
+type routeTable struct {
+	// monitorIDs, peerAS: global monitor index → survey ID, peer AS.
+	monitorIDs []string
+	peerAS     []ASN
+	// words is the number of uint64 words in a monitor bitset, whose
+	// word w holds monitors 64w to 64w+63.
+	words int
+	// reserved is the bitset of monitors whose peer AS is reserved.
+	reserved []uint64
+	// peersWithAS maps a peer AS to the bitset of monitors with it.
+	peersWithAS map[ASN][]uint64
+	// order lists rs.anns indexes stably sorted by prefix.
+	order []int32
+	// verdicts[i] is rs.anns[i]'s sanitize verdict.
+	verdicts []routeVerdict
+}
+
+// routeVerdict is bgp.Sanitize's outcome for the paths of one
+// announcement. A monitor's path for announcement a is peer → transit →
+// origin, plus a's AS_SET, so every rule but the loop rule depends on
+// the announcement alone, and the loop rule on the peer AS alone.
+type routeVerdict uint8
+
+const (
+	// routeDropped: a special-purpose prefix, or a reserved transit,
+	// origin or AS_SET member, fails every monitor's path.
+	routeDropped routeVerdict = iota
+	// routeClean: every path from a non-reserved peer passes.
+	routeClean
+	// routeLoops: as routeClean, except the paths from the peers whose
+	// AS is the origin, which loop.
+	routeLoops
+)
+
+// buildTable (re)computes rs.table from the collectors and the steady
+// announcements.
+func (rs *RoutingSim) buildTable() {
+	n := rs.NumMonitors()
+	t := routeTable{words: (n + 63) / 64, peersWithAS: make(map[ASN][]uint64)}
+	t.reserved = make([]uint64, t.words)
+	for _, spec := range rs.collectors {
+		for _, peer := range spec.peers {
+			k := len(t.peerAS)
+			t.monitorIDs = append(t.monitorIDs, fmt.Sprintf("%s:%s", spec.name, peer.IP))
+			t.peerAS = append(t.peerAS, peer.AS)
+			if bgp.IsReservedASN(peer.AS) {
+				t.reserved[k/64] |= 1 << uint(k%64)
+			}
+			set := t.peersWithAS[peer.AS]
+			if set == nil {
+				set = make([]uint64, t.words)
+				t.peersWithAS[peer.AS] = set
+			}
+			set[k/64] |= 1 << uint(k%64)
+		}
+	}
+	t.order = make([]int32, len(rs.anns))
+	for i := range t.order {
+		t.order[i] = int32(i)
+	}
+	// The registry's allocations come in long ascending runs, which
+	// the stable sort's insertion runs and merges take quickly.
+	slices.SortStableFunc(t.order, func(a, b int32) int { return rs.anns[a].prefix.Compare(rs.anns[b].prefix) })
+	t.verdicts = make([]routeVerdict, len(rs.anns))
+	for i := range rs.anns {
+		t.verdicts[i] = t.verdict(&rs.anns[i], rs.transitOf(rs.anns[i].origin))
+	}
+	rs.table = t
+}
+
+// verdict decides bgp.Sanitize's rules for the paths of announcement
+// a, learned through transit.
+func (t *routeTable) verdict(a *announcement, transit ASN) routeVerdict {
+	if netblock.IsSpecialPurpose(a.prefix) || bgp.IsReservedASN(transit) ||
+		bgp.IsReservedASN(a.origin) || slices.ContainsFunc(a.asSet, bgp.IsReservedASN) {
+		return routeDropped
+	}
+	// ASPath.HasLoop skips the AS_SET and back-to-back repeats, so
+	// peer → transit → origin loops exactly when the peer is the origin
+	// and the transit is not.
+	if transit != a.origin && t.peersWithAS[a.origin] != nil {
+		return routeLoops
+	}
+	return routeClean
 }
 
 // NumMonitors returns the total monitor count across collectors.
@@ -195,7 +289,8 @@ func (rs *RoutingSim) visRNG(day, collector int) *rand.Rand {
 // active announcements followed by the day's hijacks, the dense index of
 // each one's prefix among the day's distinct prefixes (numbered in
 // ascending prefix order), and which global monitor indexes observe
-// each hijack.
+// each hijack. CollectorAt builds it; SurveyAt indexes the same
+// announcements the same way without copying the steady ones.
 type dayView struct {
 	anns     []announcement // active announcements, then hijacks
 	nActive  int            // anns[:nActive] are the active announcements
@@ -208,27 +303,15 @@ type dayView struct {
 // dayView computes the day's shared state: active announcements,
 // hijacks, which monitors observe each hijack, and the prefix index.
 func (rs *RoutingSim) dayView(day int) *dayView {
-	rng := rs.dayRNG(day)
-	anns := rs.activeAnnouncements(day)
-	hijacks := rs.hijacks(rng, day)
-	total := rs.NumMonitors()
+	anns := append(slices.Clip(rs.anns), rs.varyingOn(day)...)
+	hijacks, hijackMonitors := rs.hijacksOn(day)
 	dv := &dayView{
 		anns:           append(anns, hijacks...),
 		nActive:        len(anns),
-		hijackMonitors: make([][]int, len(hijacks)),
-	}
-	for i := range hijacks {
-		m1 := rng.Intn(total)
-		dv.hijackMonitors[i] = []int{m1}
-		if rng.Float64() < 0.5 {
-			dv.hijackMonitors[i] = append(dv.hijackMonitors[i], (m1+1)%total)
-		}
+		hijackMonitors: hijackMonitors,
 	}
 	// Number the distinct prefixes in ascending order: sort the
 	// announcements by prefix, then number each run of equal prefixes.
-	// They arrive in long ascending runs (the registry's allocations
-	// first), which the stable sort's insertion runs and merges take in
-	// well under half of pdqsort's time.
 	order := make([]int32, len(dv.anns))
 	for i := range order {
 		order[i] = int32(i)
@@ -250,26 +333,14 @@ func (rs *RoutingSim) dayView(day int) *dayView {
 // dv.prefixes[i], or -1. Each active announcement is present with ~97%
 // probability (one rng draw each, in order), hijacks only at their
 // assigned monitors, and — as in a real per-peer RIB — at most one best
-// route per prefix. Same-prefix conflicts resolve deterministically:
-// even monitors prefer the lower origin AS, odd monitors the higher one,
-// so for MOAS prefixes the survey still observes both origins across
-// the platform; an AS_SET-terminated route has no usable origin, so
-// whichever route came first is kept.
+// route per prefix, chosen by prefers.
 func (dv *dayView) selectRoutes(rng *rand.Rand, monIdx int, best []int32) {
 	for i := range best {
 		best[i] = -1
 	}
 	prefer := func(ai int) {
 		slot := &best[dv.prefixOf[ai]]
-		if *slot < 0 {
-			*slot = int32(ai)
-			return
-		}
-		old, cand := dv.anns[*slot], dv.anns[ai]
-		if old.asSet != nil || cand.asSet != nil {
-			return
-		}
-		if (monIdx%2 == 0) == (cand.origin < old.origin) {
+		if *slot < 0 || prefers(monIdx, &dv.anns[*slot], &dv.anns[ai]) {
 			*slot = int32(ai)
 		}
 	}
@@ -288,11 +359,27 @@ func (dv *dayView) selectRoutes(rng *rand.Rand, monIdx int, best []int32) {
 	}
 }
 
-// activeAnnouncements returns all (prefix, origin, asSet) announcements
-// that exist on the day, before per-monitor visibility sampling.
-func (rs *RoutingSim) activeAnnouncements(day int) []announcement {
-	out := make([]announcement, 0, len(rs.anns)+len(rs.w.Leases)/2+8)
-	out = append(out, rs.anns...)
+// prefers reports whether monitor monIdx, holding route old for a
+// prefix, replaces it with route cand, which it receives later.
+// Same-prefix conflicts resolve deterministically: even monitors prefer
+// the lower origin AS, odd monitors the higher one, so for MOAS prefixes
+// the survey still observes both origins across the platform; an
+// AS_SET-terminated route has no usable origin, so whichever route came
+// first is kept.
+func prefers(monIdx int, old, cand *announcement) bool {
+	if old.asSet != nil || cand.asSet != nil {
+		return false
+	}
+	return (monIdx%2 == 0) == (cand.origin < old.origin)
+}
+
+// varyingOn returns the announcements that exist on the day besides the
+// steady rs.anns, before per-monitor visibility sampling: announced
+// leases with their MOAS second origins, scrubbing episodes, and the
+// AS_SET aggregates. rs.anns followed by these are the day's active
+// announcements.
+func (rs *RoutingSim) varyingOn(day int) []announcement {
+	out := make([]announcement, 0, len(rs.w.Leases)/2+len(rs.scrubEvents)+len(rs.asSetAggs))
 	for _, l := range rs.w.Leases {
 		if !l.AnnouncedOn(day) {
 			continue
@@ -307,8 +394,7 @@ func (rs *RoutingSim) activeAnnouncements(day int) []announcement {
 			out = append(out, announcement{prefix: ev.prefix, origin: ev.scrubber})
 		}
 	}
-	out = append(out, rs.asSetAggs...)
-	return out
+	return append(out, rs.asSetAggs...)
 }
 
 // ScrubbedPrefixesOn returns the prefixes announced by scrubbing services
@@ -322,6 +408,23 @@ func (rs *RoutingSim) ScrubbedPrefixesOn(day int) []netblock.Prefix {
 		}
 	}
 	return out
+}
+
+// hijacksOn draws the day's hijacks and, for each, the global indexes
+// of the monitors observing it.
+func (rs *RoutingSim) hijacksOn(day int) ([]announcement, [][]int) {
+	rng := rs.dayRNG(day)
+	hijacks := rs.hijacks(rng, day)
+	total := rs.NumMonitors()
+	monitors := make([][]int, len(hijacks))
+	for i := range hijacks {
+		m1 := rng.Intn(total)
+		monitors[i] = []int{m1}
+		if rng.Float64() < 0.5 {
+			monitors[i] = append(monitors[i], (m1+1)%total)
+		}
+	}
+	return hijacks, monitors
 }
 
 // hijacks draws the day's short-lived more-specific hijacks; each is
@@ -352,10 +455,18 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // the same sanitization the offline pipeline uses. Legitimate routes are
 // seen by each monitor with ~97% probability; hijacks at only 1-2
 // monitors. The survey equals the one CollectorAt's RIBs yield through
-// Collector.AddViewsTo, but neither a RIB nor an AS path is built: the
-// survey has one record per distinct prefix of the day, and each
-// monitor's selection, held in one reused index slice, is observed
-// record by record with every bgp.Sanitize rule decided up front.
+// Collector.AddViewsTo, but neither a RIB nor an AS path is built.
+//
+// The steady announcements' prefix order and sanitize verdicts come
+// from rs.table; the day sorts only its few hundred varying
+// announcements and hijacks and merges them in, numbering the survey's
+// records. Each monitor's visibility draws set its bit in a
+// per-announcement bitset. A record with one announcement takes that
+// bitset, less the reserved peers and the peers its path loops at, as
+// its monitor set in one step; only the rare records with several
+// announcements (MOAS leases, hijacked or scrubbed prefixes that
+// coincide with another route) pick each monitor's route as
+// selectRoutes does.
 //
 // SurveyAt is a pure derivation: every random draw comes from RNGs
 // seeded deterministically per (day, collector), and the receiver is not
@@ -363,49 +474,150 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // order-independent — the per-date inference fan-out in core.Figure6
 // relies on this contract.
 func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
-	dv := rs.dayView(day)
-	// A monitor's path for announcement a is peer → transit → origin,
-	// plus a's AS_SET, so bgp.Sanitize's rules split by what they read.
-	// The special-purpose prefix and reserved transit, origin or AS_SET
-	// rules depend on the announcement alone: clean records them once.
-	clean := make([]bool, len(dv.anns))
-	transit := make([]ASN, len(dv.anns))
-	for i, a := range dv.anns {
-		transit[i] = rs.transitOf(a.origin)
-		clean[i] = !netblock.IsSpecialPurpose(a.prefix) &&
-			!bgp.IsReservedASN(transit[i]) && !bgp.IsReservedASN(a.origin) &&
-			!slices.ContainsFunc(a.asSet, bgp.IsReservedASN)
+	t := &rs.table
+	d := surveyDay{steady: rs.anns, steadyVerdicts: t.verdicts, vary: rs.varyingOn(day)}
+	nSteady := len(d.steady)
+	nActive := nSteady + len(d.vary)
+	hijacks, hijackMonitors := rs.hijacksOn(day)
+	d.vary = append(d.vary, hijacks...)
+	d.varyVerdicts = make([]routeVerdict, len(d.vary))
+	for i := range d.vary {
+		d.varyVerdicts[i] = t.verdict(&d.vary[i], rs.transitOf(d.vary[i].origin))
 	}
 
-	survey := bgp.NewPrefixSurvey(dv.prefixes)
-	best := make([]int32, len(dv.prefixes))
+	// The day's prefix order: the varying announcements stably sorted,
+	// merged into the steady order. Every steady index is below every
+	// varying one, so taking the steady side on ties keeps the merge
+	// equal to a stable sort of all the day's announcements.
+	vorder := make([]int32, len(d.vary))
+	for i := range vorder {
+		vorder[i] = int32(nSteady + i)
+	}
+	slices.SortStableFunc(vorder, func(a, b int32) int { return d.ann(a).prefix.Compare(d.ann(b).prefix) })
+	n := nSteady + len(d.vary)
+	order := make([]int32, 0, n)
+	prefixes := make([]netblock.Prefix, 0, n)
+	for si, vi := 0, 0; si < nSteady || vi < len(vorder); {
+		var ai int32
+		if vi == len(vorder) || si < nSteady && d.steady[t.order[si]].prefix.Compare(d.ann(vorder[vi]).prefix) <= 0 {
+			ai = t.order[si]
+			si++
+		} else {
+			ai = vorder[vi]
+			vi++
+		}
+		order = append(order, ai)
+		if p := d.ann(ai).prefix; len(prefixes) == 0 || p != prefixes[len(prefixes)-1] {
+			prefixes = append(prefixes, p)
+		}
+	}
+
+	d.n = n
+	d.seen = make([]uint64, t.words*n)
 	k := 0 // global monitor index
 	for ci, spec := range rs.collectors {
 		rng := rs.visRNG(day, ci)
-		for _, peer := range spec.peers {
-			m := survey.AddMonitor(fmt.Sprintf("%s:%s", spec.name, peer.IP))
-			dv.selectRoutes(rng, k, best) // draws even for a monitor dropped below
+		for range spec.peers {
+			col, bit := d.seen[k/64*n:][:nActive], uint64(1)<<uint(k%64)
+			for i := range col {
+				if rng.Float64() <= 0.97 { // else this monitor misses the route today
+					col[i] |= bit
+				}
+			}
 			k++
-			// A reserved peer AS fails every one of the monitor's paths.
-			if bgp.IsReservedASN(peer.AS) {
-				continue
-			}
-			for rec, ai := range best {
-				if ai < 0 || !clean[ai] {
-					continue
-				}
-				a := &dv.anns[ai]
-				// ASPath.HasLoop skips the AS_SET and back-to-back
-				// repeats, so peer → transit → origin loops exactly
-				// when the peer is the origin and the transit is not.
-				if peer.AS == a.origin && transit[ai] != a.origin {
-					continue
-				}
-				survey.ObserveAt(m, rec, a.origin, a.asSet != nil)
-			}
 		}
 	}
+	for h, mons := range hijackMonitors {
+		for _, m := range mons {
+			d.seen[m/64*n+nActive+h] |= 1 << uint(m%64)
+		}
+	}
+
+	survey := bgp.NewPrefixSurvey(prefixes)
+	for _, id := range t.monitorIDs {
+		survey.AddMonitor(id) // monitor k gets index k: the IDs are distinct
+	}
+	set := make([]uint64, t.words)
+	for rec, lo := 0, 0; lo < n; rec++ {
+		hi := lo + 1
+		for hi < n && d.ann(order[hi]).prefix == prefixes[rec] {
+			hi++
+		}
+		if hi > lo+1 {
+			t.observeConflict(survey, rec, order[lo:hi], &d)
+			lo = hi
+			continue
+		}
+		ai := order[lo]
+		lo = hi
+		a, v := d.ann(ai), d.verdict(ai)
+		if v == routeDropped {
+			continue
+		}
+		for w := range set {
+			set[w] = d.seen[w*n+int(ai)] &^ t.reserved[w]
+		}
+		if v == routeLoops {
+			for w, loops := range t.peersWithAS[a.origin] {
+				set[w] &^= loops
+			}
+		}
+		survey.ObserveSetAt(rec, a.origin, a.asSet != nil, set)
+	}
 	return survey
+}
+
+// surveyDay is one day's announcements as SurveyAt indexes them, the
+// way dayView does: the steady ones, then the day's varying ones (see
+// varyingOn), then its hijacks.
+type surveyDay struct {
+	steady, vary                 []announcement
+	steadyVerdicts, varyVerdicts []routeVerdict
+	// seen[w*n+i] is word w of the bitset of monitors holding
+	// announcement i, of n in all.
+	seen []uint64
+	n    int
+}
+
+func (d *surveyDay) ann(i int32) *announcement {
+	if int(i) < len(d.steady) {
+		return &d.steady[i]
+	}
+	return &d.vary[int(i)-len(d.steady)]
+}
+
+func (d *surveyDay) verdict(i int32) routeVerdict {
+	if int(i) < len(d.steady) {
+		return d.steadyVerdicts[i]
+	}
+	return d.varyVerdicts[int(i)-len(d.steady)]
+}
+
+// observeConflict records, for each monitor, the route it holds for
+// survey record rec, whose announcements run lists in ascending order:
+// of those the monitor sees, the one selectRoutes would keep.
+func (t *routeTable) observeConflict(survey *bgp.OriginSurvey, rec int, run []int32, d *surveyDay) {
+	for k, peerAS := range t.peerAS {
+		w, bit := k/64, uint64(1)<<uint(k%64)
+		// A reserved peer AS fails every one of the monitor's paths.
+		if t.reserved[w]&bit != 0 {
+			continue
+		}
+		best := int32(-1)
+		for _, ai := range run {
+			if d.seen[w*d.n+int(ai)]&bit != 0 && (best < 0 || prefers(k, d.ann(best), d.ann(ai))) {
+				best = ai
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		a, v := d.ann(best), d.verdict(best)
+		if v == routeDropped || v == routeLoops && peerAS == a.origin {
+			continue
+		}
+		survey.ObserveAt(k, rec, a.origin, a.asSet != nil)
+	}
 }
 
 // monitorRIB materializes one monitor's table for the day (see

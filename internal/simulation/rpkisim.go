@@ -41,6 +41,9 @@ const solidROADropProb = 0.0004
 // (stale authorizations that no longer match any active lease). Storm
 // effects draw from side RNG streams so a world without storms is
 // byte-for-byte identical to the pre-knob generator.
+//
+// Each delegation's days go through one rpki.Recorder, so its presence
+// set is looked up once per lease rather than once per observed day.
 func (w *World) BuildRPKIHistory(adoptionProb, dropProb float64) *rpki.History {
 	rng := rand.New(rand.NewSource(w.Cfg.Seed ^ 0x4b1d))
 	h := rpki.NewHistory(w.Cfg.RoutingStart, w.Cfg.RoutingDays)
@@ -48,16 +51,11 @@ func (w *World) BuildRPKIHistory(adoptionProb, dropProb float64) *rpki.History {
 		if !l.Routed || rng.Float64() > adoptionProb {
 			continue
 		}
-		d := rpki.Delegation{
-			Parent: l.Parent,
-			Child:  l.Child,
-			From:   l.Provider.PrimaryAS(),
-			To:     l.Customer.PrimaryAS(),
-		}
 		p := solidROADropProb
 		if rng.Float64() < FlakyROAFraction {
 			p = dropProb
 		}
+		r := h.Recorder(leaseDelegation(l))
 		lo := maxInt(l.StartDay, 0)
 		hi := minInt(l.EndDay, w.Cfg.RoutingDays)
 		for day := lo; day < hi; day++ {
@@ -68,11 +66,21 @@ func (w *World) BuildRPKIHistory(adoptionProb, dropProb float64) *rpki.History {
 			if rng.Float64() < drop {
 				continue // ROA temporarily absent from the validated set
 			}
-			h.Observe(day, d)
+			r.Observe(day)
 		}
 	}
 	w.observeStaleROAs(h, adoptionProb)
 	return h
+}
+
+// leaseDelegation is the ROA delegation a lease's parties publish.
+func leaseDelegation(l *Lease) rpki.Delegation {
+	return rpki.Delegation{
+		Parent: l.Parent,
+		Child:  l.Child,
+		From:   l.Provider.PrimaryAS(),
+		To:     l.Customer.PrimaryAS(),
+	}
 }
 
 // observeStaleROAs runs the stale-authorization pass: for every churn
@@ -103,23 +111,18 @@ func (w *World) observeStaleROAs(h *rpki.History, adoptionProb float64) {
 			if srng.Float64() > adoptionProb || srng.Float64() >= storm.StaleROAFraction {
 				continue
 			}
-			d := rpki.Delegation{
-				Parent: l.Parent,
-				Child:  l.Child,
-				From:   l.Provider.PrimaryAS(),
-				To:     l.Customer.PrimaryAS(),
-			}
 			lo := maxInt(storm.Window.StartDay, 0)
 			if l.Routed {
 				// A routed lease was live in the validated set until it
 				// ended; staleness begins at its end.
 				lo = maxInt(lo, l.EndDay)
 			}
+			r := h.Recorder(leaseDelegation(l))
 			for day := lo; day < hi; day++ {
 				if srng.Float64() < storm.DropProb {
 					continue
 				}
-				h.Observe(day, d)
+				r.Observe(day)
 			}
 		}
 	}

@@ -467,10 +467,11 @@ func TestROVFiltersHijacks(t *testing.T) {
 }
 
 // TestSurveyAtAllocs is SurveyAt's allocation budget at DefaultConfig.
-// A survey by record index allocates about 110 times: only prefixes
-// with several origins allocate on their own. Observing through the
-// survey's prefix map took about 8.2k, so the budget fails loudly if
-// per-prefix allocations come back.
+// A survey from monitor bitsets allocates 37 times: its per-day
+// blocks, plus one for each prefix with a second origin. Observing
+// monitor by monitor took about 111, and through the survey's prefix
+// map about 8.2k, so the budget fails if per-monitor or per-prefix
+// allocations come back.
 func TestSurveyAtAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	w, err := Build(cfg)
@@ -480,7 +481,7 @@ func TestSurveyAtAllocs(t *testing.T) {
 	rs := NewRoutingSim(w)
 	day := cfg.RoutingDays - 1
 	allocs := testing.AllocsPerRun(3, func() { rs.SurveyAt(day) })
-	const budget = 1000
+	const budget = 50
 	t.Logf("SurveyAt: %.0f allocs (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("SurveyAt allocates %.0f times, budget %d", allocs, budget)

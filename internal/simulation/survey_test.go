@@ -20,7 +20,10 @@ import (
 // the monitor total. Days cover the window's ends and middle, scrubbing
 // episodes and hijack waves; every day carries AS_SET aggregates. The
 // test world runs always, DefaultConfig and the churnstorm scenario
-// outside -short.
+// outside -short. The test world runs once more with 22 monitors per
+// collector, 66 in all, so that SurveyAt's monitor bitsets take a
+// second word; CollectorAt then builds 66 RIBs a day, so that world is
+// checked on one day, the hijack wave's first.
 func TestCollectorAtMatchesSurveyAt(t *testing.T) {
 	type world struct {
 		name string
@@ -80,6 +83,18 @@ func TestCollectorAtMatchesSurveyAt(t *testing.T) {
 	if scrubDays == 0 || waveDays == 0 {
 		t.Errorf("%d scrubbing episodes and %d hijack waves checked, want some of each", scrubDays, waveDays)
 	}
+
+	wide := small
+	wide.MonitorsPerCollector = 22
+	w, err := simulation.Build(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := simulation.NewRoutingSim(w)
+	if rs.NumMonitors() != 66 {
+		t.Fatalf("%d monitors, want 66", rs.NumMonitors())
+	}
+	checkSurveyAt(t, "test/66 monitors", rs, wide.HijackWaves[0].Window.StartDay)
 }
 
 // checkSurveyAt compares rs.SurveyAt(day) with the survey CollectorAt's
