@@ -68,8 +68,9 @@ var suites = []suiteDef{
 		Note: "full snapshot build (world generation + every analysis pipeline + encoding) at different " +
 			"build-stage worker counts, on the test world (workers=N rows) and on DefaultConfig " +
 			"(default/workers=N rows); workers=1 is the serial reference and the workers=NumCPU row is " +
-			"what marketd does at boot. The observable speedup is bounded by the hardware's core count " +
-			"and by the longest stage (utilization); per-stage wall-clock splits are exported on /varz " +
+			"what marketd does at boot. The observable speedup is bounded by the hardware's core count, " +
+			"by the study stage, which runs alone before the others, and by the longest artifact stage " +
+			"(utilization, more than twice any other); per-stage wall-clock splits are exported on /varz " +
 			"as snapshot.build_stages. Determinism across worker counts is pinned by TestBuildSnapshotDeterministic.",
 	},
 	{

@@ -10,7 +10,21 @@ package netblock
 type Trie[V any] struct {
 	root *trieNode[V]
 	size int
+
+	// spare is the unused tail of the last node block. Insert carves new
+	// nodes from it, so a trie of n nodes costs O(log n) allocations, not
+	// n. Nodes are never unlinked (Delete leaves them in place), so a
+	// block lives exactly as long as the trie does.
+	spare []trieNode[V]
+	nodes int // nodes carved so far
 }
+
+// Node blocks grow with the trie, doubling from minNodeBlock up to
+// maxNodeBlock nodes, which bounds the unused tail of the last block.
+const (
+	minNodeBlock = 8
+	maxNodeBlock = 1024
+)
 
 type trieNode[V any] struct {
 	child [2]*trieNode[V]
@@ -26,6 +40,17 @@ func NewTrie[V any]() *Trie[V] {
 // Len returns the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.size }
 
+// newNode returns a zeroed node carved from the current block.
+func (t *Trie[V]) newNode() *trieNode[V] {
+	if len(t.spare) == 0 {
+		t.spare = make([]trieNode[V], min(max(t.nodes, minNodeBlock), maxNodeBlock))
+	}
+	n := &t.spare[0]
+	t.spare = t.spare[1:]
+	t.nodes++
+	return n
+}
+
 func bitAt(a Addr, i int) int {
 	return int(a>>(31-uint(i))) & 1
 }
@@ -37,7 +62,7 @@ func (t *Trie[V]) Insert(p Prefix, val V) bool {
 	for i := 0; i < p.Bits(); i++ {
 		b := bitAt(p.Addr(), i)
 		if n.child[b] == nil {
-			n.child[b] = &trieNode[V]{}
+			n.child[b] = t.newNode()
 		}
 		n = n.child[b]
 	}

@@ -255,7 +255,7 @@ func (r *Registry) HolderOf(p netblock.Prefix) (*Allocation, bool) {
 
 // Allocations returns every live allocation, in prefix order.
 func (r *Registry) Allocations() []*Allocation {
-	var out []*Allocation
+	out := make([]*Allocation, 0, r.allocs.Len())
 	r.allocs.Walk(func(_ netblock.Prefix, a *Allocation) bool {
 		out = append(out, a)
 		return true
@@ -427,6 +427,13 @@ func (r *Registry) splitAllocation(parent *Allocation, target netblock.Prefix) e
 func (r *Registry) Transfers() []Transfer {
 	return append([]Transfer(nil), r.transfers...)
 }
+
+// NumTransfers returns the number of completed transfers.
+func (r *Registry) NumTransfers() int { return len(r.transfers) }
+
+// TransferAt returns completed transfer i, in execution order, for i in
+// [0, NumTransfers()). Unlike Transfers it copies no log.
+func (r *Registry) TransferAt(i int) Transfer { return r.transfers[i] }
 
 // TransfersIn returns transfers dated within [from, to), sorted by date.
 func (r *Registry) TransfersIn(from, to time.Time) []Transfer {

@@ -2,6 +2,7 @@ package rpki
 
 import (
 	"errors"
+	"math/bits"
 	"time"
 )
 
@@ -40,12 +41,32 @@ func newDayset(days int) *dayset { return &dayset{w: make([]uint64, (days+63)/64
 func (d *dayset) set(i int)      { d.w[i/64] |= 1 << uint(i%64) }
 func (d *dayset) get(i int) bool { return d.w[i/64]&(1<<uint(i%64)) != 0 }
 
+// word returns the 64 bits of d starting at bit i: bit j of the result is
+// bit i+j of d, and bits past the end read as zero.
+func (d *dayset) word(i int) uint64 {
+	q, r := i/64, uint(i%64)
+	var w uint64
+	if q < len(d.w) {
+		w = d.w[q] >> r
+	}
+	if r != 0 && q+1 < len(d.w) {
+		w |= d.w[q+1] << (64 - r)
+	}
+	return w
+}
+
 // prefixCounts fills c, of length days+1, with running presence counts:
-// c[x] is the number of set bits in [0, x).
+// c[x] is the number of set bits in [0, x). It reads the set one word at
+// a time.
 func (d *dayset) prefixCounts(c []int32) {
 	c[0] = 0
-	for x := 0; x+1 < len(c); x++ {
-		c[x+1] = c[x] + int32(d.w[x/64]>>uint(x%64)&1)
+	run, n := int32(0), len(c)-1
+	for i, w := range d.w {
+		for x, end := i*64, min(i*64+64, n); x < end; x++ {
+			run += int32(w & 1)
+			w >>= 1
+			c[x+1] = run
+		}
 	}
 }
 
@@ -198,12 +219,14 @@ func (h *History) EvaluateRule(m, n int) (RuleResult, error) {
 // of the given M and N values — the data behind Figure 5. Results are
 // ordered by N then M.
 //
-// It makes one pass per delegation key. Running counts of the key's
-// presence, and of the union of the presence of the child's other
-// delegatees, answer "how many days in between are missing" and "is
-// there a conflict in between" in O(1) per (X, M). Each M keeps a
-// histogram of missing-day counts over its premises, from which every N
-// reads its failures.
+// It makes one pass per delegation key. For each M, the days X present
+// on both X and X+M are the key's day set ANDed with itself shifted by
+// M, 64 days to a word, and are walked set bit by set bit. Running
+// counts of the key's presence, and of the union of the presence of the
+// child's other delegatees, answer "how many days in between are
+// missing" and "is there a conflict in between" in O(1) per premise.
+// Each M keeps a histogram of missing-day counts over its premises, from
+// which every N reads its failures.
 func (h *History) EvaluateGrid(ms, ns []int) ([]RuleResult, error) {
 	for _, m := range ms {
 		if m < 1 {
@@ -232,15 +255,20 @@ func (h *History) EvaluateGrid(ms, ns []int) ([]RuleResult, error) {
 			others.prefixCounts(conflicts)
 		}
 		for i, m := range ms {
-			for x := 0; x+m < h.days; x++ {
-				if !ds.get(x) || !ds.get(x+m) {
-					continue
+			limit := h.days - m // premise days X satisfy X+M < days
+			for q := 0; q*64 < limit; q++ {
+				both := ds.w[q] & ds.word(q*64+m)
+				if rest := limit - q*64; rest < 64 {
+					both &= 1<<uint(rest) - 1
 				}
-				if conflicted && conflicts[x+m] != conflicts[x+1] {
-					continue
+				for ; both != 0; both &= both - 1 {
+					x := q*64 + bits.TrailingZeros64(both)
+					if conflicted && conflicts[x+m] != conflicts[x+1] {
+						continue
+					}
+					premises[i]++
+					missing[i][m-1-int(present[x+m]-present[x+1])]++
 				}
-				premises[i]++
-				missing[i][m-1-int(present[x+m]-present[x+1])]++
 			}
 		}
 	}

@@ -319,6 +319,74 @@ func TestDaysetCountRange(t *testing.T) {
 	}
 }
 
+// TestEvaluateGridWordwise compares the word-wise grid with the bit-by-bit
+// reference on random day sets over a day count that is no multiple of
+// 64, at M values on both sides of the word size (1, 63, 64, 65) and past
+// two words (130). Each history holds a child with one key (no other
+// delegatee), a child delegated to two delegatees (conflicts), and a
+// child with two delegators of one delegatee (no conflict); densities
+// run from sparse to every day present. The shifted reads and the word-
+// wise running counts the grid relies on are checked bit by bit as well.
+func TestEvaluateGridWordwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ms := []int{1, 63, 64, 65, 130}
+	ns := []int{0, 1, 5, 40}
+	for trial := 0; trial < 24; trial++ {
+		days := []int{301, 882}[trial%2]
+		density := []float64{0.05, 0.5, 0.9, 0.99, 1}[trial%5]
+		h := NewHistory(day0(), days)
+		for _, d := range []Delegation{
+			dtest("185.0.0.0/24", 1, 10), // alone on its child
+			dtest("185.0.1.0/24", 1, 10), // two delegatees: conflicts
+			dtest("185.0.1.0/24", 2, 11),
+			dtest("185.0.2.0/24", 1, 12), // two delegators of one delegatee
+			dtest("185.0.2.0/24", 2, 12),
+		} {
+			for x := 0; x < days; x++ {
+				if rng.Float64() < density {
+					h.Observe(x, d)
+				}
+			}
+		}
+		c := make([]int32, days+1)
+		for k, ds := range h.keys {
+			ds.prefixCounts(c)
+			run := int32(0)
+			for x := 0; x < days; x++ {
+				if c[x] != run {
+					t.Fatalf("trial %d %v: prefixCounts[%d] = %d, bit by bit %d", trial, k, x, c[x], run)
+				}
+				if ds.get(x) {
+					run++
+				}
+			}
+			for _, m := range ms {
+				for x := 0; x < days; x++ {
+					w := ds.word(x + m)
+					for j := 0; j < 64; j++ {
+						want := x+m+j < days && ds.get(x+m+j)
+						if got := w>>uint(j)&1 == 1; got != want {
+							t.Fatalf("trial %d %v: word(%d) bit %d = %v, want %v", trial, k, x+m, j, got, want)
+						}
+					}
+				}
+			}
+		}
+		grid, err := h.EvaluateGrid(ms, ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, n := range ns {
+			for i, m := range ms {
+				if got, want := grid[j*len(ms)+i], referenceRule(h, m, n); got != want {
+					t.Errorf("trial %d (days %d, density %.2f): M=%d N=%d: grid %+v, reference %+v",
+						trial, days, density, m, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // referenceRule is the plain per-(M, N) evaluation of the consistency
 // rule, straight from its definition, that EvaluateGrid must match.
 func referenceRule(h *History, m, n int) RuleResult {

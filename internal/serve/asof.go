@@ -32,28 +32,37 @@ import (
 // temporalInput maps a simulated world to the temporal event model: the
 // registry's final allocations and its transfer log (in execution order),
 // plus every lease observed in the routing window, with day indexes
-// resolved to calendar dates.
+// resolved to calendar dates. Every slice is allocated once at its final
+// length, and the transfer log is read in place rather than copied.
 func temporalInput(cfg simulation.Config, w *simulation.World) temporal.Input {
-	in := temporal.Input{Start: cfg.HistoryStart, End: cfg.MarketEnd}
-	for _, a := range w.Registry.Allocations() {
-		in.Allocations = append(in.Allocations, temporal.AllocationRecord{
-			Prefix: a.Prefix, Org: string(a.Org), RIR: a.RIR, Date: a.Date, Status: string(a.Status),
-		})
+	allocs := w.Registry.Allocations()
+	in := temporal.Input{
+		Start:       cfg.HistoryStart,
+		End:         cfg.MarketEnd,
+		Allocations: make([]temporal.AllocationRecord, len(allocs)),
+		Transfers:   make([]temporal.TransferRecord, w.Registry.NumTransfers()),
+		Leases:      make([]temporal.LeaseRecord, len(w.Leases)),
 	}
-	for _, tr := range w.Registry.Transfers() {
-		in.Transfers = append(in.Transfers, temporal.TransferRecord{
+	for i, a := range allocs {
+		in.Allocations[i] = temporal.AllocationRecord{
+			Prefix: a.Prefix, Org: string(a.Org), RIR: a.RIR, Date: a.Date, Status: string(a.Status),
+		}
+	}
+	for i := range in.Transfers {
+		tr := w.Registry.TransferAt(i)
+		in.Transfers[i] = temporal.TransferRecord{
 			Prefix: tr.Prefix, From: string(tr.From), To: string(tr.To),
 			FromRIR: tr.FromRIR, ToRIR: tr.ToRIR, Type: string(tr.Type),
 			Date: tr.Date, PricePerAddr: tr.PricePerAddr,
-		})
+		}
 	}
-	for _, l := range w.Leases {
-		in.Leases = append(in.Leases, temporal.LeaseRecord{
+	for i, l := range w.Leases {
+		in.Leases[i] = temporal.LeaseRecord{
 			Parent: l.Parent, Child: l.Child,
 			FromAS: uint32(l.Provider.PrimaryAS()), ToAS: uint32(l.Customer.PrimaryAS()),
 			Start: cfg.RoutingStart.AddDate(0, 0, l.StartDay),
 			End:   cfg.RoutingStart.AddDate(0, 0, l.EndDay),
-		})
+		}
 	}
 	return in
 }

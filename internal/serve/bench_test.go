@@ -14,6 +14,7 @@ import (
 
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/store"
+	"ipv4market/internal/temporal"
 )
 
 // BenchmarkSnapshotBuild measures the write path: a full snapshot build
@@ -22,14 +23,73 @@ import (
 // DefaultConfig world marketd serves ("default/" rows). workers=1 is
 // the serial reference; the NumCPU run is what marketd does at boot.
 // Baselines live in BENCH_build.json. The speedup is bounded by the
-// hardware's core count and by the longest single stage (utilization
-// and delegations each run routing surveys; the study stage itself
-// takes about 10ms), so on a single-core machine all rows converge.
+// hardware's core count, by the study stage, which runs alone before
+// the others (16–18ms at DefaultConfig), and by the longest artifact
+// stage (utilization, about 27ms, which runs ten routing surveys), so on
+// a single-core machine all rows converge.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	logFingerprint(b, buildFingerprint())
 	benchBuild(b, testConfig(), []int{1, 4, runtime.NumCPU()})
 	b.Run("default", func(b *testing.B) {
 		benchBuild(b, simulation.DefaultConfig(), []int{1, runtime.NumCPU()})
+	})
+}
+
+// BenchmarkAsofIndex measures the as-of index's build side at
+// DefaultConfig, the world marketd serves: "input" maps the world to the
+// temporal event model (temporalInput), "new" builds the index from it
+// (temporal.New, the build's temporal stage), "record" encodes the
+// _state/temporal artifact (Index.Record, paid by every persist before a
+// swap), and "restore" decodes that record and rebuilds the index
+// (temporal.Restore, paid by warm starts, follower adoption and ?gen=
+// loads). Run with -benchmem.
+func BenchmarkAsofIndex(b *testing.B) {
+	cfg := simulation.DefaultConfig()
+	w, err := simulation.Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := temporalInput(cfg, w)
+	ix, err := temporal.New(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := ix.Record()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("allocations=%d transfers=%d leases=%d spans=%d events=%d epochs=%d record=%dB",
+		len(in.Allocations), len(in.Transfers), len(in.Leases),
+		ix.SpanCount(), ix.EventCount(), ix.EpochCount(), len(rec))
+	b.Run("input", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			temporalInput(cfg, w)
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := temporal.New(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.Record(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := temporal.Restore(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

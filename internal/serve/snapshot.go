@@ -238,10 +238,11 @@ var snapshotStages = []buildStage{
 		// stage (workers=1): the stage itself already executes inside
 		// the DAG's worker budget, and nested fan-out would oversubscribe
 		// it without changing the bytes. At DefaultConfig its ten
-		// surveys take about 2ms each. The stage takes about 30ms,
-		// level with temporal and against 20ms or less for each of
-		// the others, so the two set the multi-worker build's
-		// critical path.
+		// surveys take about 2ms each. At one worker the stage takes
+		// about 27ms, the longest artifact stage by more than twice
+		// (transfers and temporal take 10–12ms, every other stage
+		// 7ms or less), so it alone sets the multi-worker build's
+		// critical path after the study stage.
 		var err error
 		if snap.Utilization, err = study.UtilizationWorkers(1); err != nil {
 			return nil, err

@@ -3,7 +3,10 @@ package temporal
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"ipv4market/internal/netblock"
 	"ipv4market/internal/registry"
@@ -17,8 +20,10 @@ const recordVersion = 1
 
 // The record form is the normalized Input with prefixes and dates as
 // strings: canonical JSON, stable across builds, fit for a `_state/` aux
-// artifact. Restore decodes it and re-runs New, so the restored index is
-// the same pure function of the same normalized history.
+// artifact. Record writes it directly; these structs are its decoder
+// (Restore decodes them and re-runs New, so the restored index is the
+// same pure function of the same normalized history) and the reference
+// its encoder is tested against.
 type recordDoc struct {
 	Version     int           `json:"version"`
 	Start       string        `json:"start"`
@@ -59,38 +64,223 @@ type leaseRec struct {
 // Record encodes the index's normalized input history as canonical JSON:
 // the same history always yields the same bytes, and Restore rebuilds an
 // index answering every query identically.
+//
+// The bytes are exactly json.Marshal's for the history's recordDoc —
+// field order, omitempty, string escaping, float format and the error on
+// NaN or ±Inf — so records written by either encoder restore alike and
+// compare equal. Record writes them in one append pass into a buffer
+// sized up front instead of building the document and marshalling it
+// through reflection; TestRecordMatchesMarshal and its fuzz twin hold
+// the two encoders to the same bytes.
 func (ix *Index) Record() ([]byte, error) {
-	doc := recordDoc{
-		Version:     recordVersion,
-		Start:       fmtDay(ix.in.Start),
-		End:         fmtDay(ix.in.End),
-		Allocations: make([]allocRec, 0, len(ix.in.Allocations)),
-		Transfers:   make([]transferRec, 0, len(ix.in.Transfers)),
-		Leases:      make([]leaseRec, 0, len(ix.in.Leases)),
+	in := &ix.in
+	b := make([]byte, 0, recordSize(in))
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, recordVersion, 10)
+	b = append(b, `,"start":`...)
+	b = appendDay(b, in.Start)
+	b = append(b, `,"end":`...)
+	b = appendDay(b, in.End)
+
+	b = append(b, `,"allocations":[`...)
+	for i := range in.Allocations {
+		a := &in.Allocations[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendPrefix(b, `{"prefix":`, a.Prefix)
+		b = append(b, `,"org":`...)
+		b = appendString(b, a.Org)
+		b = append(b, `,"rir":`...)
+		b = appendString(b, a.RIR.String())
+		b = append(b, `,"date":`...)
+		b = appendDay(b, a.Date)
+		if a.Status != "" {
+			b = append(b, `,"status":`...)
+			b = appendString(b, a.Status)
+		}
+		b = append(b, '}')
 	}
-	for _, a := range ix.in.Allocations {
-		doc.Allocations = append(doc.Allocations, allocRec{
-			Prefix: a.Prefix.String(), Org: a.Org, RIR: a.RIR.String(),
-			Date: fmtDay(a.Date), Status: a.Status,
-		})
+
+	b = append(b, `],"transfers":[`...)
+	for i := range in.Transfers {
+		t := &in.Transfers[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendPrefix(b, `{"prefix":`, t.Prefix)
+		b = append(b, `,"from":`...)
+		b = appendString(b, t.From)
+		b = append(b, `,"to":`...)
+		b = appendString(b, t.To)
+		b = append(b, `,"from_rir":`...)
+		b = appendString(b, t.FromRIR.String())
+		b = append(b, `,"to_rir":`...)
+		b = appendString(b, t.ToRIR.String())
+		b = append(b, `,"type":`...)
+		b = appendString(b, t.Type)
+		b = append(b, `,"date":`...)
+		b = appendDay(b, t.Date)
+		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
+		if t.PricePerAddr != 0 {
+			b = append(b, `,"price_per_addr":`...)
+			var err error
+			if b, err = appendFloat(b, t.PricePerAddr); err != nil {
+				return nil, fmt.Errorf("temporal: encode record: %w", err)
+			}
+		}
+		b = append(b, '}')
 	}
-	for _, t := range ix.in.Transfers {
-		doc.Transfers = append(doc.Transfers, transferRec{
-			Prefix: t.Prefix.String(), From: t.From, To: t.To,
-			FromRIR: t.FromRIR.String(), ToRIR: t.ToRIR.String(),
-			Type: t.Type, Date: fmtDay(t.Date), PricePerAddr: t.PricePerAddr,
-		})
+
+	b = append(b, `],"leases":[`...)
+	for i := range in.Leases {
+		l := &in.Leases[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendPrefix(b, `{"parent":`, l.Parent)
+		b = appendPrefix(b, `,"child":`, l.Child)
+		b = append(b, `,"from_as":`...)
+		b = strconv.AppendUint(b, uint64(l.FromAS), 10)
+		b = append(b, `,"to_as":`...)
+		b = strconv.AppendUint(b, uint64(l.ToAS), 10)
+		b = append(b, `,"start":`...)
+		b = appendDay(b, l.Start)
+		if !l.End.IsZero() {
+			b = append(b, `,"end":`...)
+			b = appendDay(b, l.End)
+		}
+		b = append(b, '}')
 	}
-	for _, l := range ix.in.Leases {
-		doc.Leases = append(doc.Leases, leaseRec{
-			Parent: l.Parent.String(), Child: l.Child.String(),
-			FromAS: l.FromAS, ToAS: l.ToAS,
-			Start: fmtDay(l.Start), End: fmtDay(l.End),
-		})
+	return append(b, "]}"...), nil
+}
+
+// recordSize bounds Record's length from above for histories with known
+// RIRs, four-digit years and strings that need no escaping: each
+// record's fixed bytes at their widest (an 18-byte prefix, a 24-byte
+// float, 10-digit AS numbers), plus its strings. Other histories only
+// grow the buffer.
+func recordSize(in *Input) int {
+	const (
+		head     = 128
+		perAlloc = 96  // fixed bytes of one allocation, RIR name included
+		perXfer  = 168 // of one transfer, both RIR names and the price included
+		perLease = 144
+	)
+	n := head + perAlloc*len(in.Allocations) + perXfer*len(in.Transfers) + perLease*len(in.Leases)
+	for i := range in.Allocations {
+		n += len(in.Allocations[i].Org) + len(in.Allocations[i].Status)
 	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("temporal: encode record: %w", err)
+	for i := range in.Transfers {
+		t := &in.Transfers[i]
+		n += len(t.From) + len(t.To) + len(t.Type)
+	}
+	return n
+}
+
+// appendPrefix appends a field name and a prefix as a JSON string; CIDR
+// notation needs no escaping.
+func appendPrefix(b []byte, field string, p netblock.Prefix) []byte {
+	b = append(b, field...)
+	b = append(b, '"')
+	b = p.AppendTo(b)
+	return append(b, '"')
+}
+
+// appendDay appends fmtDay(t) as a JSON string: YYYY-MM-DD, or "" for the
+// zero time.
+func appendDay(b []byte, t time.Time) []byte {
+	b = append(b, '"')
+	if !t.IsZero() {
+		if y, m, d := t.Date(); y >= 0 && y <= 9999 {
+			b = append(b,
+				byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+				byte('0'+m/10), byte('0'+m%10), '-',
+				byte('0'+d/10), byte('0'+d%10))
+		} else {
+			b = t.AppendFormat(b, "2006-01-02")
+		}
+	}
+	return append(b, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as encoding/json writes a string: quoted, with
+// quotes and backslashes backslash-escaped, control bytes as \b \f \n \r \t or
+// \u00XX, '<', '>' and '&' as \u003c \u003e \u0026, invalid UTF-8 as
+// \ufffd, and U+2028 and U+2029 as \u2028 and \u2029.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// representation, in exponent form below 1e-6 or from 1e21 in magnitude,
+// with a one-digit negative exponent unpadded. NaN and ±Inf are
+// encoding/json's UnsupportedValueError.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		_, err := json.Marshal(f)
+		return b, err
+	}
+	format := byte('f')
+	//lint:ignore floatcmp encoding/json keeps exact zero out of exponent form
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
 	}
 	return b, nil
 }

@@ -27,7 +27,9 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -208,13 +210,17 @@ type Index struct {
 // [Start, End), truncating dates to UTC day granularity) and then derives
 // every structure deterministically from the normalized form, so equal
 // histories always produce equal indexes — and equal Record() bytes.
+//
+// Every build pass is linear in the history, up to the sorts, and sizes
+// its output exactly: the index keeps its slices for the life of a
+// generation.
 func New(in Input) (*Index, error) {
-	norm, err := normalize(in)
+	norm, forest, err := normalize(in)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{in: norm}
-	if err := ix.buildSpans(); err != nil {
+	if err := ix.buildSpans(forest); err != nil {
 		return nil, err
 	}
 	ix.buildDelegations()
@@ -223,35 +229,99 @@ func New(in Input) (*Index, error) {
 	return ix, nil
 }
 
+const secondsPerDay = 24 * 60 * 60
+
 // day truncates a timestamp to its UTC calendar day. The index is
 // date-granular: every event in the study lands on a UTC midnight already,
-// and queries are keyed by date.
+// and queries are keyed by date, so a UTC midnight is returned as is
+// (less any monotonic clock reading) without a calendar round trip.
 func day(t time.Time) time.Time {
 	if t.IsZero() {
 		return t
+	}
+	if t.Location() == time.UTC && t.Nanosecond() == 0 && t.Unix()%secondsPerDay == 0 {
+		return t.Round(0)
 	}
 	y, m, d := t.UTC().Date()
 	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
 }
 
+// transferForest is the covering structure of the distinct transfer
+// prefixes: a trie of those prefixes alone, held as parent links over
+// their Compare order. Prefixes either nest or are disjoint, so every
+// prefix covering a transfer prefix is on its parent chain, and one
+// ordered sweep builds the links.
+type transferForest struct {
+	prefixes []netblock.Prefix // distinct, in Compare order
+	parent   []int32           // nearest covering prefix, -1 at a root
+	of       []int32           // of[i]: index in prefixes of transfer i's prefix
+}
+
+// newTransferForest builds the forest over the transfers' prefixes.
+func newTransferForest(transfers []TransferRecord) transferForest {
+	keys := make([]uint64, len(transfers))
+	for i, t := range transfers {
+		keys[i] = prefixKey(t.Prefix)
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	f := transferForest{
+		prefixes: make([]netblock.Prefix, len(keys)),
+		parent:   make([]int32, len(keys)),
+		of:       make([]int32, len(transfers)),
+	}
+	for i, t := range transfers {
+		k, _ := slices.BinarySearch(keys, prefixKey(t.Prefix))
+		f.prefixes[k] = t.Prefix
+		f.of[i] = int32(k)
+	}
+	for k, p := range f.prefixes {
+		f.parent[k] = f.covering(int32(k)-1, p)
+	}
+	return f
+}
+
+// prefixKey packs a prefix into a key whose numeric order is Compare
+// order.
+func prefixKey(p netblock.Prefix) uint64 {
+	return uint64(p.Addr())<<8 | uint64(p.Bits())
+}
+
+// covering returns the most specific forest prefix covering p, given the
+// index of the last forest prefix that sorts on or before p (-1 if none),
+// or -1 when no forest prefix covers p. A prefix covering p sorts before
+// it, and covers every prefix sorting between the two, so it is on that
+// last prefix's parent chain.
+func (f *transferForest) covering(last int32, p netblock.Prefix) int32 {
+	for k := last; k >= 0; k = f.parent[k] {
+		if f.prefixes[k].Covers(p) {
+			return k
+		}
+	}
+	return -1
+}
+
 // normalize copies and canonicalizes the input so that the rest of the
-// build — and Record() — see one unique representation per history.
-func normalize(in Input) (Input, error) {
+// build — and Record() — see one unique representation per history. It
+// also returns the transfer prefixes' covering forest, which the date
+// repair and buildSpans share.
+func normalize(in Input) (Input, transferForest, error) {
 	out := Input{Start: day(in.Start), End: day(in.End)}
 	if out.Start.IsZero() || out.End.IsZero() || !out.Start.Before(out.End) {
-		return Input{}, fmt.Errorf("temporal: epoch [%s, %s) is empty", fmtDay(out.Start), fmtDay(out.End))
+		return Input{}, transferForest{}, fmt.Errorf("temporal: epoch [%s, %s) is empty", fmtDay(out.Start), fmtDay(out.End))
 	}
 
-	out.Allocations = append([]AllocationRecord(nil), in.Allocations...)
+	out.Allocations = slices.Clone(in.Allocations)
 	for i := range out.Allocations {
 		out.Allocations[i].Date = day(out.Allocations[i].Date)
 	}
-	sort.Slice(out.Allocations, func(i, j int) bool {
-		return out.Allocations[i].Prefix.Compare(out.Allocations[j].Prefix) < 0
-	})
+	byPrefix := func(a, b AllocationRecord) int { return a.Prefix.Compare(b.Prefix) }
+	if !slices.IsSortedFunc(out.Allocations, byPrefix) {
+		slices.SortFunc(out.Allocations, byPrefix)
+	}
 	for i := 1; i < len(out.Allocations); i++ {
 		if out.Allocations[i].Prefix == out.Allocations[i-1].Prefix {
-			return Input{}, fmt.Errorf("temporal: duplicate allocation for %v", out.Allocations[i].Prefix)
+			return Input{}, transferForest{}, fmt.Errorf("temporal: duplicate allocation for %v", out.Allocations[i].Prefix)
 		}
 	}
 
@@ -265,21 +335,22 @@ func normalize(in Input) (Input, error) {
 	// same space, which makes every block's history date-monotone while
 	// preserving the registry's final state. The repair is idempotent,
 	// so Record/Restore round-trips byte-identically.
-	out.Transfers = append([]TransferRecord(nil), in.Transfers...)
-	latest := netblock.NewTrie[time.Time]()
+	out.Transfers = slices.Clone(in.Transfers)
+	forest := newTransferForest(out.Transfers)
+	latest := make([]time.Time, len(forest.prefixes)) // zero: no entry yet
 	for i := range out.Transfers {
 		t := &out.Transfers[i]
 		t.Date = day(t.Date)
-		for _, entry := range latest.Covering(t.Prefix) {
-			if entry.Value.After(t.Date) {
-				t.Date = entry.Value
+		k := forest.of[i]
+		for a := k; a >= 0; a = forest.parent[a] {
+			if latest[a].After(t.Date) {
+				t.Date = latest[a]
 			}
 		}
-		if cur, ok := latest.Get(t.Prefix); !ok || t.Date.After(cur) {
-			latest.Insert(t.Prefix, t.Date)
-		}
+		latest[k] = t.Date
 	}
 
+	out.Leases = make([]LeaseRecord, 0, len(in.Leases))
 	for _, l := range in.Leases {
 		l.Start, l.End = day(l.Start), day(l.End)
 		if !l.Start.Before(out.End) {
@@ -296,26 +367,30 @@ func normalize(in Input) (Input, error) {
 		}
 		out.Leases = append(out.Leases, l)
 	}
-	sort.Slice(out.Leases, func(i, j int) bool {
-		a, b := out.Leases[i], out.Leases[j]
+	// The order compares every field, so it is total on distinct records
+	// and the result does not depend on the sort algorithm.
+	slices.SortFunc(out.Leases, func(a, b LeaseRecord) int {
 		if c := a.Child.Compare(b.Child); c != 0 {
-			return c < 0
+			return c
 		}
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
 		}
 		if !a.End.Equal(b.End) {
-			return leaseEndBefore(a.End, b.End)
+			if leaseEndBefore(a.End, b.End) {
+				return -1
+			}
+			return 1
 		}
 		if c := a.Parent.Compare(b.Parent); c != 0 {
-			return c < 0
+			return c
 		}
-		if a.FromAS != b.FromAS {
-			return a.FromAS < b.FromAS
+		if c := cmp.Compare(a.FromAS, b.FromAS); c != 0 {
+			return c
 		}
-		return a.ToAS < b.ToAS
+		return cmp.Compare(a.ToAS, b.ToAS)
 	})
-	return out, nil
+	return out, forest, nil
 }
 
 // leaseEndBefore orders span end dates with the open (zero) end last.
@@ -346,27 +421,70 @@ func leaseEndBefore(a, b time.Time) bool {
 // the first transfer's sender, via "origin". Untransferred blocks keep
 // their true allocation date, even when it predates the epoch (legacy
 // space).
-func (ix *Index) buildSpans() error {
+//
+// The chains come from the transfer forest: each forest prefix lists its
+// transfers in log order, and a block's chain is the merge of the lists
+// on the parent chain of the most specific forest prefix covering it.
+// A first pass finds that prefix for every block — allocations and forest
+// prefixes are both in Compare order, so one merged sweep does — and
+// counts the spans, so the span slice is allocated once at its exact size.
+func (ix *Index) buildSpans(f transferForest) error {
 	in := ix.in
-	transferTrie := netblock.NewTrie[[]int32]()
-	for i, t := range in.Transfers {
-		ids, _ := transferTrie.Get(t.Prefix)
-		transferTrie.Insert(t.Prefix, append(ids, int32(i)))
-	}
-	used := make([]bool, len(in.Transfers))
+	nPrefixes := len(f.prefixes)
 
-	// Allocations are sorted and unique after normalize.
+	// Transfers of each forest prefix, in log order: prefix k's are
+	// byPrefix[listStart[k]:listStart[k+1]].
+	listStart := make([]int32, nPrefixes+1)
+	for _, k := range f.of {
+		listStart[k+1]++
+	}
+	for k := range nPrefixes {
+		listStart[k+1] += listStart[k]
+	}
+	byPrefix := make([]int32, len(in.Transfers))
+	next := slices.Clone(listStart[:nPrefixes])
+	for i, k := range f.of {
+		byPrefix[next[k]] = int32(i)
+		next[k]++
+	}
+	// chainLen[k] counts the transfers of k and of every prefix covering
+	// it; a parent sorts before its children.
+	chainLen := make([]int32, nPrefixes)
+	for k := range nPrefixes {
+		chainLen[k] = listStart[k+1] - listStart[k]
+		if p := f.parent[k]; p >= 0 {
+			chainLen[k] += chainLen[p]
+		}
+	}
+
+	// The most specific forest prefix covering each block, and the span
+	// count.
+	cover := make([]int32, len(in.Allocations))
+	nSpans, seen := 0, int32(-1)
+	for i, a := range in.Allocations {
+		for int(seen)+1 < nPrefixes && f.prefixes[seen+1].Compare(a.Prefix) <= 0 {
+			seen++
+		}
+		k := f.covering(seen, a.Prefix)
+		cover[i] = k
+		nSpans++
+		if k >= 0 {
+			nSpans += int(chainLen[k])
+		}
+	}
+
+	used := make([]bool, nPrefixes)
+	var chain []int32 // reused: a block's transfers, in log order
+	ix.spans = make([]Span, 0, nSpans)
 	ix.holderTrie = netblock.NewTrie[spanRange]()
-	for _, a := range in.Allocations {
+	for i, a := range in.Allocations {
 		p := a.Prefix
-		var chain []int32
-		for _, entry := range transferTrie.Covering(p) {
-			chain = append(chain, entry.Value...)
+		chain = chain[:0]
+		for k := cover[i]; k >= 0; k = f.parent[k] {
+			chain = append(chain, byPrefix[listStart[k]:listStart[k+1]]...)
+			used[k] = true
 		}
-		sort.Slice(chain, func(i, j int) bool { return chain[i] < chain[j] })
-		for _, id := range chain {
-			used[id] = true
-		}
+		slices.Sort(chain)
 		lo := int32(len(ix.spans))
 		if len(chain) == 0 {
 			ix.spans = append(ix.spans, Span{
@@ -384,7 +502,7 @@ func (ix *Index) buildSpans() error {
 				Start: origin, End: first.Date, Via: ViaOrigin,
 			})
 			for i, ti := range chain {
-				t := in.Transfers[ti]
+				t := &in.Transfers[ti]
 				if i > 0 && t.Date.Before(in.Transfers[chain[i-1]].Date) {
 					return fmt.Errorf("temporal: transfers of %v out of date order", p)
 				}
@@ -406,8 +524,8 @@ func (ix *Index) buildSpans() error {
 		}
 		ix.holderTrie.Insert(p, spanRange{lo, int32(len(ix.spans))})
 	}
-	for i, u := range used {
-		if !u {
+	for i, k := range f.of {
+		if !used[k] {
 			return fmt.Errorf("temporal: transfer of %v covers no final allocation", in.Transfers[i].Prefix)
 		}
 	}
@@ -426,12 +544,9 @@ func viaOf(typ string) Acquisition {
 // trie, and the per-epoch index lists.
 func (ix *Index) buildDelegations() {
 	ix.delegTrie = netblock.NewTrie[spanRange]()
-	for _, l := range ix.in.Leases {
-		ix.delegs = append(ix.delegs, DelegationSpan{
-			Parent: l.Parent, Child: l.Child,
-			FromAS: l.FromAS, ToAS: l.ToAS,
-			Start: l.Start, End: l.End,
-		})
+	ix.delegs = make([]DelegationSpan, len(ix.in.Leases))
+	for i, l := range ix.in.Leases {
+		ix.delegs[i] = DelegationSpan(l)
 	}
 	for lo := 0; lo < len(ix.delegs); {
 		hi := lo
@@ -444,7 +559,7 @@ func (ix *Index) buildDelegations() {
 
 	// Epoch boundaries: every distinct delegation start/end inside the
 	// epoch, thinned to at most maxEpochs partitions.
-	var bounds []time.Time
+	bounds := make([]time.Time, 0, 2*len(ix.delegs))
 	for _, d := range ix.delegs {
 		if d.Start.After(ix.in.Start) {
 			bounds = append(bounds, d.Start)
@@ -453,34 +568,58 @@ func (ix *Index) buildDelegations() {
 			bounds = append(bounds, d.End)
 		}
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].Before(bounds[j]) })
-	dedup := bounds[:0]
-	for _, b := range bounds {
-		if len(dedup) == 0 || !b.Equal(dedup[len(dedup)-1]) {
-			dedup = append(dedup, b)
-		}
-	}
+	slices.SortFunc(bounds, time.Time.Compare)
+	bounds = slices.CompactFunc(bounds, time.Time.Equal)
 	stride := 1
-	if len(dedup) > maxEpochs {
-		stride = (len(dedup) + maxEpochs - 1) / maxEpochs
+	if len(bounds) > maxEpochs {
+		stride = (len(bounds) + maxEpochs - 1) / maxEpochs
 	}
-	ix.epochStarts = []time.Time{ix.in.Start}
-	for i := stride - 1; i < len(dedup); i += stride {
-		ix.epochStarts = append(ix.epochStarts, dedup[i])
+	ix.epochStarts = make([]time.Time, 1, 1+len(bounds)/stride)
+	ix.epochStarts[0] = ix.in.Start
+	for i := stride - 1; i < len(bounds); i += stride {
+		ix.epochStarts = append(ix.epochStarts, bounds[i])
 	}
-	// Spans are visited in delegs order, so every epoch's list comes out
-	// ascending, and therefore sorted by child, without a sort.
-	ix.epochs = make([][]int32, len(ix.epochStarts))
+
+	// Each span lands in the epochs [lo, hi): a first pass finds those
+	// ranges and sizes every epoch's list, and all lists share one
+	// exactly sized backing array. Spans are then visited in delegs
+	// order, so every epoch's list comes out ascending, and therefore
+	// sorted by child, without a sort.
+	nEpochs := len(ix.epochStarts)
+	ranges := make([]spanRange, len(ix.delegs))
+	sizes := make([]int32, nEpochs+1) // a difference array until summed
 	for i, d := range ix.delegs {
 		lo := lastStartAtOrBefore(ix.epochStarts, d.Start, nil)
-		hi := len(ix.epochs) - 1
+		hi := nEpochs
 		if !d.End.IsZero() {
 			// The span is dead in epochs starting at or after its end.
-			hi = sort.Search(len(ix.epochStarts), func(j int) bool {
+			hi = sort.Search(nEpochs, func(j int) bool {
 				return !ix.epochStarts[j].Before(d.End)
-			}) - 1
+			})
 		}
-		for e := lo; e <= hi; e++ {
+		hi = max(hi, lo)
+		ranges[i] = spanRange{int32(lo), int32(hi)}
+		sizes[lo]++
+		sizes[hi]--
+	}
+	total := int32(0)
+	for e := range nEpochs {
+		if e > 0 {
+			sizes[e] += sizes[e-1]
+		}
+		total += sizes[e]
+	}
+	backing := make([]int32, total)
+	ix.epochs = make([][]int32, nEpochs)
+	off := int32(0)
+	for e := range nEpochs {
+		if n := sizes[e]; n > 0 {
+			ix.epochs[e] = backing[off : off : off+n]
+			off += n
+		}
+	}
+	for i, r := range ranges {
+		for e := r.lo; e < r.hi; e++ {
 			ix.epochs[e] = append(ix.epochs[e], int32(i))
 		}
 	}
@@ -503,36 +642,70 @@ func lastStartAtOrBefore(starts []time.Time, d time.Time, probe func()) int {
 }
 
 // buildEvents merges transfers and delegation starts/ends into one
-// date-sorted stream. The sort is stable over a deterministic pre-order
+// date-sorted stream. The order is stable over a deterministic pre-order
 // (transfers in log order, then delegation starts, then ends, each in
-// normalized order), so same-day events keep a reproducible order.
+// normalized order), so same-day events keep a reproducible order. The
+// sort runs over pre-order positions, keyed by date, and the stream is
+// written once, in its final order.
 func (ix *Index) buildEvents() {
-	ix.events = make([]Event, 0, len(ix.in.Transfers)+2*len(ix.delegs))
-	for _, t := range ix.in.Transfers {
-		ix.events = append(ix.events, Event{
-			Date: t.Date, Kind: EventTransfer, Prefix: t.Prefix,
-			From: t.From, To: t.To, FromRIR: t.FromRIR, ToRIR: t.ToRIR,
-			Type: t.Type, PricePerAddr: t.PricePerAddr,
-		})
-	}
-	for _, d := range ix.delegs {
-		ix.events = append(ix.events, Event{
-			Date: d.Start, Kind: EventDelegationStart, Prefix: d.Child,
-			Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
-		})
-	}
-	for _, d := range ix.delegs {
-		if d.End.IsZero() {
-			continue
+	nT, nD := len(ix.in.Transfers), len(ix.delegs)
+	ends := make([]int32, 0, nD) // delegs with an end date, in order
+	for i, d := range ix.delegs {
+		if !d.End.IsZero() {
+			ends = append(ends, int32(i))
 		}
-		ix.events = append(ix.events, Event{
-			Date: d.End, Kind: EventDelegationEnd, Prefix: d.Child,
-			Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
-		})
 	}
-	sort.SliceStable(ix.events, func(i, j int) bool {
-		return ix.events[i].Date.Before(ix.events[j].Date)
+	// Pre-order position p is transfer p below nT, the start of
+	// delegs[p-nT] below nT+nD, and the end of delegs[ends[p-nT-nD]]
+	// after that. Every date is a UTC midnight, so Unix seconds order
+	// them as Before does.
+	n := nT + nD + len(ends)
+	dates := make([]int64, n)
+	for i := range ix.in.Transfers {
+		dates[i] = ix.in.Transfers[i].Date.Unix()
+	}
+	for i := range ix.delegs {
+		dates[nT+i] = ix.delegs[i].Start.Unix()
+	}
+	for i, di := range ends {
+		dates[nT+nD+i] = ix.delegs[di].End.Unix()
+	}
+	order := make([]int32, n)
+	for p := range order {
+		order[p] = int32(p)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(dates[a], dates[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+
+	ix.events = make([]Event, n)
+	for i, p := range order {
+		e := &ix.events[i]
+		switch {
+		case int(p) < nT:
+			t := &ix.in.Transfers[p]
+			*e = Event{
+				Date: t.Date, Kind: EventTransfer, Prefix: t.Prefix,
+				From: t.From, To: t.To, FromRIR: t.FromRIR, ToRIR: t.ToRIR,
+				Type: t.Type, PricePerAddr: t.PricePerAddr,
+			}
+		case int(p) < nT+nD:
+			d := &ix.delegs[int(p)-nT]
+			*e = Event{
+				Date: d.Start, Kind: EventDelegationStart, Prefix: d.Child,
+				Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
+			}
+		default:
+			d := &ix.delegs[ends[int(p)-nT-nD]]
+			*e = Event{
+				Date: d.End, Kind: EventDelegationEnd, Prefix: d.Child,
+				Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
+			}
+		}
+	}
 }
 
 // buildQuarters aggregates the quarterly transfer-price state. Sums are

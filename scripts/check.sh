@@ -130,6 +130,7 @@ gate_fuzz() {
     go test -run '^$' -fuzz FuzzParsePrefix -fuzztime 5s ./internal/netblock
     go test -run '^$' -fuzz FuzzIndentJSON -fuzztime 5s ./internal/serve
     go test -run '^$' -fuzz FuzzAsofDiffWindow -fuzztime 5s ./internal/serve
+    go test -run '^$' -fuzz FuzzRecordMatchesMarshal -fuzztime 5s ./internal/temporal
 }
 
 gate_load() {

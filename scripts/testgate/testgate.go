@@ -79,7 +79,7 @@ var contracts = []contract{
 	}},
 	{"ipv4market/internal/temporal", []string{
 		"TestIndexMatchesNaiveReplay", "TestPointLookupSublinear", "TestRecordRestoreRoundTrip",
-		"TestNewDeterministicUnderInputOrder", "TestIndexBuildAllocs",
+		"TestNewDeterministicUnderInputOrder", "TestIndexBuildAllocs", "TestRecordMatchesMarshal",
 	}},
 	{"ipv4market/internal/replicate", []string{
 		"TestLeaderFollowerSync", "TestFlippedBytesQuarantined", "TestTruncatedStreamResumed",
