@@ -34,7 +34,7 @@ func main() {
 	snap := srv.Snapshot()
 	fmt.Printf("snapshot #%d built in %v: %d transfers, %d price cells, %d delegations\n",
 		snap.Seq, time.Since(start).Round(time.Millisecond),
-		len(snap.Transfers), len(snap.PriceCells), snap.Delegations.Len())
+		snap.TransferTotal(), len(snap.PriceCells), snap.Delegations.Len())
 
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -183,7 +183,7 @@ func decodeMsg(err error) string {
 }
 
 // maxLIRs is the largest world a spec may ask for: the generator's
-// fixed IANA pool (simulation's poolSeeds, ten /8s) runs dry above it.
+// fixed IANA pool (simulation's poolSeeds, eleven /8s) runs dry above it.
 // Over seeds 1-1000 on DefaultConfig every world builds at 210 LIRs,
 // while 220 fails for 2 seeds in 300. TestSpecAtLIRsCapBuilds runs a
 // full snapshot build at the cap.

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -12,7 +10,6 @@ import (
 	"ipv4market/internal/registry"
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/stats"
-	"ipv4market/internal/store"
 	"ipv4market/internal/temporal"
 )
 
@@ -65,47 +62,6 @@ func temporalInput(cfg simulation.Config, w *simulation.World) temporal.Input {
 		}
 	}
 	return in
-}
-
-// temporalForRequest resolves the temporal index a request should query,
-// honoring a ?gen=N pin, with its event-row table and the generation
-// number that scopes its cache keys. The boolean is false after an error
-// response has been written.
-func (s *Server) temporalForRequest(w http.ResponseWriter, q url.Values) (*temporal.Index, *eventRows, uint64, bool) {
-	raw := q.Get("gen")
-	if raw == "" {
-		snap := s.current().snap
-		if snap.Temporal == nil {
-			// Unreachable for snapshots built or restored by this binary;
-			// kept so a future partial snapshot fails loudly, not with a
-			// nil dereference.
-			writeError(w, http.StatusNotFound, "snapshot has no temporal index")
-			return nil, nil, 0, false
-		}
-		return snap.Temporal, snap.eventRows, snap.Gen, true
-	}
-	gen, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil || gen == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("gen %q: want a positive generation ID", raw))
-		return nil, nil, 0, false
-	}
-	pg, err := s.pinnedGen(gen)
-	switch {
-	case errors.Is(err, errNoStore):
-		writeError(w, http.StatusNotFound, errNoStore.Error())
-		return nil, nil, 0, false
-	case errors.Is(err, store.ErrNotFound):
-		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d not in store (compacted or never persisted)", gen))
-		return nil, nil, 0, false
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, nil, 0, false
-	}
-	if pg.temporal == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no temporal index (persisted before as-of serving)", gen))
-		return nil, nil, 0, false
-	}
-	return pg.temporal, pg.eventRows, gen, true
 }
 
 // parseAsofDate validates a date parameter against the index's epoch:
@@ -284,10 +240,11 @@ func viewAsofPoint(ix *temporal.Index, gen uint64, p netblock.Prefix, d time.Tim
 // delegation state and price context of one prefix on one date.
 func (s *Server) handleAsof(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, _, gen, ok := s.temporalForRequest(w, q)
+	snap, ok := s.snapshotForRequest(w, q)
 	if !ok {
 		return
 	}
+	ix, gen := snap.Temporal, snap.Gen
 	rawDate, rawPrefix := q.Get("date"), q.Get("prefix")
 	if rawDate == "" || rawPrefix == "" {
 		writeError(w, http.StatusBadRequest, "asof requires date=YYYY-MM-DD and prefix=<CIDR> parameters")
@@ -319,10 +276,11 @@ func (s *Server) handleAsof(w http.ResponseWriter, r *http.Request) {
 // span of the block governing P and every delegation span touching P.
 func (s *Server) handleAsofTimeline(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, _, gen, ok := s.temporalForRequest(w, q)
+	snap, ok := s.snapshotForRequest(w, q)
 	if !ok {
 		return
 	}
+	ix, gen := snap.Temporal, snap.Gen
 	rawPrefix := q.Get("prefix")
 	if rawPrefix == "" {
 		writeError(w, http.StatusBadRequest, "asof timeline requires a prefix=<CIDR> parameter")
@@ -372,10 +330,11 @@ func (s *Server) handleAsofTimeline(w http.ResponseWriter, r *http.Request) {
 // repeat, and a whole-epoch body would count as one entry however large.
 func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
-	ix, rows, gen, ok := s.temporalForRequest(w, q)
+	snap, ok := s.snapshotForRequest(w, q)
 	if !ok {
 		return
 	}
+	ix := snap.Temporal
 	rawFrom, rawTo := q.Get("from"), q.Get("to")
 	if rawFrom == "" || rawTo == "" {
 		writeError(w, http.StatusBadRequest, "asof diff requires from=YYYY-MM-DD and to=YYYY-MM-DD parameters")
@@ -395,7 +354,7 @@ func (s *Server) handleAsofDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("from %s is after to %s", fmtDate(from), fmtDate(to)))
 		return
 	}
-	art, err := rows.diff(gen, from, to)
+	art, err := snap.eventRows.diff(snap.Gen, from, to)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

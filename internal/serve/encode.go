@@ -161,8 +161,8 @@ func wantCSV(r *http.Request, q url.Values) bool {
 // which supplies the conditional-request machinery (If-None-Match →
 // 304, Range and If-Range against the pre-set strong ETag) for every
 // artifact endpoint. The body is always the in-memory one: every
-// snapshot, restored or pinned generation holds its artifacts' bytes,
-// so no request opens a segment file. ServeContent copies the body
+// snapshot, built, restored or pinned, holds its artifacts' bytes, so
+// no request opens a segment file. ServeContent copies the body
 // through the statusWriter, whose ReadFrom sends a whole body in one
 // Write. computed marks a response rendered per query (filters,
 // lookups, as-of views), which /varz counts apart from static artifacts.

@@ -20,8 +20,8 @@ import (
 // the first row's comma) and a footer, with no per-request marshalling.
 //
 // Rows are rendered in blocks of eventRowBlock consecutive events, the
-// first time a diff needs one, and kept for the life of the generation
-// (the snapshot, or the pinned generation, that owns the index). The
+// first time a diff needs one, and kept for the life of the snapshot
+// that owns the index (served, or loaded for a ?gen= pin). The
 // whole log is never rendered at once: that would land the cost of
 // every row on the first diff after each swap. Blocks are published
 // through atomic pointers; two requests rendering the same cold block

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ipv4market/internal/netblock"
-	"ipv4market/internal/registry"
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/stats"
 )
@@ -34,7 +33,7 @@ func TestQueryETagsGolden(t *testing.T) {
 	multiCovered, anyCovering := false, false
 	for _, w := range productionWorlds(t) {
 		h := w.srv.Handler()
-		for _, path := range querySweep(w.cfg, w.srv.Snapshot().Transfers) {
+		for _, path := range querySweep(w.cfg, servedTransfers(t, h)) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 			if rec.Code != http.StatusOK {
@@ -64,13 +63,51 @@ func TestQueryETagsGolden(t *testing.T) {
 // sweepKeys is about how many transfers of each world key the sweep.
 const sweepKeys = 24
 
+// sweepTransfer is what the sweep reads of one transfer-log entry.
+type sweepTransfer struct {
+	prefix netblock.Prefix
+	date   time.Time
+	toRIR  string
+}
+
+// servedTransfers decodes the world's transfer log, in log order, from
+// its served /v1/transfers document.
+func servedTransfers(t *testing.T, h http.Handler) []sweepTransfer {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/transfers", nil))
+	var doc struct {
+		Transfers []struct {
+			Prefix string `json:"prefix"`
+			Date   string `json:"date"`
+			ToRIR  string `json:"to_rir"`
+		} `json:"transfers"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("/v1/transfers: %v", err)
+	}
+	out := make([]sweepTransfer, len(doc.Transfers))
+	for i, tr := range doc.Transfers {
+		p, err := netblock.ParsePrefix(tr.Prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := time.Parse("2006-01-02", tr.Date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = sweepTransfer{p, d, tr.ToRIR}
+	}
+	return out
+}
+
 // querySweep derives a deterministic request list from a world's
 // transfer log: for every stride-th transfer, point lookups of the block,
 // its /16, its /8 and its first /24 on the transfer date and on a day of
 // the routing window (where delegations live), timelines, a diff window
 // ending on the transfer date, delegation lookups, and the price cell of
 // the block's size, receiving region and quarter.
-func querySweep(cfg simulation.Config, transfers []registry.Transfer) []string {
+func querySweep(cfg simulation.Config, transfers []sweepTransfer) []string {
 	clamp := func(d time.Time) time.Time {
 		if d.Before(cfg.HistoryStart) {
 			return cfg.HistoryStart
@@ -85,7 +122,7 @@ func querySweep(cfg simulation.Config, transfers []registry.Transfer) []string {
 	var out []string
 	for i := 0; i < len(transfers); i += stride {
 		tr := transfers[i]
-		p := tr.Prefix
+		p := tr.prefix
 		within16, within8, inside := p, netblock.MustPrefix(p.Addr(), 8), p
 		if p.Bits() > 16 {
 			within16 = netblock.MustPrefix(p.Addr(), 16)
@@ -94,7 +131,7 @@ func querySweep(cfg simulation.Config, transfers []registry.Transfer) []string {
 			inside = netblock.MustPrefix(p.Addr(), 24)
 		}
 		routing := cfg.RoutingStart.AddDate(0, 0, (i*37)%cfg.RoutingDays)
-		for _, d := range []time.Time{clamp(tr.Date), clamp(routing)} {
+		for _, d := range []time.Time{clamp(tr.date), clamp(routing)} {
 			for _, q := range []netblock.Prefix{p, within16, within8, inside} {
 				out = append(out, "/v1/asof?date="+day(d)+"&prefix="+q.String())
 			}
@@ -102,11 +139,11 @@ func querySweep(cfg simulation.Config, transfers []registry.Transfer) []string {
 		out = append(out,
 			"/v1/asof/timeline?prefix="+p.String(),
 			"/v1/asof/timeline?prefix="+within16.String(),
-			"/v1/asof/diff?from="+day(clamp(tr.Date.AddDate(0, 0, -30)))+"&to="+day(clamp(tr.Date)),
+			"/v1/asof/diff?from="+day(clamp(tr.date.AddDate(0, 0, -30)))+"&to="+day(clamp(tr.date)),
 			"/v1/delegations?prefix="+p.String(),
 			"/v1/delegations?prefix="+within16.String(),
 			fmt.Sprintf("/v1/prices?size=/%d&region=%s&quarter=%s",
-				p.Bits(), url.QueryEscape(tr.ToRIR.String()), stats.QuarterOf(tr.Date)),
+				p.Bits(), url.QueryEscape(tr.toRIR), stats.QuarterOf(tr.date)),
 		)
 	}
 	return out

@@ -23,10 +23,7 @@ func (s *Server) routes() {
 	// served with the stored bodies and ETags.
 	static := func(key string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			q := queryOf(r)
-			if art, ok := s.artifactForRequest(w, q, key); ok {
-				s.serveArtifact(w, r, q, art, false)
-			}
+			s.serveStatic(w, r, queryOf(r), key)
 		}
 	}
 
@@ -69,10 +66,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown figure "+id+" (have 1-4)")
 		return
 	}
-	q := queryOf(r)
-	if art, ok := s.artifactForRequest(w, q, "fig"+id); ok {
-		s.serveArtifact(w, r, q, art, false)
-	}
+	s.serveStatic(w, r, queryOf(r), "fig"+id)
 }
 
 // priceFilter is the parsed /v1/prices query. The quarter rides as a
@@ -159,9 +153,7 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f.empty() {
-		if art, ok := s.artifactForRequest(w, q, "prices"); ok {
-			s.serveArtifact(w, r, q, art, false)
-		}
+		s.serveStatic(w, r, q, "prices")
 		return
 	}
 	st := s.current()
@@ -185,9 +177,7 @@ func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if raw == "" {
-		if art, ok := s.artifactForRequest(w, q, "delegations"); ok {
-			s.serveArtifact(w, r, q, art, false)
-		}
+		s.serveStatic(w, r, q, "delegations")
 		return
 	}
 	p, err := netblock.ParsePrefix(raw)

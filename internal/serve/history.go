@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ipv4market/internal/store"
-	"ipv4market/internal/temporal"
 )
 
 // This file is the time-travel surface over the durable store:
@@ -71,44 +70,33 @@ func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// pinnedGen is one past generation decoded for ?gen= reads: the static
-// artifact map, plus the restored temporal index behind pinned /v1/asof
-// queries and its event-row table (both nil for generations persisted
-// before as-of serving existed — those answer 404 on asof, never a nil
-// dereference).
-type pinnedGen struct {
-	static    map[string]*artifact
-	temporal  *temporal.Index
-	eventRows *eventRows
-}
-
-// genCache keeps recently loaded past generations decoded in memory so
-// pinned reads do not re-read and re-verify a segment file on every
-// request. Entries are evicted FIFO at a small cap; a generation
-// compacted out of the store simply ages out of here.
+// genCache keeps recently loaded past generations in memory so pinned
+// reads do not re-read and re-verify a segment file on every request.
+// Entries are evicted FIFO at a small cap; a generation compacted out of
+// the store simply ages out of here.
 type genCache struct {
 	mu      sync.Mutex
-	entries map[uint64]*pinnedGen
+	entries map[uint64]*Snapshot
 	order   []uint64
 	max     int
 }
 
 func newGenCache(max int) *genCache {
-	return &genCache{entries: make(map[uint64]*pinnedGen), max: max}
+	return &genCache{entries: make(map[uint64]*Snapshot), max: max}
 }
 
-// get returns the decoded generation, loading it through load on a miss.
+// get returns the loaded generation, loading it through load on a miss.
 // Concurrent misses for the same generation may load twice; the loads are
 // idempotent and the duplicate is dropped.
-func (c *genCache) get(gen uint64, load func() (*pinnedGen, error)) (*pinnedGen, error) {
+func (c *genCache) get(gen uint64, load func() (*Snapshot, error)) (*Snapshot, error) {
 	c.mu.Lock()
-	if pg, ok := c.entries[gen]; ok {
+	if snap, ok := c.entries[gen]; ok {
 		c.mu.Unlock()
-		return pg, nil
+		return snap, nil
 	}
 	c.mu.Unlock()
 
-	pg, err := load()
+	snap, err := load()
 	if err != nil {
 		return nil, err
 	}
@@ -119,82 +107,42 @@ func (c *genCache) get(gen uint64, load func() (*pinnedGen, error)) (*pinnedGen,
 			delete(c.entries, c.order[0])
 			c.order = c.order[1:]
 		}
-		c.entries[gen] = pg
+		c.entries[gen] = snap
 		c.order = append(c.order, gen)
 	}
 	return c.entries[gen], nil
 }
 
-// pinnedGenerations is how many past generations' artifact maps the
-// server keeps decoded in memory for ?gen= reads.
+// pinnedGenerations is how many past generations the server keeps
+// loaded in memory for ?gen= reads.
 const pinnedGenerations = 4
 
-// errNoStore distinguishes "gen= used without a store" from a bad value.
-var errNoStore = errors.New("no durable store configured (-data-dir)")
-
-// pinnedGen resolves a pinned generation, hitting the current snapshot
-// when the pin names it and the gen cache (backed by store.Load)
-// otherwise.
-func (s *Server) pinnedGen(gen uint64) (*pinnedGen, error) {
-	snap := s.Snapshot()
-	if snap.Gen == gen && snap.Gen != 0 {
-		return &pinnedGen{static: snap.static, temporal: snap.Temporal, eventRows: snap.eventRows}, nil
-	}
-	if s.opts.Store == nil {
-		return nil, errNoStore
-	}
-	return s.gens.get(gen, func() (*pinnedGen, error) {
-		_, arts, err := s.opts.Store.Load(gen)
-		if err != nil {
-			return nil, err
-		}
-		static, aux, err := assembleArtifacts(arts)
-		if err != nil {
-			return nil, err
-		}
-		pg := &pinnedGen{static: static}
-		if data, ok := aux[stateTemporal]; ok {
-			if pg.temporal, err = temporal.Restore(data); err != nil {
-				return nil, fmt.Errorf("serve: generation %d: restore temporal index: %w", gen, err)
-			}
-			pg.eventRows = newEventRows(pg.temporal)
-		}
-		return pg, nil
-	})
-}
-
-// pinnedArtifacts resolves the artifact map for a pinned generation.
-func (s *Server) pinnedArtifacts(gen uint64) (map[string]*artifact, error) {
-	pg, err := s.pinnedGen(gen)
-	if err != nil {
-		return nil, err
-	}
-	return pg.static, nil
-}
-
-// artifactForRequest resolves the artifact to serve for key, honoring a
-// ?gen=N pin. q is the request's parsed query (queryOf). The boolean is
-// false after an error response has already been written.
-func (s *Server) artifactForRequest(w http.ResponseWriter, q url.Values, key string) (*artifact, bool) {
+// snapshotForRequest resolves the snapshot a request reads, honoring a
+// ?gen=N pin: the served snapshot when the request names no generation
+// or names the one being served, otherwise the pinned generation from
+// the gen cache (loaded through loadSnapshot on a miss). q is the
+// request's parsed query (queryOf). The boolean is false after an error
+// response has already been written.
+func (s *Server) snapshotForRequest(w http.ResponseWriter, q url.Values) (*Snapshot, bool) {
+	snap := s.current().snap
 	raw := q.Get("gen")
 	if raw == "" {
-		art, ok := s.current().snap.staticArtifact(key)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown artifact "+key)
-			return nil, false
-		}
-		return art, true
+		return snap, true
 	}
 	gen, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil || gen == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("gen %q: want a positive generation ID", raw))
 		return nil, false
 	}
-	arts, err := s.pinnedArtifacts(gen)
-	switch {
-	case errors.Is(err, errNoStore):
-		writeError(w, http.StatusNotFound, errNoStore.Error())
+	if snap.Gen == gen {
+		return snap, true
+	}
+	if s.opts.Store == nil {
+		writeError(w, http.StatusNotFound, "no durable store configured (-data-dir)")
 		return nil, false
+	}
+	snap, err = s.gens.get(gen, func() (*Snapshot, error) { return s.loadSnapshot(gen) })
+	switch {
 	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d not in store (compacted or never persisted)", gen))
 		return nil, false
@@ -202,12 +150,22 @@ func (s *Server) artifactForRequest(w http.ResponseWriter, q url.Values, key str
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return nil, false
 	}
-	art, ok := arts[key]
+	return snap, true
+}
+
+// serveStatic serves the pre-encoded artifact for key from the snapshot
+// the request resolves to, with its stored body and ETag.
+func (s *Server) serveStatic(w http.ResponseWriter, r *http.Request, q url.Values, key string) {
+	snap, ok := s.snapshotForRequest(w, q)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no artifact %q", gen, key))
-		return nil, false
+		return
 	}
-	return art, true
+	art, ok := snap.staticArtifact(key)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d has no artifact %q", snap.Gen, key))
+		return
+	}
+	s.serveArtifact(w, r, q, art, false)
 }
 
 // rejectPinnedFilter answers 400 for query combinations that cannot be

@@ -26,7 +26,7 @@ type Metrics struct {
 	rebuildErrors  atomic.Int64
 
 	// Artifact accounting: mem_reads are static artifacts (every one is
-	// served from the in-memory body its snapshot or pinned generation
+	// served from the in-memory body its served or pinned snapshot
 	// holds), computed are responses rendered per query (price filters,
 	// delegation lookups, as-of views).
 	artifactMemReads atomic.Int64

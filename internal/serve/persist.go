@@ -132,9 +132,6 @@ func snapshotRecord(snap *Snapshot) (store.Meta, []store.Artifact, error) {
 	}
 	arts = append(arts, store.Artifact{Key: stateDelegs, ContentType: ctypeJSON, Body: delegJSON})
 
-	if snap.Temporal == nil {
-		return store.Meta{}, nil, fmt.Errorf("serve: persist: snapshot has no temporal index")
-	}
 	temporalJSON, err := snap.Temporal.Record()
 	if err != nil {
 		return store.Meta{}, nil, fmt.Errorf("serve: persist temporal index: %w", err)
@@ -183,10 +180,9 @@ func assembleArtifacts(arts []store.Artifact) (static map[string]*artifact, aux 
 // generation. base supplies the config knobs the store does not carry
 // (calendar windows, population probabilities); the persisted seed,
 // LIR count and routing window override it so the snapshot describes
-// the data it actually serves. Fields that exist only to build
-// artifacts (Table1, Headline, the transfer log, ...) stay zero — every
-// request path reads either the static artifacts or the restored query
-// state (price cells, delegation index).
+// the data it actually serves. The result has the same shape as a
+// built snapshot: static artifacts, price cells and table, delegation
+// index, temporal index and event rows, and the transfer count.
 func restoreSnapshot(meta store.Meta, arts []store.Artifact, base simulation.Config) (*Snapshot, error) {
 	static, aux, err := assembleArtifacts(arts)
 	if err != nil {
@@ -206,14 +202,14 @@ func restoreSnapshot(meta store.Meta, arts []store.Artifact, base simulation.Con
 	cfg.RoutingDays = meta.RoutingDays
 
 	snap := &Snapshot{
-		Cfg:           cfg,
-		Gen:           meta.Gen,
-		Source:        SourceStore,
-		BuiltAt:       meta.Created,
-		BuildTime:     time.Duration(meta.BuildNS),
-		Workers:       meta.Workers,
-		static:        static,
-		transferTotal: meta.Transfers,
+		Cfg:       cfg,
+		Gen:       meta.Gen,
+		Source:    SourceStore,
+		BuiltAt:   meta.Created,
+		BuildTime: time.Duration(meta.BuildNS),
+		Workers:   meta.Workers,
+		static:    static,
+		transfers: meta.Transfers,
 	}
 	for _, st := range meta.Stages {
 		snap.Stages = append(snap.Stages, StageTiming{Name: st.Name, Duration: time.Duration(st.NS)})
@@ -228,9 +224,10 @@ func restoreSnapshot(meta store.Meta, arts []store.Artifact, base simulation.Con
 	if snap.Delegations, err = restoreDelegations(aux[stateDelegs]); err != nil {
 		return nil, err
 	}
-	// Generations persisted before as-of serving lack the temporal state;
-	// failing here sends tryWarmStart to a cold build, which re-persists a
-	// complete generation.
+	// Generations persisted before as-of serving lack the temporal state.
+	// Failing here sends warm start to a cold build (which re-persists a
+	// complete generation), fails an adoption, and answers a ?gen= pin
+	// with the load error.
 	data, ok := aux[stateTemporal]
 	if !ok {
 		return nil, fmt.Errorf("serve: restore: missing %s state", stateTemporal)

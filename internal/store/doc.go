@@ -51,17 +51,15 @@
 // compaction, so a pinned reader can never observe two different
 // payloads under one ID.
 //
-// # Artifact readers
+// # Reading a generation
 //
-// Because sealed segments are immutable, the store keeps a frame-offset
-// index (byte offset and length of every artifact body inside its
-// segment file, rebuilt from the verified scan, never trusted from the
-// manifest). OpenArtifact returns a file-backed io.ReadSeeker over
-// exactly those bytes, Range-capable through http.ServeContent. Each
-// call opens its own file descriptor: a generation compacted or deleted
-// mid-flight surfaces as an I/O error on open, never as torn bytes. The
-// serving layer does not use it per request; it answers from the
-// bodies Load restored into memory.
+// Load is the read path: it reads one segment file whole and re-verifies
+// every checksum before returning the artifacts, so a generation
+// compacted or deleted mid-flight surfaces as an I/O error, never as
+// torn bytes. The store keeps no index of where a body sits inside its
+// segment; the serving layer answers every request from the bodies Load
+// restored into memory. OpenArtifact is Load plus picking one artifact,
+// kept for the benchmark's store probe.
 //
 // The store is safe for concurrent use. Append and CompactTo serialize
 // behind a write lock; Load, Latest, Generations, Stats and

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// TestOpenArtifactServesExactBytes checks the file-backed reader against
-// every artifact Append wrote: full reads, seek-based partial reads
-// (the Range path), and ReadAt.
+// TestOpenArtifactServesExactBytes checks the reader against every
+// artifact Append wrote: full reads, seek-based partial reads (the Range
+// path), and ReadAt.
 func TestOpenArtifactServesExactBytes(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -66,8 +66,9 @@ func TestOpenArtifactServesExactBytes(t *testing.T) {
 	}
 }
 
-// TestOpenArtifactAfterReopen checks the frame index survives the Open
-// scan path (rebuilt from segment bytes, not from any in-memory state).
+// TestOpenArtifactAfterReopen checks a reopened store reads back the
+// bytes an earlier handle appended (TestSegmentRoundTrip reads through
+// the handle that wrote them).
 func TestOpenArtifactAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -97,8 +98,9 @@ func TestOpenArtifactAfterReopen(t *testing.T) {
 	}
 }
 
-// TestOpenArtifactAfterImport checks a replicated segment is indexed
-// the same way a locally appended one is.
+// TestOpenArtifactAfterImport checks an imported segment reads back the
+// leader's bodies byte for byte (TestImportSegment checks only the
+// artifact count).
 func TestOpenArtifactAfterImport(t *testing.T) {
 	leader, err := Open(t.TempDir())
 	if err != nil {

@@ -62,15 +62,6 @@ type Artifact struct {
 	ContentType string
 	ETag        string
 	Body        []byte
-
-	// Offset and Length locate the body inside the sealed segment file
-	// the artifact belongs to. They are populated by the decoder (and by
-	// Append, for the segment it just wrote) so OpenArtifact can hand
-	// out file-backed readers; both are zero for an artifact
-	// that has not been persisted yet. Length is len(Body) even when the
-	// body itself was dropped after verification.
-	Offset int64
-	Length int64
 }
 
 // maxFrameBody bounds a single frame body (1 GiB) so a corrupt length
@@ -95,35 +86,21 @@ func appendFrame(buf []byte, kind byte, key, ctype, etag string, body []byte) []
 }
 
 // encodeSegment renders the complete segment file image for one
-// generation. The output is deterministic for identical inputs. The
-// second return value is a bodyless copy of arts with Offset/Length
-// locating each body inside the image — the frame index Append keeps so
-// OpenArtifact can serve straight from the sealed file.
-func encodeSegment(meta Meta, arts []Artifact) ([]byte, []Artifact, error) {
+// generation. The output is deterministic for identical inputs.
+func encodeSegment(meta Meta, arts []Artifact) ([]byte, error) {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: encode meta: %w", err)
+		return nil, fmt.Errorf("store: encode meta: %w", err)
 	}
 	buf := make([]byte, 0, segmentSizeHint(len(metaJSON), arts))
 	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
 	buf = appendFrame(buf, frameMeta, "meta", "application/json", "", metaJSON)
-	index := make([]Artifact, 0, len(arts))
 	for _, a := range arts {
 		if a.Key == "" {
-			return nil, nil, fmt.Errorf("store: artifact with empty key")
+			return nil, fmt.Errorf("store: artifact with empty key")
 		}
-		// The body starts after the frame header: kind byte, three
-		// length-prefixed strings, and the 4-byte body length.
-		bodyOff := len(buf) + 1 + 2 + len(a.Key) + 2 + len(a.ContentType) + 2 + len(a.ETag) + 4
 		buf = appendFrame(buf, frameArtifact, a.Key, a.ContentType, a.ETag, a.Body)
-		index = append(index, Artifact{
-			Key:         a.Key,
-			ContentType: a.ContentType,
-			ETag:        a.ETag,
-			Offset:      int64(bodyOff),
-			Length:      int64(len(a.Body)),
-		})
 	}
 	// Footer body: frame count (meta + artifacts) then the CRC of every
 	// byte written so far.
@@ -131,7 +108,7 @@ func encodeSegment(meta Meta, arts []Artifact) ([]byte, []Artifact, error) {
 	binary.LittleEndian.PutUint32(footerBody, uint32(1+len(arts)))
 	binary.LittleEndian.PutUint32(footerBody[4:], crc32.ChecksumIEEE(buf))
 	buf = appendFrame(buf, frameFooter, "", "", "", footerBody)
-	return buf, index, nil
+	return buf, nil
 }
 
 // segmentSizeHint estimates the encoded size to avoid growth copies.
@@ -155,14 +132,12 @@ func corruptf(format string, args ...any) error {
 	return &corruptError{reason: fmt.Sprintf(format, args...)}
 }
 
-// frame is one decoded segment frame: its fields, where its body sits
-// inside the containing buffer (bodyOff), and the offset just past the
-// frame (next).
+// frame is one decoded segment frame: its fields and the offset just
+// past the frame (next).
 type frame struct {
 	kind             byte
 	key, ctype, etag string
 	body             []byte
-	bodyOff          int
 	next             int
 }
 
@@ -209,7 +184,6 @@ func decodeFrame(buf []byte, off int) (frame, error) {
 	if bodyLen > maxFrameBody || off+bodyLen > len(buf) {
 		return fail("truncated in frame body (offset %d, body %d bytes)", start, bodyLen)
 	}
-	fr.bodyOff = off
 	fr.body = buf[off : off+bodyLen]
 	off += bodyLen
 	if off+4 > len(buf) {
@@ -226,8 +200,9 @@ func decodeFrame(buf []byte, off int) (frame, error) {
 
 // decodeSegment parses and fully verifies a segment image: magic,
 // version, every frame CRC, and the footer's whole-file checksum. When
-// loadBodies is false, artifact bodies are dropped after verification
-// (Open's scan pass); the metadata frame is always decoded.
+// loadBodies is false, artifact frames are verified but not returned
+// (Open's scan pass, Verify, ImportSegment); the metadata frame is
+// always decoded.
 func decodeSegment(buf []byte, loadBodies bool) (Meta, []Artifact, error) {
 	var meta Meta
 	if len(buf) < len(segMagic)+4 {
@@ -271,17 +246,14 @@ func decodeSegment(buf []byte, loadBodies bool) (Meta, []Artifact, error) {
 			if !haveMeta {
 				return meta, nil, corruptf("artifact frame before metadata frame")
 			}
-			a := Artifact{
-				Key:         fr.key,
-				ContentType: fr.ctype,
-				ETag:        fr.etag,
-				Offset:      int64(fr.bodyOff),
-				Length:      int64(len(fr.body)),
-			}
 			if loadBodies {
-				a.Body = append([]byte(nil), fr.body...)
+				arts = append(arts, Artifact{
+					Key:         fr.key,
+					ContentType: fr.ctype,
+					ETag:        fr.etag,
+					Body:        append([]byte(nil), fr.body...),
+				})
 			}
-			arts = append(arts, a)
 			frames++
 		case frameFooter:
 			if len(fr.body) != 8 {

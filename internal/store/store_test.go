@@ -84,11 +84,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 func TestEncodeSegmentDeterministic(t *testing.T) {
 	m := testMeta(7)
 	m.Gen = 3
-	a, _, err := encodeSegment(m, testArtifacts())
+	a, err := encodeSegment(m, testArtifacts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := encodeSegment(m, testArtifacts())
+	b, err := encodeSegment(m, testArtifacts())
 	if err != nil {
 		t.Fatal(err)
 	}

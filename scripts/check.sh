@@ -4,11 +4,15 @@
 #
 # Gates (run in order; each prints its wall-clock time when it passes):
 #
-#   build         — go build ./...: everything compiles
-#   vet           — go vet ./...: the standard-library analyzers stay green;
-#                   and gofmt -l: every Go file is gofmt-clean, except
-#                   the lint fixtures under internal/lint/testdata, whose
-#                   expected diagnostics are pinned to line:column
+#   build         — go build ./...: everything compiles, in the root module
+#                   and in the nested marketperf module (its own go.mod,
+#                   so the root ./... never reaches it; the benchmark
+#                   builds it against this tree's serve and store)
+#   vet           — go vet ./... in both modules: the standard-library
+#                   analyzers stay green; and gofmt -l: every Go file is
+#                   gofmt-clean, except the lint fixtures under
+#                   internal/lint/testdata, whose expected diagnostics
+#                   are pinned to line:column
 #   test          — one go test -race -json ./... run, checked by
 #                   scripts/testgate: any failed test, subtest, package
 #                   or build fails the gate with its output printed, and
@@ -20,7 +24,8 @@
 #                   absent contract fails. The suite includes the lint
 #                   self-check: every ipv4lint analyzer over the module,
 #                   failing on any finding and on any stale
-#                   //lint:ignore directive
+#                   //lint:ignore directive. Then marketperf's own
+#                   go test ./..., outside the race detector
 #   smoke         — build the serving daemon, boot it on an ephemeral
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
@@ -90,10 +95,12 @@ run_gate() {
 
 gate_build() {
     go build ./...
+    (cd marketperf && go build ./...)
 }
 
 gate_vet() {
     go vet ./...
+    (cd marketperf && go vet ./...)
     unformatted=$(find . -name '*.go' -not -path './.*' \
         -not -path './internal/lint/testdata/*' -exec gofmt -l {} +)
     if [ -n "$unformatted" ]; then
@@ -107,7 +114,8 @@ gate_test() {
     go test -race -json ./... > "$check_dir/test.json" || test_status=$?
     go run ./scripts/testgate "$check_dir/test.json"
     # testgate names what failed; go test's own status backs it up.
-    return "$test_status"
+    [ "$test_status" -eq 0 ] || return "$test_status"
+    (cd marketperf && go test ./...)
 }
 
 gate_smoke() {
