@@ -70,8 +70,10 @@ var suites = []suiteDef{
 			"(default/workers=N rows); workers=1 is the serial reference and the workers=NumCPU row is " +
 			"what marketd does at boot. The observable speedup is bounded by the hardware's core count, " +
 			"by the study stage, which runs alone before the others, and by the longest artifact stage " +
-			"(utilization, more than twice any other); per-stage wall-clock splits are exported on /varz " +
-			"as snapshot.build_stages. Determinism across worker counts is pinned by TestBuildSnapshotDeterministic.",
+			"(utilization, about twice any other); per-stage wall-clock splits are exported on /varz " +
+			"as snapshot.build_stages. cpu_ms_per_op is the process's user+system CPU time per build " +
+			"(getrusage), garbage collection included. Determinism across worker counts is pinned by " +
+			"TestBuildSnapshotDeterministic.",
 	},
 	{
 		Flag:      "serve",
@@ -87,12 +89,15 @@ var suites = []suiteDef{
 	},
 }
 
-// result is one benchmark row in the baseline file.
+// result is one benchmark row in the baseline file. CPUMsPerOp is the
+// process CPU time per operation a suite reports as cpu-ms/op (the
+// build suite does); rows of a suite without it omit the column.
 type result struct {
-	Name     string `json:"name"`
-	NsPerOp  int64  `json:"ns_per_op"`
-	BPerOp   int64  `json:"bytes_per_op"`
-	AllocsOp int64  `json:"allocs_per_op"`
+	Name       string  `json:"name"`
+	NsPerOp    int64   `json:"ns_per_op"`
+	CPUMsPerOp float64 `json:"cpu_ms_per_op,omitempty"`
+	BPerOp     int64   `json:"bytes_per_op"`
+	AllocsOp   int64   `json:"allocs_per_op"`
 }
 
 // baseline is the BENCH_*.json schema. internal/serve's
@@ -258,10 +263,12 @@ func newBaseline(s suiteDef, results []result, cpu string, fp json.RawMessage, n
 	}
 }
 
-// benchLine matches one `go test -bench` result row:
+// benchLine matches one `go test -bench` result row, with the build
+// suite's cpu-ms/op metric if it reports one:
 //
 //	BenchmarkSnapshotServe/table1-4  218061  11011 ns/op  9787 B/op  38 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//	BenchmarkSnapshotBuild/workers=1-2  3  88512345 ns/op  97.81 cpu-ms/op  18789084 B/op  66729 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) cpu-ms/op)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // fingerprintLine matches the suite's logged fingerprint:
 //
@@ -318,12 +325,17 @@ func parseBenchOutput(suite, out string) ([]result, string, error) {
 		}
 		r := result{Name: name, NsPerOp: int64(ns)}
 		if m[3] != "" {
-			if r.BPerOp, err = strconv.ParseInt(m[3], 10, 64); err != nil {
+			if r.CPUMsPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
 				return nil, "", fmt.Errorf("benchrecord: parse %q: %w", line, err)
 			}
 		}
 		if m[4] != "" {
-			if r.AllocsOp, err = strconv.ParseInt(m[4], 10, 64); err != nil {
+			if r.BPerOp, err = strconv.ParseInt(m[4], 10, 64); err != nil {
+				return nil, "", fmt.Errorf("benchrecord: parse %q: %w", line, err)
+			}
+		}
+		if m[5] != "" {
+			if r.AllocsOp, err = strconv.ParseInt(m[5], 10, 64); err != nil {
 				return nil, "", fmt.Errorf("benchrecord: parse %q: %w", line, err)
 			}
 		}
@@ -346,23 +358,27 @@ func medianRows(rows []result) []result {
 		}
 		byName[r.Name] = append(byName[r.Name], r)
 	}
-	median := func(runs []result, col func(result) int64) int64 {
-		vals := make([]int64, len(runs))
-		for i, r := range runs {
-			vals[i] = col(r)
-		}
-		slices.Sort(vals)
-		return vals[len(vals)/2]
-	}
 	out := make([]result, len(names))
 	for i, name := range names {
 		runs := byName[name]
 		out[i] = result{
-			Name:     name,
-			NsPerOp:  median(runs, func(r result) int64 { return r.NsPerOp }),
-			BPerOp:   median(runs, func(r result) int64 { return r.BPerOp }),
-			AllocsOp: median(runs, func(r result) int64 { return r.AllocsOp }),
+			Name:       name,
+			NsPerOp:    median(runs, func(r result) int64 { return r.NsPerOp }),
+			CPUMsPerOp: median(runs, func(r result) float64 { return r.CPUMsPerOp }),
+			BPerOp:     median(runs, func(r result) int64 { return r.BPerOp }),
+			AllocsOp:   median(runs, func(r result) int64 { return r.AllocsOp }),
 		}
 	}
 	return out
+}
+
+// median returns the median of one column over runs (the upper middle
+// for an even count).
+func median[T int64 | float64](runs []result, col func(result) T) T {
+	vals := make([]T, len(runs))
+	for i, r := range runs {
+		vals[i] = col(r)
+	}
+	slices.Sort(vals)
+	return vals[len(vals)/2]
 }

@@ -47,23 +47,24 @@ func TestParseBenchOutput(t *testing.T) {
 
 // TestParseBenchOutputMedian checks that rows a -count run repeats
 // fold into one row per name, in first-seen order, each column the
-// median of its runs, so one slow run does not move the baseline.
+// median of its runs — the build suite's cpu-ms/op column included —
+// so one slow run does not move the baseline.
 func TestParseBenchOutputMedian(t *testing.T) {
 	out := `cpu: test
-BenchmarkSnapshotBuild/workers=1-2   3   100 ns/op   10 B/op   7 allocs/op
-BenchmarkSnapshotBuild/workers=2-2   3    60 ns/op   11 B/op   8 allocs/op
-BenchmarkSnapshotBuild/workers=1-2   3   900 ns/op   12 B/op   5 allocs/op
-BenchmarkSnapshotBuild/workers=2-2   3    50 ns/op   11 B/op   8 allocs/op
-BenchmarkSnapshotBuild/workers=1-2   3   120 ns/op   14 B/op   6 allocs/op
-BenchmarkSnapshotBuild/workers=2-2   3    70 ns/op   11 B/op   8 allocs/op
+BenchmarkSnapshotBuild/workers=1-2   3   100 ns/op   1.5 cpu-ms/op   10 B/op   7 allocs/op
+BenchmarkSnapshotBuild/workers=2-2   3    60 ns/op   2.25 cpu-ms/op   11 B/op   8 allocs/op
+BenchmarkSnapshotBuild/workers=1-2   3   900 ns/op   9.5 cpu-ms/op   12 B/op   5 allocs/op
+BenchmarkSnapshotBuild/workers=2-2   3    50 ns/op   2 cpu-ms/op   11 B/op   8 allocs/op
+BenchmarkSnapshotBuild/workers=1-2   3   120 ns/op   1.25 cpu-ms/op   14 B/op   6 allocs/op
+BenchmarkSnapshotBuild/workers=2-2   3    70 ns/op   3 cpu-ms/op   11 B/op   8 allocs/op
 `
 	results, _, err := parseBenchOutput("BenchmarkSnapshotBuild", out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []result{
-		{Name: "workers=1", NsPerOp: 120, BPerOp: 12, AllocsOp: 6},
-		{Name: "workers=2", NsPerOp: 60, BPerOp: 11, AllocsOp: 8},
+		{Name: "workers=1", NsPerOp: 120, CPUMsPerOp: 1.5, BPerOp: 12, AllocsOp: 6},
+		{Name: "workers=2", NsPerOp: 60, CPUMsPerOp: 2.25, BPerOp: 11, AllocsOp: 8},
 	}
 	if len(results) != len(want) || results[0] != want[0] || results[1] != want[1] {
 		t.Errorf("rows = %+v, want %+v", results, want)

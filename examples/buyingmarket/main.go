@@ -30,7 +30,7 @@ func main() {
 	transfers := w.Registry.Transfers()
 
 	fmt.Println("== Transfer volume (Figure 2) ==")
-	counts := market.QuarterlyCounts(market.FilterMarketTransfers(transfers))
+	counts := market.QuarterlyCounts(market.FilterMarketTransfers(w.Registry))
 	for _, rir := range registry.AllRIRs() {
 		total := 0
 		for _, qc := range counts[rir] {

@@ -157,8 +157,11 @@ func encodeUpdateMessage(u UpdateRecord) []byte {
 	for _, p := range u.Withdrawn {
 		withdrawn = appendNLRI(withdrawn, p)
 	}
+	// Path attributes go with announcements, and with any update that
+	// carries them without NLRI, so a decoded update re-encodes to
+	// itself; a withdraw-only update has none.
 	var attrs []byte
-	if len(u.Announced) > 0 {
+	if len(u.Announced) > 0 || u.Path != nil || u.Origin != OriginIGP || u.NextHop != 0 {
 		attrs = encodePathAttrs(u.Path, u.Origin, u.NextHop)
 	}
 	var nlri []byte
@@ -224,6 +227,28 @@ func be32(b []byte, v uint32) []byte {
 
 // ---- decoding ----
 
+// maxExactBody is the largest record body read into one buffer of the
+// length the header claims.
+const maxExactBody = 64 << 10
+
+// body reads a record body of length bytes. A larger body than
+// maxExactBody is read as it arrives, so a truncated stream whose header
+// claims a huge length costs only the bytes it has.
+func (r *Reader) body(length uint32) ([]byte, error) {
+	if length <= maxExactBody {
+		body := make([]byte, length)
+		if _, err := io.ReadFull(r.r, body); err != nil {
+			return nil, fmt.Errorf("%w: truncated body", ErrMalformed)
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(r.r, int64(length)))
+	if err != nil || len(body) != int(length) {
+		return nil, fmt.Errorf("%w: truncated body", ErrMalformed)
+	}
+	return body, nil
+}
+
 // Record is a decoded MRT record: exactly one of the fields is non-nil.
 type Record struct {
 	Timestamp time.Time
@@ -260,9 +285,9 @@ func (r *Reader) Next() (Record, error) {
 		if length > 64<<20 {
 			return Record{}, fmt.Errorf("%w: record length %d", ErrMalformed, length)
 		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(r.r, body); err != nil {
-			return Record{}, fmt.Errorf("%w: truncated body", ErrMalformed)
+		body, err := r.body(length)
+		if err != nil {
+			return Record{}, err
 		}
 		switch {
 		case typ == mrtTypeTableDumpV2 && subtype == subtypePeerIndexTable:

@@ -2,8 +2,10 @@ package bgp
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -285,5 +287,34 @@ func TestCollectorSnapshotAndSurvey(t *testing.T) {
 	}
 	if c.MonitorID(0) != "rrc00:198.51.100.1" {
 		t.Errorf("MonitorID = %q", c.MonitorID(0))
+	}
+}
+
+// TestReaderLargeRecord covers a record body over maxExactBody, which
+// the reader reads as it arrives: a peer table of 6,000 peers decodes
+// whole, and the same stream cut short fails as truncated.
+func TestReaderLargeRecord(t *testing.T) {
+	peers := make([]PeerEntry, 6000)
+	for i := range peers {
+		peers[i] = PeerEntry{BGPID: netblock.Addr(i), IP: netblock.Addr(0xc6336400 + i), AS: ASN(64512 + i)}
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WritePeerIndexTable(ts(), 0, "big", peers); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if buf.Len() <= maxExactBody+12 {
+		t.Fatalf("peer table is %d bytes, want a body over %d", buf.Len(), maxExactBody)
+	}
+	rec, err := NewReader(bytes.NewReader(buf.Bytes())).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Peers, peers) {
+		t.Errorf("decoded %d peers, want the %d written", len(rec.Peers), len(peers))
+	}
+	if _, err := NewReader(bytes.NewReader(buf.Bytes()[:buf.Len()-1])).Next(); !errors.Is(err, ErrMalformed) {
+		t.Errorf("truncated large record: err = %v, want ErrMalformed", err)
 	}
 }

@@ -27,6 +27,12 @@ type OriginSurvey struct {
 	// first Observe, so a survey fed only through ObserveAt has none.
 	index    map[netblock.Prefix]int
 	prefixes []prefixObs
+	// more holds the origins of a record after its first, each chained
+	// to the record's next; words holds the monitor sets' words after
+	// their first. Records index both by int32, so no record holds a
+	// pointer and the collector never scans them.
+	more  []originObs
+	words []uint64
 }
 
 // prefixObs is everything the survey knows about one prefix.
@@ -35,55 +41,90 @@ type prefixObs struct {
 	// asSet is set if any monitor saw the prefix originated by an AS_SET
 	// (such prefixes are discarded by step (iii)).
 	asSet bool
-	// origins lists each origin AS seen with the monitors seeing it; a
-	// prefix seen only via AS_SET has none.
-	origins []originObs
+	// origins counts the origin ASes seen; a prefix seen only via
+	// AS_SET has none. The first is inline, the rest chained in more.
+	origins int32
+	first   originObs
 }
 
+// originObs is one origin AS with the set of monitors seeing it: the
+// first 64 in lo, the rest in words[hi:hi+nhi], word w of which holds
+// monitors 64(w+1) to 64(w+1)+63.
 type originObs struct {
-	origin   ASN
-	monitors monitorSet
+	origin ASN
+	// next is the index in more of the record's next origin, plus one;
+	// 0 ends the chain.
+	next    int32
+	lo      uint64
+	hi, nhi int32
 }
 
-// monitorSet is a set of monitor indexes: the first 64 inline, the rest
-// in overflow words.
-type monitorSet struct {
-	lo uint64
-	hi []uint64
+// firstOrigin returns the record's first origin, or nil if it has none.
+func (obs *prefixObs) firstOrigin() *originObs {
+	if obs.origins == 0 {
+		return nil
+	}
+	return &obs.first
 }
 
-func (m *monitorSet) add(i int) {
+// nextOrigin returns the origin chained after o, or nil.
+func (s *OriginSurvey) nextOrigin(o *originObs) *originObs {
+	if o.next == 0 {
+		return nil
+	}
+	return &s.more[o.next-1]
+}
+
+// overflow returns o's monitor words after its first.
+func (s *OriginSurvey) overflow(o *originObs) []uint64 {
+	return s.words[o.hi : o.hi+o.nhi]
+}
+
+// growWords makes o's overflow n words long, n > o.nhi, by moving it to
+// the end of words.
+func (s *OriginSurvey) growWords(o *originObs, n int) {
+	start := len(s.words)
+	s.words = append(s.words, s.overflow(o)...)
+	for len(s.words) < start+n {
+		s.words = append(s.words, 0)
+	}
+	o.hi, o.nhi = int32(start), int32(n)
+}
+
+// add adds monitor i to o's set.
+func (s *OriginSurvey) add(o *originObs, i int) {
 	if i < 64 {
-		m.lo |= 1 << uint(i)
+		o.lo |= 1 << uint(i)
 		return
 	}
 	w := i/64 - 1
-	for len(m.hi) <= w {
-		m.hi = append(m.hi, 0)
+	if w >= int(o.nhi) {
+		s.growWords(o, w+1)
 	}
-	m.hi[w] |= 1 << uint(i%64)
+	s.words[int(o.hi)+w] |= 1 << uint(i%64)
 }
 
 // addWords adds the monitors of a non-empty bitset whose word w holds
 // monitors 64w to 64w+63, growing the overflow only to its last
 // non-zero word.
-func (m *monitorSet) addWords(words []uint64) {
-	m.lo |= words[0]
+func (s *OriginSurvey) addWords(o *originObs, words []uint64) {
+	o.lo |= words[0]
 	last := len(words) - 1
 	for last > 0 && words[last] == 0 {
 		last--
 	}
-	for len(m.hi) < last {
-		m.hi = append(m.hi, 0)
+	if last > int(o.nhi) {
+		s.growWords(o, last)
 	}
 	for w := 1; w <= last; w++ {
-		m.hi[w-1] |= words[w]
+		s.words[int(o.hi)+w-1] |= words[w]
 	}
 }
 
-func (m *monitorSet) len() int {
-	n := bits.OnesCount64(m.lo)
-	for _, w := range m.hi {
+// monitorCount returns the size of o's monitor set.
+func (s *OriginSurvey) monitorCount(o *originObs) int {
+	n := bits.OnesCount64(o.lo)
+	for _, w := range s.overflow(o) {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -96,18 +137,31 @@ func NewOriginSurvey() *OriginSurvey {
 
 // NewPrefixSurvey returns an empty survey with one record for each of
 // the distinct prefixes, record i for prefixes[i], for ObserveAt and
-// ObserveSetAt. Each record's first origin comes from one block
-// allocated here, so only a prefix with several origins allocates
-// later. Prefixes in ascending order leave Pairs an already-sorted
-// list.
+// ObserveSetAt. Each record holds its first origin inline, so only a
+// prefix with several origins, or a monitor past the first 64, grows
+// the survey later. Prefixes in ascending order leave Pairs an
+// already-sorted list.
 func NewPrefixSurvey(prefixes []netblock.Prefix) *OriginSurvey {
 	s := NewOriginSurvey()
-	s.prefixes = make([]prefixObs, len(prefixes))
-	firsts := make([]originObs, len(prefixes))
-	for i, p := range prefixes {
-		s.prefixes[i] = prefixObs{prefix: p, origins: firsts[i : i : i+1]}
-	}
+	s.Reset(prefixes)
 	return s
+}
+
+// Reset empties the survey, monitors included, and gives it one record
+// for each of the distinct prefixes, as NewPrefixSurvey does. It keeps
+// the survey's storage, so refilling a survey for another day of the
+// same size allocates nothing.
+func (s *OriginSurvey) Reset(prefixes []netblock.Prefix) {
+	if s.monitors == nil {
+		s.monitors = make(map[string]int)
+	}
+	clear(s.monitors)
+	s.index = nil
+	s.prefixes = slices.Grow(s.prefixes[:0], len(prefixes))[:len(prefixes)]
+	for i, p := range prefixes {
+		s.prefixes[i] = prefixObs{prefix: p}
+	}
+	s.more, s.words = s.more[:0], s.words[:0]
 }
 
 // AddView records one monitor's sanitized routes. The monitor ID must be
@@ -142,7 +196,7 @@ func (s *OriginSurvey) Observe(m int, p netblock.Prefix, path ASPath) {
 	if !asSet && !ok {
 		return
 	}
-	s.prefixes[s.record(p)].observe(m, origin, asSet)
+	s.observe(s.record(p), m, origin, asSet)
 }
 
 // ObserveAt records that monitor m holds one sanitized route for the
@@ -150,7 +204,7 @@ func (s *OriginSurvey) Observe(m int, p netblock.Prefix, path ASPath) {
 // AS_SET if asSet, else one originated by origin. It is Observe with
 // the record and the path's outcome already known.
 func (s *OriginSurvey) ObserveAt(m, i int, origin ASN, asSet bool) {
-	s.prefixes[i].observe(m, origin, asSet)
+	s.observe(i, m, origin, asSet)
 }
 
 // ObserveSetAt records ObserveAt(m, i, origin, asSet) for every monitor
@@ -161,32 +215,51 @@ func (s *OriginSurvey) ObserveSetAt(i int, origin ASN, asSet bool, monitors []ui
 	if !slices.ContainsFunc(monitors, func(w uint64) bool { return w != 0 }) {
 		return
 	}
+	if asSet {
+		s.prefixes[i].asSet = true
+		return
+	}
+	s.addWords(s.originObs(i, origin), monitors)
+}
+
+func (s *OriginSurvey) observe(i, m int, origin ASN, asSet bool) {
+	if asSet {
+		s.prefixes[i].asSet = true
+		return
+	}
+	s.add(s.originObs(i, origin), m)
+}
+
+// originObs returns record i's pair with origin, adding the pair if it
+// is new. The pointer is valid until the survey next grows more.
+func (s *OriginSurvey) originObs(i int, origin ASN) *originObs {
 	obs := &s.prefixes[i]
-	if asSet {
-		obs.asSet = true
-		return
+	if obs.origins == 0 {
+		obs.origins = 1
+		obs.first = originObs{origin: origin}
+		return &obs.first
 	}
-	obs.originObs(origin).addWords(monitors)
-}
-
-func (obs *prefixObs) observe(m int, origin ASN, asSet bool) {
-	if asSet {
-		obs.asSet = true
-		return
-	}
-	obs.originObs(origin).add(m)
-}
-
-// originObs returns the monitor set of the prefix's pair with origin,
-// adding the pair if it is new.
-func (obs *prefixObs) originObs(origin ASN) *monitorSet {
-	for i := range obs.origins {
-		if obs.origins[i].origin == origin {
-			return &obs.origins[i].monitors
+	// last is the chain's last origin as an index into more, -1 for
+	// obs.first: the append below may move more, so a pointer into it
+	// would link the new origin into the old array.
+	last := -1
+	for o := &obs.first; ; o = &s.more[o.next-1] {
+		if o.origin == origin {
+			return o
 		}
+		if o.next == 0 {
+			break
+		}
+		last = int(o.next - 1)
 	}
-	obs.origins = append(obs.origins, originObs{origin: origin})
-	return &obs.origins[len(obs.origins)-1].monitors
+	s.more = append(s.more, originObs{origin: origin})
+	if last < 0 {
+		obs.first.next = int32(len(s.more))
+	} else {
+		s.more[last].next = int32(len(s.more))
+	}
+	obs.origins++
+	return &s.more[len(s.more)-1]
 }
 
 // record returns p's record index, creating the record on first sight.
@@ -230,14 +303,14 @@ func (po PrefixOrigin) Visibility(totalMonitors int) float64 {
 // MOAS/AS_SET flags, sorted by prefix then origin.
 func (s *OriginSurvey) Pairs() []PrefixOrigin {
 	out := make([]PrefixOrigin, 0, len(s.prefixes))
-	for _, obs := range s.prefixes {
-		moas := len(obs.origins) > 1
-		for _, o := range obs.origins {
+	for i := range s.prefixes {
+		obs := &s.prefixes[i]
+		for o := obs.firstOrigin(); o != nil; o = s.nextOrigin(o) {
 			out = append(out, PrefixOrigin{
 				Prefix:   obs.prefix,
 				Origin:   o.origin,
-				Monitors: o.monitors.len(),
-				MOAS:     moas,
+				Monitors: s.monitorCount(o),
+				MOAS:     obs.origins > 1,
 				ASSet:    obs.asSet,
 			})
 		}
@@ -257,12 +330,13 @@ func (s *OriginSurvey) Pairs() []PrefixOrigin {
 // entries that pass both filters, without building or sorting Pairs.
 func (s *OriginSurvey) EachVisiblePrefix(minVisibility float64, fn func(netblock.Prefix)) {
 	total := s.NumMonitors()
-	for _, obs := range s.prefixes {
+	for i := range s.prefixes {
+		obs := &s.prefixes[i]
 		if obs.asSet {
 			continue
 		}
-		for _, o := range obs.origins {
-			if total > 0 && float64(o.monitors.len())/float64(total) >= minVisibility {
+		for o := obs.firstOrigin(); o != nil; o = s.nextOrigin(o) {
+			if total > 0 && float64(s.monitorCount(o))/float64(total) >= minVisibility {
 				fn(obs.prefix)
 				break
 			}
@@ -277,13 +351,13 @@ func (s *OriginSurvey) EachVisiblePrefix(minVisibility float64, fn func(netblock
 func (s *OriginSurvey) CleanPairs(minVisibility float64) map[netblock.Prefix]ASN {
 	total := s.NumMonitors()
 	out := make(map[netblock.Prefix]ASN)
-	for _, obs := range s.prefixes {
-		if obs.asSet || len(obs.origins) != 1 {
+	for i := range s.prefixes {
+		obs := &s.prefixes[i]
+		if obs.asSet || obs.origins != 1 {
 			continue
 		}
-		o := obs.origins[0]
-		if total > 0 && float64(o.monitors.len())/float64(total) >= minVisibility {
-			out[obs.prefix] = o.origin
+		if total > 0 && float64(s.monitorCount(&obs.first))/float64(total) >= minVisibility {
+			out[obs.prefix] = obs.first.origin
 		}
 	}
 	return out
@@ -295,12 +369,13 @@ func (s *OriginSurvey) CleanPairs(minVisibility float64) map[netblock.Prefix]ASN
 // the baseline Krenc-Feldmann algorithm consumes.
 func (s *OriginSurvey) RawPairs() map[netblock.Prefix][]ASN {
 	out := make(map[netblock.Prefix][]ASN, len(s.prefixes))
-	for _, obs := range s.prefixes {
-		if len(obs.origins) == 0 {
+	for i := range s.prefixes {
+		obs := &s.prefixes[i]
+		if obs.origins == 0 {
 			continue
 		}
-		origins := make([]ASN, 0, len(obs.origins))
-		for _, o := range obs.origins {
+		origins := make([]ASN, 0, obs.origins)
+		for o := obs.firstOrigin(); o != nil; o = s.nextOrigin(o) {
 			origins = append(origins, o.origin)
 		}
 		slices.Sort(origins)

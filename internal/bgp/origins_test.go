@@ -218,3 +218,62 @@ func TestEachVisiblePrefix(t *testing.T) {
 		t.Errorf("EachVisiblePrefix = %v, want %v (10/8 and the MOAS 11/8)", got, want)
 	}
 }
+
+// TestOriginSurveyManyOrigins gives one prefix three origins and another
+// four, interleaved so the side array of later origins grows while a
+// chain is being extended, on fresh surveys fed by prefix, by record
+// index and by bitset. Every origin must be listed once, with every
+// monitor that saw it: a later sighting of a known origin adds no pair.
+func TestOriginSurveyManyOrigins(t *testing.T) {
+	prefixes := []netblock.Prefix{pfx("10.0.0.0/8"), pfx("11.0.0.0/8")}
+	type sighting struct {
+		m, rec int
+		origin ASN
+	}
+	sightings := []sighting{
+		{0, 0, 1}, {0, 1, 1}, {1, 0, 2}, {1, 1, 2}, {2, 0, 3}, {2, 1, 3},
+		{3, 1, 4}, {3, 0, 3}, {4, 1, 4}, {4, 0, 3}, {5, 1, 3},
+	}
+	byPrefix := NewOriginSurvey()
+	byIndex := NewPrefixSurvey(prefixes)
+	bySet := NewPrefixSurvey(prefixes)
+	for m := 0; m <= 5; m++ {
+		id := fmt.Sprintf("m%d", m)
+		byPrefix.AddMonitor(id)
+		byIndex.AddMonitor(id)
+		bySet.AddMonitor(id)
+	}
+	for _, s := range sightings {
+		byPrefix.Observe(s.m, prefixes[s.rec], NewPath(9, s.origin))
+		byIndex.ObserveAt(s.m, s.rec, s.origin, false)
+		bySet.ObserveSetAt(s.rec, s.origin, false, []uint64{1 << uint(s.m)})
+	}
+	want := []PrefixOrigin{
+		{Prefix: prefixes[0], Origin: 1, Monitors: 1, MOAS: true},
+		{Prefix: prefixes[0], Origin: 2, Monitors: 1, MOAS: true},
+		{Prefix: prefixes[0], Origin: 3, Monitors: 3, MOAS: true},
+		{Prefix: prefixes[1], Origin: 1, Monitors: 1, MOAS: true},
+		{Prefix: prefixes[1], Origin: 2, Monitors: 1, MOAS: true},
+		{Prefix: prefixes[1], Origin: 3, Monitors: 2, MOAS: true},
+		{Prefix: prefixes[1], Origin: 4, Monitors: 2, MOAS: true},
+	}
+	wantRaw := map[netblock.Prefix][]ASN{prefixes[0]: {1, 2, 3}, prefixes[1]: {1, 2, 3, 4}}
+	for _, c := range []struct {
+		name string
+		s    *OriginSurvey
+	}{{"by prefix", byPrefix}, {"by index", byIndex}, {"by bitset", bySet}} {
+		if got := c.s.Pairs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Pairs %s = %+v\nwant %+v", c.name, got, want)
+		}
+		if got := c.s.RawPairs(); !reflect.DeepEqual(got, wantRaw) {
+			t.Errorf("RawPairs %s = %v, want %v", c.name, got, wantRaw)
+		}
+		// Only origins past the second reach a third of the monitors;
+		// both prefixes must still be found.
+		var visible []netblock.Prefix
+		c.s.EachVisiblePrefix(2.0/6, func(p netblock.Prefix) { visible = append(visible, p) })
+		if !reflect.DeepEqual(visible, prefixes) {
+			t.Errorf("EachVisiblePrefix %s = %v, want %v", c.name, visible, prefixes)
+		}
+	}
+}

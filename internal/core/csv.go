@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"ipv4market/internal/market"
 	"ipv4market/internal/registry"
 )
 
@@ -41,8 +42,10 @@ func (s *Study) Figure1CSV(w io.Writer) error {
 }
 
 // Figure2CSV writes the quarterly transfer counts per region.
-func (s *Study) Figure2CSV(w io.Writer) error {
-	counts := s.Figure2()
+func (s *Study) Figure2CSV(w io.Writer) error { return WriteFigure2CSV(w, s.Figure2()) }
+
+// WriteFigure2CSV writes Figure 2's quarterly counts as Figure2CSV does.
+func WriteFigure2CSV(w io.Writer, counts map[registry.RIR][]market.QuarterCount) error {
 	var rows [][]string
 	for _, rir := range registry.AllRIRs() {
 		for _, qc := range counts[rir] {
@@ -53,9 +56,12 @@ func (s *Study) Figure2CSV(w io.Writer) error {
 }
 
 // Figure3CSV writes the inter-RIR flows.
-func (s *Study) Figure3CSV(w io.Writer) error {
-	var rows [][]string
-	for _, f := range s.Figure3() {
+func (s *Study) Figure3CSV(w io.Writer) error { return WriteFigure3CSV(w, s.Figure3()) }
+
+// WriteFigure3CSV writes Figure 3's flows as Figure3CSV does.
+func WriteFigure3CSV(w io.Writer, flows []market.InterRIRFlow) error {
+	rows := make([][]string, 0, len(flows))
+	for _, f := range flows {
 		rows = append(rows, []string{
 			strconv.Itoa(f.Year), f.From.String(), f.To.String(),
 			strconv.Itoa(f.Count), strconv.FormatUint(f.Addresses, 10),
@@ -65,9 +71,12 @@ func (s *Study) Figure3CSV(w io.Writer) error {
 }
 
 // Figure4CSV writes the monthly advertised-price samples per provider.
-func (s *Study) Figure4CSV(w io.Writer) error {
-	var rows [][]string
-	for _, p := range s.Figure4() {
+func (s *Study) Figure4CSV(w io.Writer) error { return WriteFigure4CSV(w, s.Figure4()) }
+
+// WriteFigure4CSV writes Figure 4's price samples as Figure4CSV does.
+func WriteFigure4CSV(w io.Writer, points []Figure4Point) error {
+	rows := make([][]string, 0, len(points))
+	for _, p := range points {
 		rows = append(rows, []string{
 			p.Date.Format("2006-01-02"), p.Provider,
 			strconv.FormatBool(p.Bundled), f2(p.Price),

@@ -99,7 +99,7 @@ func (s *Study) Figure1() []market.PriceCell {
 // Figure2 returns quarterly market-transfer counts per region, with M&A
 // filtered out where the RIR labels it.
 func (s *Study) Figure2() map[registry.RIR][]market.QuarterCount {
-	return market.QuarterlyCounts(market.FilterMarketTransfers(s.World.Registry.Transfers()))
+	return market.QuarterlyCounts(market.FilterMarketTransfers(s.World.Registry))
 }
 
 // Figure2Workers is Figure2 with the per-RIR aggregation fanned out
@@ -107,12 +107,12 @@ func (s *Study) Figure2() map[registry.RIR][]market.QuarterCount {
 // is always equal to Figure2's — per-RIR series are merged by RIR index,
 // not completion order.
 func (s *Study) Figure2Workers(workers int) (map[registry.RIR][]market.QuarterCount, error) {
-	return market.QuarterlyCountsWorkers(market.FilterMarketTransfers(s.World.Registry.Transfers()), workers)
+	return market.QuarterlyCountsWorkers(market.FilterMarketTransfers(s.World.Registry), workers)
 }
 
 // Figure3 returns the inter-RIR transfer flows by year.
 func (s *Study) Figure3() []market.InterRIRFlow {
-	return market.InterRIRFlows(s.World.Registry.Transfers())
+	return market.InterRIRFlows(s.World.Registry)
 }
 
 // Figure4Point is one provider's advertised price at one sample date.

@@ -40,7 +40,8 @@ func (s *Study) Utilization() ([]UtilizationPoint, error) {
 // UtilizationWorkers is Utilization with an explicit worker count (<= 0:
 // NumCPU) for the per-quarter survey sampling. Each quarter derives from
 // the read-only world independently and results merge in quarter order,
-// so the output is identical at any worker count.
+// so the output is identical at any worker count. The quarters share
+// one survey buffer per worker, refilled in place for each sampled day.
 func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 	windowEnd := s.Cfg.RoutingStart.AddDate(0, 0, s.Cfg.RoutingDays)
 	var sampleDays []int
@@ -58,9 +59,19 @@ func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 		q = next
 	}
 	allocated := s.allocatedOn(sampleDays)
+	// At most one buffer per running worker: a worker takes an idle
+	// buffer or makes one, and gives it back when its quarter is done.
+	idle := make(chan *simulation.SurveyBuffer, len(sampleDays))
 	points, err := parallel.Map(context.Background(), workers, len(sampleDays),
 		func(_ context.Context, i int) (UtilizationPoint, error) {
-			return s.utilizationAt(sampleDays[i], allocated[i]), nil
+			var buf *simulation.SurveyBuffer
+			select {
+			case buf = <-idle:
+			default:
+				buf = new(simulation.SurveyBuffer)
+			}
+			defer func() { idle <- buf }()
+			return s.utilizationAt(buf, sampleDays[i], allocated[i]), nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: utilization sampling: %w", err)
@@ -90,13 +101,13 @@ func (s *Study) allocatedOn(days []int) []uint64 {
 }
 
 // utilizationAt computes one quarter's point, given the day's allocated
-// address count. Pure derivation of the read-only world: safe for
-// concurrent calls on distinct days.
-func (s *Study) utilizationAt(day int, allocated uint64) UtilizationPoint {
+// address count, surveying the day into buf. Pure derivation of the
+// read-only world: safe for concurrent calls with distinct buffers.
+func (s *Study) utilizationAt(buf *simulation.SurveyBuffer, day int, allocated uint64) UtilizationPoint {
 	at := s.Cfg.RoutingStart.AddDate(0, 0, day)
 
 	routed := netblock.NewSet()
-	s.Routing.SurveyAt(day).EachVisiblePrefix(utilizationMinVisibility, routed.AddPrefix)
+	s.Routing.SurveyInto(buf, day).EachVisiblePrefix(utilizationMinVisibility, routed.AddPrefix)
 
 	// Active addresses: the activity fraction applied per canonical
 	// disjoint prefix of the routed set (disjointness prevents leased

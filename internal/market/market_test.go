@@ -30,7 +30,7 @@ func TestFilterMarketTransfers(t *testing.T) {
 		tr(registry.RIPENCC, registry.RIPENCC, registry.TypeMerger, "185.0.1.0/24", date(2020, 1, 2)),
 		tr(registry.APNIC, registry.APNIC, registry.TypeMerger, "103.0.0.0/24", date(2020, 1, 3)),
 	}
-	out := FilterMarketTransfers(in)
+	out := FilterMarketTransfers(Transfers(in))
 	// RIPE labels M&A → removed; APNIC does not → kept.
 	if len(out) != 2 {
 		t.Fatalf("filtered = %v", out)
@@ -49,7 +49,7 @@ func TestQuarterlyCounts(t *testing.T) {
 		tr(registry.RIPENCC, registry.RIPENCC, registry.TypeMarket, "185.0.2.0/24", date(2020, 5, 10)),
 		tr(registry.ARIN, registry.RIPENCC, registry.TypeMarket, "23.0.0.0/24", date(2020, 1, 15)), // inter-RIR: excluded
 	}
-	got := QuarterlyCounts(in)
+	got := QuarterlyCounts(Transfers(in))
 	ripe := got[registry.RIPENCC]
 	if len(ripe) != 2 {
 		t.Fatalf("ripe series = %v", ripe)
@@ -72,7 +72,7 @@ func TestInterRIRFlowsAndNetFlow(t *testing.T) {
 		tr(registry.ARIN, registry.RIPENCC, registry.TypeMarket, "23.2.0.0/22", date(2020, 2, 1)),
 		tr(registry.RIPENCC, registry.RIPENCC, registry.TypeMarket, "185.0.0.0/24", date(2019, 4, 1)), // intra: excluded
 	}
-	flows := InterRIRFlows(in)
+	flows := InterRIRFlows(Transfers(in))
 	if len(flows) != 3 {
 		t.Fatalf("flows = %v", flows)
 	}

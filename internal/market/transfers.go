@@ -14,13 +14,32 @@ import (
 	"ipv4market/internal/stats"
 )
 
-// FilterMarketTransfers removes merger-and-acquisition transfers for RIRs
-// that label them (AFRINIC, ARIN, RIPE NCC). For APNIC and LACNIC the
-// label is absent from the public logs, so M&A records pass through —
-// exactly the bias §3 of the paper describes.
-func FilterMarketTransfers(transfers []registry.Transfer) []registry.Transfer {
-	out := make([]registry.Transfer, 0, len(transfers))
-	for _, t := range transfers {
+// TransferLog is read access to a transfer log in execution order.
+// *registry.Registry reads its own log in place through it; Transfers
+// adapts a slice.
+type TransferLog interface {
+	NumTransfers() int
+	TransferAt(i int) registry.Transfer
+}
+
+// Transfers is a transfer slice read as a TransferLog.
+type Transfers []registry.Transfer
+
+// NumTransfers returns len(ts).
+func (ts Transfers) NumTransfers() int { return len(ts) }
+
+// TransferAt returns ts[i].
+func (ts Transfers) TransferAt(i int) registry.Transfer { return ts[i] }
+
+// FilterMarketTransfers copies out of log the transfers that are not
+// merger-and-acquisition transfers of RIRs that label them (AFRINIC,
+// ARIN, RIPE NCC). For APNIC and LACNIC the label is absent from the
+// public logs, so M&A records pass through — exactly the bias §3 of
+// the paper describes.
+func FilterMarketTransfers(log TransferLog) Transfers {
+	out := make(Transfers, 0, log.NumTransfers())
+	for i := range log.NumTransfers() {
+		t := log.TransferAt(i)
 		if t.Type == registry.TypeMerger && registry.LabelsMA(t.FromRIR) {
 			continue
 		}
@@ -39,9 +58,10 @@ type QuarterCount struct {
 // quarter — the series Figure 2 plots. Inter-RIR transfers are excluded
 // (they are Figure 3's subject); the region is the source RIR, i.e. the
 // registry that maintained the block (footnote 1).
-func QuarterlyCounts(transfers []registry.Transfer) map[registry.RIR][]QuarterCount {
+func QuarterlyCounts(log TransferLog) map[registry.RIR][]QuarterCount {
 	counts := make(map[registry.RIR]map[stats.Quarter]int)
-	for _, t := range transfers {
+	for i := range log.NumTransfers() {
+		t := log.TransferAt(i)
 		if t.IsInterRIR() {
 			continue
 		}
@@ -70,14 +90,15 @@ func QuarterlyCounts(transfers []registry.Transfer) map[registry.RIR][]QuarterCo
 // QuarterlyCountsWorkers is QuarterlyCounts with the per-RIR aggregation
 // fanned out across at most the given number of workers (<= 0: NumCPU):
 // each RIR's quarterly series is counted by its own worker over the
-// shared, read-only transfer slice, and the merge assigns results by RIR
+// shared, read-only transfer log, and the merge assigns results by RIR
 // index, so the returned map is always equal to QuarterlyCounts'. The
 // only possible error is a recovered worker panic.
-func QuarterlyCountsWorkers(transfers []registry.Transfer, workers int) (map[registry.RIR][]QuarterCount, error) {
+func QuarterlyCountsWorkers(log TransferLog, workers int) (map[registry.RIR][]QuarterCount, error) {
 	rirs := registry.AllRIRs()
 	series, err := parallel.Map(context.Background(), workers, len(rirs), func(_ context.Context, i int) ([]QuarterCount, error) {
 		byQ := make(map[stats.Quarter]int)
-		for _, t := range transfers {
+		for j := range log.NumTransfers() {
+			t := log.TransferAt(j)
 			if t.IsInterRIR() || t.FromRIR != rirs[i] {
 				continue
 			}
@@ -120,13 +141,14 @@ type InterRIRFlow struct {
 // InterRIRFlows aggregates inter-RIR transfers by (source, destination,
 // year), with total address volume — the data behind Figure 3. Results
 // are sorted by year, then source, then destination.
-func InterRIRFlows(transfers []registry.Transfer) []InterRIRFlow {
+func InterRIRFlows(log TransferLog) []InterRIRFlow {
 	type key struct {
 		from, to registry.RIR
 		year     int
 	}
 	agg := make(map[key]*InterRIRFlow)
-	for _, t := range transfers {
+	for i := range log.NumTransfers() {
+		t := log.TransferAt(i)
 		if !t.IsInterRIR() {
 			continue
 		}

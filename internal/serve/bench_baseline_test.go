@@ -28,10 +28,11 @@ type benchBaseline struct {
 	// Fingerprint is the suite's benchFingerprint at recording time.
 	Fingerprint json.RawMessage `json:"fingerprint"`
 	Results     []struct {
-		Name     string `json:"name"`
-		NsPerOp  int64  `json:"ns_per_op"`
-		BPerOp   int64  `json:"bytes_per_op"`
-		AllocsOp int64  `json:"allocs_per_op"`
+		Name       string  `json:"name"`
+		NsPerOp    int64   `json:"ns_per_op"`
+		CPUMsPerOp float64 `json:"cpu_ms_per_op"`
+		BPerOp     int64   `json:"bytes_per_op"`
+		AllocsOp   int64   `json:"allocs_per_op"`
 	} `json:"results"`
 }
 
@@ -95,8 +96,9 @@ func checkFingerprint(t *testing.T, b benchBaseline, file, suite string, fp benc
 
 // TestBenchBuildJSONParses keeps the BenchmarkSnapshotBuild baseline
 // well-formed and current: it needs the serial (workers=1) reference
-// row, and a baseline recorded against other worlds or another stage
-// list (buildFingerprint) fails.
+// row, every row needs the process CPU time per build (cpu_ms_per_op),
+// and a baseline recorded against other worlds or another stage list
+// (buildFingerprint) fails.
 func TestBenchBuildJSONParses(t *testing.T) {
 	b := loadBaseline(t, "BENCH_build.json", "BenchmarkSnapshotBuild")
 	checkFingerprint(t, b, "BENCH_build.json", "build", buildFingerprint())
@@ -104,6 +106,9 @@ func TestBenchBuildJSONParses(t *testing.T) {
 	for _, r := range b.Results {
 		if r.Name == "workers=1" {
 			serial = true
+		}
+		if r.CPUMsPerOp <= 0 {
+			t.Errorf("row %q: cpu_ms_per_op = %v, want > 0; re-record with scripts/bench.sh -suite build", r.Name, r.CPUMsPerOp)
 		}
 	}
 	if !serial {

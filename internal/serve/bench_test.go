@@ -22,11 +22,15 @@ import (
 // build-stage worker counts, on the test world and on the
 // DefaultConfig world marketd serves ("default/" rows). workers=1 is
 // the serial reference; the NumCPU run is what marketd does at boot.
-// Baselines live in BENCH_build.json. The speedup is bounded by the
-// hardware's core count, by the study stage, which runs alone before
-// the others (16–18ms at DefaultConfig), and by the longest artifact
-// stage (utilization, about 27ms, which runs ten routing surveys), so on
-// a single-core machine all rows converge.
+// Beside wall time each row reports cpu-ms/op, the process's user and
+// system CPU time per build (getrusage), which the garbage collector's
+// background work counts toward and which a busy host disturbs less
+// than wall time. Baselines live in BENCH_build.json. The speedup is
+// bounded by the hardware's core count, by the study stage, which runs
+// alone before the others (12–17ms at DefaultConfig), and by the
+// longest artifact stage (utilization, 14–24ms, which refills one
+// survey for ten quarters), so on a single-core machine all rows
+// converge.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	logFingerprint(b, buildFingerprint())
 	benchBuild(b, testConfig(), []int{1, 4, runtime.NumCPU()})
@@ -148,6 +152,7 @@ func benchBuild(b *testing.B, cfg simulation.Config, counts []int) {
 		seen[w] = true
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
+			cpu0 := processCPU()
 			for i := 0; i < b.N; i++ {
 				snap, err := BuildSnapshotOpts(cfg, BuildOptions{Workers: w})
 				if err != nil {
@@ -157,6 +162,7 @@ func benchBuild(b *testing.B, cfg simulation.Config, counts []int) {
 					b.Fatal("empty delegation index")
 				}
 			}
+			b.ReportMetric(float64(processCPU()-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
 		})
 	}
 }

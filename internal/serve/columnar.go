@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
+	"ipv4market/internal/jsonenc"
 	"ipv4market/internal/market"
 	"ipv4market/internal/registry"
 	"ipv4market/internal/stats"
@@ -25,15 +25,16 @@ import (
 // priceCellsCSV(cells)) over cells = filterPriceCells(cells, f.match)
 // — same bodies, same ETags — so warm-started and cold-built servers,
 // and servers from before this layout existed, answer filtered queries
-// identically. The reference lives beside TestPriceTableRenderIdentity,
-// which pins the contract.
+// identically. The reference lives in the package's tests (viewPriceCells
+// in oracle_test.go), and TestPriceTableRenderIdentity pins the
+// contract. The unfiltered render is the fig1 and /v1/prices artifact.
 type priceTable struct {
 	bits    []int
 	region  []registry.RIR
 	quarter []stats.Quarter
 
 	// jsonRow[i] is json.MarshalIndent(rowView, "    ", "  "), written
-	// by appendIndent — the array-element encoding at the exact depth
+	// by appendPriceRow — the array-element encoding at the exact depth
 	// it appears inside the priceCellsView document. csvRow[i] is the row's rendered CSV line
 	// including the terminator; csvHeader is the column-header line.
 	jsonRow   [][]byte
@@ -72,28 +73,17 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 		t.region[i] = c.Region
 		t.quarter[i] = c.Quarter
 
-		view := priceCellView{
-			Quarter: c.Quarter.String(),
-			Bits:    c.Bits,
-			Region:  c.Region.String(),
-			N:       c.Box.N,
-			Min:     c.Box.Min,
-			Q1:      c.Box.Q1,
-			Median:  c.Box.Median,
-			Q3:      c.Box.Q3,
-			Max:     c.Box.Max,
-			Mean:    c.Box.Mean,
-		}
-		row, err := json.Marshal(view)
+		quarter, region := c.Quarter.String(), c.Region.String()
+		row, err := appendPriceRow(rowBuf[:0], quarter, region, c)
 		if err != nil {
 			return nil, fmt.Errorf("serve: price table row %d: %w", i, err)
 		}
-		rowBuf = appendIndent(rowBuf[:0], row, "    ")
-		t.jsonRow[i] = bytes.Clone(rowBuf)
+		rowBuf = row
+		t.jsonRow[i] = bytes.Clone(row)
 
 		buf.Reset()
 		err = cw.Write([]string{
-			view.Quarter, strconv.Itoa(c.Bits), view.Region,
+			quarter, strconv.Itoa(c.Bits), region,
 			strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
 			f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
 		})
@@ -107,6 +97,34 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 		t.csvRow[i] = append([]byte(nil), buf.Bytes()...)
 	}
 	return t, nil
+}
+
+// appendPriceRow appends cell c's row of the prices document as it sits
+// in the cells array: json.MarshalIndent of its priceCellView with
+// prefix "    " and indent "  ", written field by field. A NaN or
+// infinite statistic fails as json.Marshal fails.
+func appendPriceRow(b []byte, quarter, region string, c market.PriceCell) ([]byte, error) {
+	b = append(b, "{\n      \"quarter\": "...)
+	b = jsonenc.AppendString(b, quarter)
+	b = append(b, ",\n      \"bits\": "...)
+	b = strconv.AppendInt(b, int64(c.Bits), 10)
+	b = append(b, ",\n      \"region\": "...)
+	b = jsonenc.AppendString(b, region)
+	b = append(b, ",\n      \"n\": "...)
+	b = strconv.AppendInt(b, int64(c.Box.N), 10)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"min", c.Box.Min}, {"q1", c.Box.Q1}, {"median", c.Box.Median}, {"q3", c.Box.Q3}, {"max", c.Box.Max}, {"mean", c.Box.Mean}} {
+		b = append(b, ",\n      \""...)
+		b = append(b, f.name...)
+		b = append(b, "\": "...)
+		var err error
+		if b, err = jsonenc.AppendFloat(b, f.v); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "\n    }"...), nil
 }
 
 // len reports the row count.

@@ -129,7 +129,7 @@ type Server struct {
 // New returns the serving layer for cfg with a snapshot ready to serve:
 // restored from the durable store when it holds a valid generation,
 // built synchronously otherwise (at DefaultConfig on a 2-core host a
-// restore takes 65–70ms, a one-worker build 85–95ms). A cold-built
+// restore takes 55–75ms, a one-worker build 55–75ms). A cold-built
 // initial snapshot is persisted like any other successful build.
 func New(cfg simulation.Config, opts Options) (*Server, error) {
 	s := &Server{

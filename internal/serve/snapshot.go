@@ -166,28 +166,32 @@ var snapshotStages = []buildStage{
 			return nil, err
 		}
 		// fig1 and the unfiltered /v1/prices serve the same bytes, so
-		// they share one artifact (and one ETag).
-		arts, err := one("fig1", viewPriceCells(snap.PriceCells), study.Figure1CSV)
-		if err != nil {
-			return nil, err
-		}
-		return append(arts, keyedArtifact{"prices", arts[0].art}), nil
+		// they share one artifact (and one ETag): the price table's
+		// render with no filter, whose CSV is Figure 1's.
+		art := snap.prices.render(priceFilter{})
+		return []keyedArtifact{{"fig1", art}, {"prices", art}}, nil
 	}},
 	{"transfer_series", func(_ *Snapshot, study *core.Study, workers int) ([]keyedArtifact, error) {
 		counts, err := study.Figure2Workers(workers)
 		if err != nil {
 			return nil, err
 		}
-		return one("fig2", viewTransferSeries(counts), study.Figure2CSV)
+		return one("fig2", viewTransferSeries(counts), func(w io.Writer) error { return core.WriteFigure2CSV(w, counts) })
 	}},
 	{"interrir_flows", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		return one("fig3", viewInterRIRFlows(study.Figure3()), study.Figure3CSV)
+		flows := study.Figure3()
+		return one("fig3", viewInterRIRFlows(flows), func(w io.Writer) error { return core.WriteFigure3CSV(w, flows) })
 	}},
 	{"leasing_prices", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		return one("fig4", viewLeasingPoints(study.Figure4()), study.Figure4CSV)
+		points := study.Figure4()
+		return one("fig4", viewLeasingPoints(points), func(w io.Writer) error { return core.WriteFigure4CSV(w, points) })
 	}},
 	{"transfers", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		return one("transfers", viewTransfers(study.World.Registry.Transfers()), nil)
+		body, err := transfersBody(study.World.Registry)
+		if err != nil {
+			return nil, fmt.Errorf("transfers: serve: encode: %w", err)
+		}
+		return []keyedArtifact{{"transfers", &artifact{json: body, jsonETag: etagOf(body)}}}, nil
 	}},
 	{"headline", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
 		h, err := study.Headline()
@@ -216,11 +220,11 @@ var snapshotStages = []buildStage{
 		// stage (workers=1): the stage itself already executes inside
 		// the DAG's worker budget, and nested fan-out would oversubscribe
 		// it without changing the bytes. At DefaultConfig its ten
-		// surveys take about 2ms each. At one worker the stage takes
-		// about 27ms, the longest artifact stage by more than twice
-		// (transfers and temporal take 10–12ms, every other stage
-		// 7ms or less), so it alone sets the multi-worker build's
-		// critical path after the study stage.
+		// quarters refill one survey, under 2ms each. At one worker
+		// the stage takes 14–24ms, the longest artifact stage by about
+		// twice (temporal takes 9–10ms, every other stage 6ms or
+		// less), so it alone sets the multi-worker build's critical
+		// path after the study stage.
 		points, err := study.UtilizationWorkers(1)
 		if err != nil {
 			return nil, err

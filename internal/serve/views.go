@@ -6,6 +6,7 @@ import (
 
 	"ipv4market/internal/core"
 	"ipv4market/internal/delegation"
+	"ipv4market/internal/jsonenc"
 	"ipv4market/internal/market"
 	"ipv4market/internal/registry"
 )
@@ -47,45 +48,6 @@ func viewTable1(rows []core.Table1Row) table1View {
 			Phase2020:       r.Phase2020.String(),
 			MaxAssignment:   r.MaxAssignment,
 			WaitingList:     r.WaitingList,
-		})
-	}
-	return out
-}
-
-// ---- /v1/figures/1 and /v1/prices ----
-
-type priceCellView struct {
-	Quarter string  `json:"quarter"`
-	Bits    int     `json:"bits"`
-	Region  string  `json:"region"`
-	N       int     `json:"n"`
-	Min     float64 `json:"min"`
-	Q1      float64 `json:"q1"`
-	Median  float64 `json:"median"`
-	Q3      float64 `json:"q3"`
-	Max     float64 `json:"max"`
-	Mean    float64 `json:"mean"`
-}
-
-type priceCellsView struct {
-	Cells []priceCellView `json:"cells"`
-	N     int             `json:"n"`
-}
-
-func viewPriceCells(cells []market.PriceCell) priceCellsView {
-	out := priceCellsView{Cells: make([]priceCellView, 0, len(cells)), N: len(cells)}
-	for _, c := range cells {
-		out.Cells = append(out.Cells, priceCellView{
-			Quarter: c.Quarter.String(),
-			Bits:    c.Bits,
-			Region:  c.Region.String(),
-			N:       c.Box.N,
-			Min:     c.Box.Min,
-			Q1:      c.Box.Q1,
-			Median:  c.Box.Median,
-			Q3:      c.Box.Q3,
-			Max:     c.Box.Max,
-			Mean:    c.Box.Mean,
 		})
 	}
 	return out
@@ -201,79 +163,131 @@ func viewLeasing(snap market.LeasingSnapshot, changes []market.PriceChange) leas
 
 // ---- /v1/transfers ----
 
-type transferView struct {
-	Prefix       string  `json:"prefix"`
-	From         string  `json:"from"`
-	To           string  `json:"to"`
-	FromRIR      string  `json:"from_rir"`
-	ToRIR        string  `json:"to_rir"`
-	Type         string  `json:"type"`
-	Date         string  `json:"date"`
-	PricePerAddr float64 `json:"price_per_addr,omitempty"`
-}
-
-type yearCountView struct {
-	Year      int    `json:"year"`
-	Count     int    `json:"count"`
-	Addresses uint64 `json:"addresses"`
-}
-
-type transfersView struct {
-	Total     int             `json:"total"`
-	Market    int             `json:"market"`
-	Mergers   int             `json:"mergers"`
-	InterRIR  int             `json:"inter_rir"`
-	ByYear    []yearCountView `json:"by_year"`
-	Transfers []transferView  `json:"transfers"`
-}
-
-func viewTransfers(transfers []registry.Transfer) transfersView {
-	out := transfersView{
-		Total:     len(transfers),
-		Transfers: make([]transferView, 0, len(transfers)),
-	}
-	byYear := make(map[int]*yearCountView)
+// transfersBody renders the /v1/transfers JSON body straight from the
+// transfer log, read in place: the totals, the per-year counts and
+// every transfer, indented as encodeJSON indents. Its bytes, and its
+// error on a NaN or infinite price, are exactly those of the
+// reflection-marshalled document it replaced (viewTransfers in
+// oracle_test.go, which TestTransfersBodyMatchesMarshal and
+// FuzzTransfersBody compare with it), so no ETag moved:
+// prices of 0 and -0 are omitted as omitempty omits them, and an empty
+// log has "by_year": null but "transfers": [].
+func transfersBody(log market.TransferLog) ([]byte, error) {
+	n := log.NumTransfers()
+	var nMarket, mergers, interRIR int
 	minYear, maxYear := 0, 0
-	for _, t := range transfers {
-		switch t.Type {
-		case registry.TypeMerger:
-			out.Mergers++
-		default:
-			out.Market++
+	size := 256
+	for i := range n {
+		t := log.TransferAt(i)
+		if t.Type == registry.TypeMerger {
+			mergers++
+		} else {
+			nMarket++
 		}
 		if t.IsInterRIR() {
-			out.InterRIR++
+			interRIR++
 		}
+		// The year range follows the document this body replaced, whose
+		// minYear of 0 meant unset: a transfer in year 0 can restart the
+		// range at a later year, and a range that ends at 0 lists nothing.
 		y := t.Date.UTC().Year()
-		if byYear[y] == nil {
-			byYear[y] = &yearCountView{Year: y}
-		}
-		byYear[y].Count++
-		byYear[y].Addresses += t.Prefix.NumAddrs()
 		if minYear == 0 || y < minYear {
 			minYear = y
 		}
-		if y > maxYear {
-			maxYear = y
-		}
-		out.Transfers = append(out.Transfers, transferView{
-			Prefix:       t.Prefix.String(),
-			From:         string(t.From),
-			To:           string(t.To),
-			FromRIR:      t.FromRIR.String(),
-			ToRIR:        t.ToRIR.String(),
-			Type:         string(t.Type),
-			Date:         fmtDate(t.Date),
-			PricePerAddr: t.PricePerAddr,
-		})
+		maxYear = max(maxYear, y)
+		size += transferBodySize + len(t.From) + len(t.To) + len(t.Type)
 	}
-	for y := minYear; y <= maxYear && minYear != 0; y++ {
-		if v := byYear[y]; v != nil {
-			out.ByYear = append(out.ByYear, *v)
+	type yearCount struct {
+		count int
+		addrs uint64
+	}
+	var years []yearCount
+	if n > 0 && minYear != 0 {
+		years = make([]yearCount, maxYear-minYear+1)
+		size += 80 * len(years)
+		for i := range n {
+			t := log.TransferAt(i)
+			if y := t.Date.UTC().Year(); y >= minYear {
+				years[y-minYear].count++
+				years[y-minYear].addrs += t.Prefix.NumAddrs()
+			}
 		}
 	}
-	return out
+
+	b := make([]byte, 0, size)
+	b = append(b, "{\n  \"total\": "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, ",\n  \"market\": "...)
+	b = strconv.AppendInt(b, int64(nMarket), 10)
+	b = append(b, ",\n  \"mergers\": "...)
+	b = strconv.AppendInt(b, int64(mergers), 10)
+	b = append(b, ",\n  \"inter_rir\": "...)
+	b = strconv.AppendInt(b, int64(interRIR), 10)
+	b = append(b, ",\n  \"by_year\": "...)
+	if years == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		first := true
+		for i, y := range years {
+			if y.count == 0 {
+				continue
+			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = append(b, "\n    {\n      \"year\": "...)
+			b = strconv.AppendInt(b, int64(minYear+i), 10)
+			b = append(b, ",\n      \"count\": "...)
+			b = strconv.AppendInt(b, int64(y.count), 10)
+			b = append(b, ",\n      \"addresses\": "...)
+			b = strconv.AppendUint(b, y.addrs, 10)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, ",\n  \"transfers\": ["...)
+	for i := range n {
+		t := log.TransferAt(i)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"prefix\": \""...)
+		b = t.Prefix.AppendTo(b)
+		b = append(b, "\",\n      \"from\": "...)
+		b = jsonenc.AppendString(b, string(t.From))
+		b = append(b, ",\n      \"to\": "...)
+		b = jsonenc.AppendString(b, string(t.To))
+		b = append(b, ",\n      \"from_rir\": "...)
+		b = jsonenc.AppendString(b, t.FromRIR.String())
+		b = append(b, ",\n      \"to_rir\": "...)
+		b = jsonenc.AppendString(b, t.ToRIR.String())
+		b = append(b, ",\n      \"type\": "...)
+		b = jsonenc.AppendString(b, string(t.Type))
+		b = append(b, ",\n      \"date\": "...)
+		b = jsonenc.AppendDay(b, t.Date)
+		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
+		if t.PricePerAddr != 0 {
+			b = append(b, ",\n      \"price_per_addr\": "...)
+			var err error
+			if b, err = jsonenc.AppendFloat(b, t.PricePerAddr); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, "\n    }"...)
+	}
+	if n > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "]\n}\n"...), nil
 }
+
+// transferBodySize bounds one transfer's bytes in transfersBody beside
+// its party and type strings, for known RIRs and four-digit years: the
+// field names and indentation, an 18-byte prefix, two RIR names and a
+// 24-byte price. Other logs only grow the buffer.
+const transferBodySize = 256
 
 // ---- /v1/delegations ----
 

@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -272,17 +273,63 @@ func (w *World) RoutedLeases() []*Lease {
 	return out
 }
 
-// dayRNG returns the deterministic per-day random source used for the
+// daySeed seeds the deterministic per-day random source used for the
 // day's shared events (hijacks and their observer assignment).
-func (rs *RoutingSim) dayRNG(day int) *rand.Rand {
-	return rand.New(rand.NewSource(rs.w.Cfg.Seed*1_000_003 + int64(day)))
-}
+func (rs *RoutingSim) daySeed(day int) int64 { return rs.w.Cfg.Seed*1_000_003 + int64(day) }
 
-// visRNG returns the per-(day, collector) source used for per-monitor
+// visSeed seeds the per-(day, collector) source used for per-monitor
 // visibility sampling, so that SurveyAt and CollectorAt see identical
 // views.
-func (rs *RoutingSim) visRNG(day, collector int) *rand.Rand {
-	return rand.New(rand.NewSource(rs.w.Cfg.Seed*7_368_787 + int64(day)*131 + int64(collector)))
+func (rs *RoutingSim) visSeed(day, collector int) int64 {
+	return rs.w.Cfg.Seed*7_368_787 + int64(day)*131 + int64(collector)
+}
+
+// visibleProb is the chance that a monitor holds a given active
+// announcement on a day.
+const visibleProb = 0.97
+
+// visMax and visRedraw state the visibility draw rng.Float64() <=
+// visibleProb in integers. Float64 is float64(x)/2⁶³ for x =
+// rng.Int63(), drawn again when that rounds to 1, so it redraws exactly
+// when x >= visRedraw, and the draw is visible exactly when x <= visMax.
+// Both bounds come from a search over that conversion, so they match it
+// bit for bit. SurveyInto draws this way, with one integer compare;
+// selectRoutes keeps Float64, so TestCollectorAtMatchesSurveyAt checks
+// one form against the other.
+var visMax, visRedraw = visibilityBounds(visibleProb)
+
+// visibilityBounds returns the largest x with float64(x)/2⁶³ <= p and
+// the smallest x with float64(x)/2⁶³ == 1, over the non-negative int64s.
+func visibilityBounds(p float64) (maxVisible, redraw int64) {
+	frac := func(x int64) float64 { return float64(x) / (1 << 63) }
+	return firstInt64(func(x int64) bool { return frac(x) > p }) - 1,
+		firstInt64(func(x int64) bool { return frac(x) >= 1 })
+}
+
+// firstInt64 returns the smallest x in [0, math.MaxInt64] with f(x), or
+// math.MaxInt64 if there is none, for an f that is false and then true
+// over that range.
+func firstInt64(f func(int64) bool) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if f(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// visible draws whether a monitor holds an active announcement, as
+// rng.Float64() <= visibleProb does, making the same Int63 draws.
+func visible(rng *rand.Rand) bool {
+	x := rng.Int63()
+	for x >= visRedraw {
+		x = rng.Int63()
+	}
+	return x <= visMax
 }
 
 // dayView is one day's routing input, shared by every monitor: the
@@ -296,20 +343,21 @@ type dayView struct {
 	nActive  int            // anns[:nActive] are the active announcements
 	prefixOf []int32        // anns[i].prefix is prefixes[prefixOf[i]]
 	prefixes []netblock.Prefix
-	// hijackMonitors[h] lists the monitors observing anns[nActive+h].
-	hijackMonitors [][]int
+	// hijackMonitors[h] holds the monitors observing anns[nActive+h].
+	hijackMonitors []observers
 }
+
+// observers holds the one or two global monitor indexes observing a
+// hijack; the second is -1 for a hijack only one monitor sees.
+type observers [2]int32
 
 // dayView computes the day's shared state: active announcements,
 // hijacks, which monitors observe each hijack, and the prefix index.
 func (rs *RoutingSim) dayView(day int) *dayView {
-	anns := append(slices.Clip(rs.anns), rs.varyingOn(day)...)
-	hijacks, hijackMonitors := rs.hijacksOn(day)
-	dv := &dayView{
-		anns:           append(anns, hijacks...),
-		nActive:        len(anns),
-		hijackMonitors: hijackMonitors,
-	}
+	anns := rs.appendVarying(slices.Clip(rs.anns), day)
+	nActive := len(anns)
+	anns, hijackMonitors := rs.appendHijacks(rand.New(rand.NewSource(rs.daySeed(day))), day, anns, nil)
+	dv := &dayView{anns: anns, nActive: nActive, hijackMonitors: hijackMonitors}
 	// Number the distinct prefixes in ascending order: sort the
 	// announcements by prefix, then number each run of equal prefixes.
 	order := make([]int32, len(dv.anns))
@@ -330,10 +378,10 @@ func (rs *RoutingSim) dayView(day int) *dayView {
 
 // selectRoutes computes one monitor's table for the day as indexes into
 // dv.anns: best[i] is the announcement the monitor holds for
-// dv.prefixes[i], or -1. Each active announcement is present with ~97%
-// probability (one rng draw each, in order), hijacks only at their
-// assigned monitors, and — as in a real per-peer RIB — at most one best
-// route per prefix, chosen by prefers.
+// dv.prefixes[i], or -1. Each active announcement is present with
+// probability visibleProb (one rng draw each, in order), hijacks only
+// at their assigned monitors, and — as in a real per-peer RIB — at most
+// one best route per prefix, chosen by prefers.
 func (dv *dayView) selectRoutes(rng *rand.Rand, monIdx int, best []int32) {
 	for i := range best {
 		best[i] = -1
@@ -345,14 +393,14 @@ func (dv *dayView) selectRoutes(rng *rand.Rand, monIdx int, best []int32) {
 		}
 	}
 	for i := 0; i < dv.nActive; i++ {
-		if rng.Float64() > 0.97 {
+		if rng.Float64() > visibleProb {
 			continue // this monitor misses the route today
 		}
 		prefer(i)
 	}
 	for h, mons := range dv.hijackMonitors {
 		for _, m := range mons {
-			if m == monIdx {
+			if int(m) == monIdx {
 				prefer(dv.nActive + h)
 			}
 		}
@@ -373,13 +421,12 @@ func prefers(monIdx int, old, cand *announcement) bool {
 	return (monIdx%2 == 0) == (cand.origin < old.origin)
 }
 
-// varyingOn returns the announcements that exist on the day besides the
-// steady rs.anns, before per-monitor visibility sampling: announced
-// leases with their MOAS second origins, scrubbing episodes, and the
-// AS_SET aggregates. rs.anns followed by these are the day's active
-// announcements.
-func (rs *RoutingSim) varyingOn(day int) []announcement {
-	out := make([]announcement, 0, len(rs.w.Leases)/2+len(rs.scrubEvents)+len(rs.asSetAggs))
+// appendVarying appends to out the announcements that exist on the day
+// besides the steady rs.anns, before per-monitor visibility sampling:
+// announced leases with their MOAS second origins, scrubbing episodes,
+// and the AS_SET aggregates. rs.anns followed by these are the day's
+// active announcements.
+func (rs *RoutingSim) appendVarying(out []announcement, day int) []announcement {
 	for _, l := range rs.w.Leases {
 		if !l.AnnouncedOn(day) {
 			continue
@@ -410,30 +457,30 @@ func (rs *RoutingSim) ScrubbedPrefixesOn(day int) []netblock.Prefix {
 	return out
 }
 
-// hijacksOn draws the day's hijacks and, for each, the global indexes
-// of the monitors observing it.
-func (rs *RoutingSim) hijacksOn(day int) ([]announcement, [][]int) {
-	rng := rs.dayRNG(day)
-	hijacks := rs.hijacks(rng, day)
+// appendHijacks draws the day's hijacks from rng, a source seeded with
+// daySeed(day), appending them to anns and, for each, the global
+// indexes of the monitors observing it to mons.
+func (rs *RoutingSim) appendHijacks(rng *rand.Rand, day int, anns []announcement, mons []observers) ([]announcement, []observers) {
+	start := len(anns)
+	anns = rs.hijacks(rng, day, anns)
 	total := rs.NumMonitors()
-	monitors := make([][]int, len(hijacks))
-	for i := range hijacks {
+	for range anns[start:] {
 		m1 := rng.Intn(total)
-		monitors[i] = []int{m1}
+		obs := observers{int32(m1), -1}
 		if rng.Float64() < 0.5 {
-			monitors[i] = append(monitors[i], (m1+1)%total)
+			obs[1] = int32((m1 + 1) % total)
 		}
+		mons = append(mons, obs)
 	}
-	return hijacks, monitors
+	return anns, mons
 }
 
-// hijacks draws the day's short-lived more-specific hijacks; each is
-// visible at only one or two monitors (locally spread, as §4 puts it).
-// The expected count is the baseline HijackRate, or the rate of a
-// hijack wave covering the day.
-func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
+// hijacks draws the day's short-lived more-specific hijacks, appending
+// them to out; each is visible at only one or two monitors (locally
+// spread, as §4 puts it). The expected count is the baseline
+// HijackRate, or the rate of a hijack wave covering the day.
+func (rs *RoutingSim) hijacks(rng *rand.Rand, day int, out []announcement) []announcement {
 	n := poisson(rng, rs.w.Cfg.hijackRateOn(day))
-	var out []announcement
 	for i := 0; i < n && len(rs.anns) > 0; i++ {
 		victim := rs.anns[rng.Intn(len(rs.anns))]
 		if victim.prefix.Bits() >= 24 {
@@ -453,9 +500,53 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 
 // SurveyAt builds the day's origin survey across all monitors, applying
 // the same sanitization the offline pipeline uses. Legitimate routes are
-// seen by each monitor with ~97% probability; hijacks at only 1-2
-// monitors. The survey equals the one CollectorAt's RIBs yield through
-// Collector.AddViewsTo, but neither a RIB nor an AS path is built.
+// seen by each monitor with probability visibleProb; hijacks at only
+// 1-2 monitors. The survey equals the one CollectorAt's RIBs yield
+// through Collector.AddViewsTo, but neither a RIB nor an AS path is
+// built. It is SurveyInto on a fresh buffer.
+//
+// SurveyAt is a pure derivation: every random draw comes from RNGs
+// seeded deterministically per (day, collector), and the receiver is not
+// mutated. Concurrent calls for different days are therefore safe and
+// order-independent — the per-date inference fan-out in core.Figure6
+// relies on this contract.
+func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
+	return rs.SurveyInto(new(SurveyBuffer), day)
+}
+
+// SurveyBuffer is one origin survey with the scratch space that fills
+// it: the day's announcements, their order and prefixes, the monitor
+// bitsets and the random source. The zero value is ready to use. A
+// buffer refilled day after day by SurveyInto allocates nothing once it
+// has grown to the largest day; it serves one goroutine at a time.
+type SurveyBuffer struct {
+	survey         *bgp.OriginSurvey
+	rng            *rand.Rand
+	day            surveyDay
+	hijackMonitors []observers
+	vorder, order  []int32
+	prefixes       []netblock.Prefix
+	set            []uint64
+}
+
+// seeded returns the buffer's random source, seeded with seed as
+// rand.New(rand.NewSource(seed)) would be.
+func (b *SurveyBuffer) seeded(seed int64) *rand.Rand {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(seed))
+	} else {
+		b.rng.Seed(seed)
+	}
+	return b.rng
+}
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// SurveyInto refills b's survey with the day's survey, as SurveyAt
+// describes, and returns it. The survey stays valid until b's next
+// SurveyInto. Like SurveyAt it does not mutate the receiver, so
+// concurrent calls with distinct buffers are safe.
 //
 // The steady announcements' prefix order and sanitize verdicts come
 // from rs.table; the day sorts only its few hundred varying
@@ -467,20 +558,18 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int) []announcement {
 // announcements (MOAS leases, hijacked or scrubbed prefixes that
 // coincide with another route) pick each monitor's route as
 // selectRoutes does.
-//
-// SurveyAt is a pure derivation: every random draw comes from RNGs
-// seeded deterministically per (day, collector), and the receiver is not
-// mutated. Concurrent calls for different days are therefore safe and
-// order-independent — the per-date inference fan-out in core.Figure6
-// relies on this contract.
-func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
+func (rs *RoutingSim) SurveyInto(b *SurveyBuffer, day int) *bgp.OriginSurvey {
 	t := &rs.table
-	d := surveyDay{steady: rs.anns, steadyVerdicts: t.verdicts, vary: rs.varyingOn(day)}
+	d := &b.day
+	d.steady, d.steadyVerdicts = rs.anns, t.verdicts
+	// Room for a typical day's varying announcements and hijacks, so a
+	// fresh buffer grows them once.
+	d.vary = slices.Grow(d.vary[:0], len(rs.w.Leases)/2+len(rs.scrubEvents)+len(rs.asSetAggs)+16)
+	d.vary = rs.appendVarying(d.vary, day)
 	nSteady := len(d.steady)
 	nActive := nSteady + len(d.vary)
-	hijacks, hijackMonitors := rs.hijacksOn(day)
-	d.vary = append(d.vary, hijacks...)
-	d.varyVerdicts = make([]routeVerdict, len(d.vary))
+	d.vary, b.hijackMonitors = rs.appendHijacks(b.seeded(rs.daySeed(day)), day, d.vary, slices.Grow(b.hijackMonitors[:0], 16))
+	d.varyVerdicts = resize(d.varyVerdicts, len(d.vary))
 	for i := range d.vary {
 		d.varyVerdicts[i] = t.verdict(&d.vary[i], rs.transitOf(d.vary[i].origin))
 	}
@@ -489,14 +578,13 @@ func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
 	// merged into the steady order. Every steady index is below every
 	// varying one, so taking the steady side on ties keeps the merge
 	// equal to a stable sort of all the day's announcements.
-	vorder := make([]int32, len(d.vary))
+	vorder := resize(b.vorder, len(d.vary))
 	for i := range vorder {
 		vorder[i] = int32(nSteady + i)
 	}
 	slices.SortStableFunc(vorder, func(a, b int32) int { return d.ann(a).prefix.Compare(d.ann(b).prefix) })
 	n := nSteady + len(d.vary)
-	order := make([]int32, 0, n)
-	prefixes := make([]netblock.Prefix, 0, n)
+	order, prefixes := slices.Grow(b.order[:0], n), slices.Grow(b.prefixes[:0], n)
 	for si, vi := 0, 0; si < nSteady || vi < len(vorder); {
 		var ai int32
 		if vi == len(vorder) || si < nSteady && d.steady[t.order[si]].prefix.Compare(d.ann(vorder[vi]).prefix) <= 0 {
@@ -511,40 +599,49 @@ func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
 			prefixes = append(prefixes, p)
 		}
 	}
+	b.vorder, b.order, b.prefixes = vorder, order, prefixes
 
 	d.n = n
-	d.seen = make([]uint64, t.words*n)
+	d.seen = resize(d.seen, t.words*n)
+	clear(d.seen)
 	k := 0 // global monitor index
 	for ci, spec := range rs.collectors {
-		rng := rs.visRNG(day, ci)
+		rng := b.seeded(rs.visSeed(day, ci))
 		for range spec.peers {
 			col, bit := d.seen[k/64*n:][:nActive], uint64(1)<<uint(k%64)
 			for i := range col {
-				if rng.Float64() <= 0.97 { // else this monitor misses the route today
+				if visible(rng) { // else this monitor misses the route today
 					col[i] |= bit
 				}
 			}
 			k++
 		}
 	}
-	for h, mons := range hijackMonitors {
+	for h, mons := range b.hijackMonitors {
 		for _, m := range mons {
-			d.seen[m/64*n+nActive+h] |= 1 << uint(m%64)
+			if m >= 0 {
+				d.seen[int(m)/64*n+nActive+h] |= 1 << uint(m%64)
+			}
 		}
 	}
 
-	survey := bgp.NewPrefixSurvey(prefixes)
+	if b.survey == nil {
+		b.survey = bgp.NewOriginSurvey()
+	}
+	survey := b.survey
+	survey.Reset(prefixes)
 	for _, id := range t.monitorIDs {
 		survey.AddMonitor(id) // monitor k gets index k: the IDs are distinct
 	}
-	set := make([]uint64, t.words)
+	b.set = resize(b.set, t.words)
+	set := b.set
 	for rec, lo := 0, 0; lo < n; rec++ {
 		hi := lo + 1
 		for hi < n && d.ann(order[hi]).prefix == prefixes[rec] {
 			hi++
 		}
 		if hi > lo+1 {
-			t.observeConflict(survey, rec, order[lo:hi], &d)
+			t.observeConflict(survey, rec, order[lo:hi], d)
 			lo = hi
 			continue
 		}
@@ -569,7 +666,7 @@ func (rs *RoutingSim) SurveyAt(day int) *bgp.OriginSurvey {
 
 // surveyDay is one day's announcements as SurveyAt indexes them, the
 // way dayView does: the steady ones, then the day's varying ones (see
-// varyingOn), then its hijacks.
+// appendVarying), then its hijacks.
 type surveyDay struct {
 	steady, vary                 []announcement
 	steadyVerdicts, varyVerdicts []routeVerdict
@@ -666,7 +763,7 @@ func (rs *RoutingSim) CollectorAt(day, idx int) *bgp.Collector {
 	for i := 0; i < idx; i++ {
 		base += len(rs.collectors[i].peers)
 	}
-	rng := rs.visRNG(day, idx)
+	rng := rand.New(rand.NewSource(rs.visSeed(day, idx)))
 	best := make([]int32, len(dv.prefixes))
 	for p, peer := range spec.peers {
 		i := c.AddPeer(peer)

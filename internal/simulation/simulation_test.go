@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestWorldPopulation(t *testing.T) {
 func TestTransferMarketShape(t *testing.T) {
 	w := buildTestWorld(t)
 	transfers := w.Registry.Transfers()
-	counts := market.QuarterlyCounts(market.FilterMarketTransfers(transfers))
+	counts := market.QuarterlyCounts(market.FilterMarketTransfers(w.Registry))
 
 	sum := func(r registry.RIR) int {
 		n := 0
@@ -114,7 +115,7 @@ func TestTransferMarketShape(t *testing.T) {
 	}
 
 	// Inter-RIR flows exist, mostly out of ARIN (Figure 3).
-	flows := market.InterRIRFlows(transfers)
+	flows := market.InterRIRFlows(w.Registry)
 	if len(flows) == 0 {
 		t.Fatal("no inter-RIR flows")
 	}
@@ -466,12 +467,16 @@ func TestROVFiltersHijacks(t *testing.T) {
 	}
 }
 
-// TestSurveyAtAllocs is SurveyAt's allocation budget at DefaultConfig.
-// A survey from monitor bitsets allocates 37 times: its per-day
-// blocks, plus one for each prefix with a second origin. Observing
-// monitor by monitor took about 111, and through the survey's prefix
-// map about 8.2k, so the budget fails if per-monitor or per-prefix
-// allocations come back.
+// TestSurveyAtAllocs is SurveyAt's allocation budget at DefaultConfig,
+// and SurveyInto's on a reused buffer. A survey on a fresh buffer
+// allocates 24 times: the buffer's scratch slices and random source,
+// the survey's records and monitor map, and the growth of its MOAS side
+// array; under the race detector, which moves some values to the heap,
+// 33, so the budget has a race allowance. Observing monitor by monitor
+// took about 111, and through the survey's prefix map about 8.2k, so
+// the budget fails if per-monitor or per-prefix allocations come back.
+// Refilled for every quarter the utilization stage samples, after one
+// pass to grow it, a buffer allocates nothing at all.
 func TestSurveyAtAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	w, err := Build(cfg)
@@ -481,10 +486,28 @@ func TestSurveyAtAllocs(t *testing.T) {
 	rs := NewRoutingSim(w)
 	day := cfg.RoutingDays - 1
 	allocs := testing.AllocsPerRun(3, func() { rs.SurveyAt(day) })
-	const budget = 50
+	budget := 30
+	if raceBuild() {
+		budget += 10
+	}
 	t.Logf("SurveyAt: %.0f allocs (budget %d)", allocs, budget)
-	if allocs > budget {
+	if allocs > float64(budget) {
 		t.Errorf("SurveyAt allocates %.0f times, budget %d", allocs, budget)
+	}
+
+	var days []int
+	for d := 89; d < cfg.RoutingDays; d += 91 {
+		days = append(days, d)
+	}
+	var buf SurveyBuffer
+	refill := func() {
+		for _, d := range days {
+			rs.SurveyInto(&buf, d)
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(3, refill); allocs != 0 {
+		t.Errorf("SurveyInto on a reused buffer allocates %.0f times over %d days, want 0", allocs, len(days))
 	}
 }
 
@@ -506,4 +529,18 @@ func BenchmarkSurveyAt(b *testing.B) {
 			b.Fatal("empty survey")
 		}
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

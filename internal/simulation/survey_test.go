@@ -97,6 +97,39 @@ func TestCollectorAtMatchesSurveyAt(t *testing.T) {
 	checkSurveyAt(t, "test/66 monitors", rs, wide.HijackWaves[0].Window.StartDay)
 }
 
+// TestSurveyIntoReusesBuffer refills one buffer day after day, in an
+// order that makes the survey grow and shrink, and requires every fill
+// to equal a fresh SurveyAt of the same day: the monitors, every pair
+// and the raw pairs. The test world runs always, DefaultConfig outside
+// -short.
+func TestSurveyIntoReusesBuffer(t *testing.T) {
+	cfgs := []simulation.Config{simulation.SmallWorldConfig()}
+	if !testing.Short() {
+		cfgs = append(cfgs, simulation.DefaultConfig())
+	}
+	for _, cfg := range cfgs {
+		w, err := simulation.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := simulation.NewRoutingSim(w)
+		last := cfg.RoutingDays - 1
+		var buf simulation.SurveyBuffer
+		for _, day := range []int{last, 0, last / 2, last, 1, last / 3} {
+			got, want := rs.SurveyInto(&buf, day), rs.SurveyAt(day)
+			if got.NumMonitors() != want.NumMonitors() {
+				t.Errorf("%d LIRs day %d: NumMonitors %d, fresh %d", cfg.NumLIRs, day, got.NumMonitors(), want.NumMonitors())
+			}
+			if !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
+				t.Errorf("%d LIRs day %d: reused survey's Pairs differ from a fresh one's", cfg.NumLIRs, day)
+			}
+			if !reflect.DeepEqual(got.RawPairs(), want.RawPairs()) {
+				t.Errorf("%d LIRs day %d: reused survey's RawPairs differ from a fresh one's", cfg.NumLIRs, day)
+			}
+		}
+	}
+}
+
 // checkSurveyAt compares rs.SurveyAt(day) with the survey CollectorAt's
 // RIBs yield through Collector.AddViewsTo: the monitor total, every pair
 // with its monitor count and MOAS and AS_SET flags, and the raw pairs.

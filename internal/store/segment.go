@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -68,56 +70,85 @@ type Artifact struct {
 // prefix cannot drive a multi-gigabyte allocation during recovery.
 const maxFrameBody = 1 << 30
 
-// appendFrame serializes one frame onto buf and returns the extended
-// slice.
-func appendFrame(buf []byte, kind byte, key, ctype, etag string, body []byte) []byte {
-	start := len(buf)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ctype)))
-	buf = append(buf, ctype...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(etag)))
-	buf = append(buf, etag...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	crc := crc32.ChecksumIEEE(buf[start:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
+// segmentWriter streams one generation's segment image through a small
+// buffer: the magic and version, then each frame as its header, its body
+// and its CRC, keeping the whole-file CRC the footer carries as it goes.
+// A body that does not fit the buffer's free space goes to the file
+// directly, so a write never holds a copy of the segment. The bytes are exactly those of the segment
+// format in the package documentation; the tests' in-memory encoder is
+// their oracle.
+type segmentWriter struct {
+	w      *bufio.Writer
+	crc    uint32 // CRC of every byte written so far
+	n      int64  // bytes written so far
+	frames uint32 // meta and artifact frames written so far
+	hdr    []byte // scratch for one frame header
 }
 
-// encodeSegment renders the complete segment file image for one
-// generation. The output is deterministic for identical inputs.
-func encodeSegment(meta Meta, arts []Artifact) ([]byte, error) {
+// segmentBufSize is the segmentWriter's buffer: room for the headers of
+// many frames between flushes, small beside the bodies it streams.
+const segmentBufSize = 32 << 10
+
+// writeSegment streams the segment image for one generation to w and
+// returns its length. The artifacts' keys are checked before the first
+// byte is written, so an invalid generation writes nothing.
+func writeSegment(w io.Writer, meta Meta, arts []Artifact) (int64, error) {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return nil, fmt.Errorf("store: encode meta: %w", err)
+		return 0, fmt.Errorf("store: encode meta: %w", err)
 	}
-	buf := make([]byte, 0, segmentSizeHint(len(metaJSON), arts))
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
-	buf = appendFrame(buf, frameMeta, "meta", "application/json", "", metaJSON)
 	for _, a := range arts {
 		if a.Key == "" {
-			return nil, fmt.Errorf("store: artifact with empty key")
+			return 0, fmt.Errorf("store: artifact with empty key")
 		}
-		buf = appendFrame(buf, frameArtifact, a.Key, a.ContentType, a.ETag, a.Body)
+	}
+	sw := &segmentWriter{w: bufio.NewWriterSize(w, segmentBufSize)}
+	var head [len(segMagic) + 4]byte
+	copy(head[:], segMagic)
+	binary.LittleEndian.PutUint32(head[len(segMagic):], segVersion)
+	sw.write(head[:])
+	sw.frame(frameMeta, "meta", "application/json", "", metaJSON)
+	for _, a := range arts {
+		sw.frame(frameArtifact, a.Key, a.ContentType, a.ETag, a.Body)
 	}
 	// Footer body: frame count (meta + artifacts) then the CRC of every
-	// byte written so far.
-	footerBody := make([]byte, 8)
-	binary.LittleEndian.PutUint32(footerBody, uint32(1+len(arts)))
-	binary.LittleEndian.PutUint32(footerBody[4:], crc32.ChecksumIEEE(buf))
-	buf = appendFrame(buf, frameFooter, "", "", "", footerBody)
-	return buf, nil
+	// byte written before the footer.
+	var footer [8]byte
+	binary.LittleEndian.PutUint32(footer[:], sw.frames)
+	binary.LittleEndian.PutUint32(footer[4:], sw.crc)
+	sw.frame(frameFooter, "", "", "", footer[:])
+	if err := sw.w.Flush(); err != nil {
+		return 0, err
+	}
+	return sw.n, nil
 }
 
-// segmentSizeHint estimates the encoded size to avoid growth copies.
-func segmentSizeHint(metaLen int, arts []Artifact) int {
-	n := len(segMagic) + 4 + metaLen + 64
-	for _, a := range arts {
-		n += len(a.Key) + len(a.ContentType) + len(a.ETag) + len(a.Body) + 64
+// write passes p through to the buffer, folding it into the file CRC.
+func (sw *segmentWriter) write(p []byte) {
+	sw.w.Write(p) // an error sticks in the bufio.Writer; Flush reports it
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, p)
+	sw.n += int64(len(p))
+}
+
+// frame writes one frame: kind, the three length-prefixed strings, the
+// body length, the body, and the CRC of all of those.
+func (sw *segmentWriter) frame(kind byte, key, ctype, etag string, body []byte) {
+	h := append(sw.hdr[:0], kind)
+	for _, s := range [...]string{key, ctype, etag} {
+		h = binary.LittleEndian.AppendUint16(h, uint16(len(s)))
+		h = append(h, s...)
 	}
-	return n + 64
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(body)))
+	sw.hdr = h
+	frameCRC := crc32.Update(crc32.ChecksumIEEE(h), crc32.IEEETable, body)
+	sw.write(h)
+	sw.write(body)
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], frameCRC)
+	sw.write(sum[:])
+	if kind != frameFooter {
+		sw.frames++
+	}
 }
 
 // corruptError marks a segment that failed verification; Open treats it
@@ -293,10 +324,11 @@ func readSegment(path string, loadBodies bool) (Meta, []Artifact, int64, error) 
 	return meta, arts, int64(len(buf)), nil
 }
 
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs it, renames it into place, and fsyncs the directory
-// so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes a file at path via a temp file in the same
+// directory: write fills the temp file, which is then fsynced, renamed
+// into place, and the directory fsynced so the rename itself is
+// durable.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
@@ -304,7 +336,7 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		cleanup()
 		return fmt.Errorf("store: write temp: %w", err)
@@ -323,6 +355,14 @@ func writeFileAtomic(path string, data []byte) error {
 		return fmt.Errorf("store: rename into place: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// writeBytes is a writeFileAtomic filler for a file already in memory.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

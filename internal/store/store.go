@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,16 +204,18 @@ func (s *Store) Append(meta Meta, arts []Artifact) (Meta, error) {
 		s.lastPersistErr = err.Error()
 		return Meta{}, err
 	}
-	buf, err := encodeSegment(meta, arts)
-	if err != nil {
-		return fail(err)
-	}
 	name := segName(meta.Gen)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), buf); err != nil {
+	var size int64
+	err := writeFileAtomic(filepath.Join(s.dir, name), func(w io.Writer) error {
+		var err error
+		size, err = writeSegment(w, meta, arts)
+		return err
+	})
+	if err != nil {
 		return fail(fmt.Errorf("store: persist generation %d: %w", meta.Gen, err))
 	}
 	s.next++
-	s.gens = append(s.gens, GenInfo{Meta: meta, File: name, Bytes: int64(len(buf))})
+	s.gens = append(s.gens, GenInfo{Meta: meta, File: name, Bytes: size})
 	s.persists++
 	s.lastPersistErr = ""
 	if err := s.writeManifest(); err != nil {
@@ -363,7 +366,7 @@ func (s *Store) ImportSegment(gen uint64, data []byte) (GenInfo, error) {
 		}
 	}
 	name := segName(gen)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), data); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, name), writeBytes(data)); err != nil {
 		return GenInfo{}, fmt.Errorf("store: import generation %d: %w", gen, err)
 	}
 	info := GenInfo{Meta: meta, File: name, Bytes: int64(len(data))}
@@ -455,7 +458,7 @@ func (s *Store) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, manifestName), append(data, '\n')); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, manifestName), writeBytes(append(data, '\n'))); err != nil {
 		return fmt.Errorf("store: write manifest: %w", err)
 	}
 	return nil

@@ -3,11 +3,10 @@ package temporal
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
+	"ipv4market/internal/jsonenc"
 	"ipv4market/internal/netblock"
 	"ipv4market/internal/registry"
 )
@@ -78,9 +77,9 @@ func (ix *Index) Record() ([]byte, error) {
 	b = append(b, `{"version":`...)
 	b = strconv.AppendInt(b, recordVersion, 10)
 	b = append(b, `,"start":`...)
-	b = appendDay(b, in.Start)
+	b = jsonenc.AppendDay(b, in.Start)
 	b = append(b, `,"end":`...)
-	b = appendDay(b, in.End)
+	b = jsonenc.AppendDay(b, in.End)
 
 	b = append(b, `,"allocations":[`...)
 	for i := range in.Allocations {
@@ -90,14 +89,14 @@ func (ix *Index) Record() ([]byte, error) {
 		}
 		b = appendPrefix(b, `{"prefix":`, a.Prefix)
 		b = append(b, `,"org":`...)
-		b = appendString(b, a.Org)
+		b = jsonenc.AppendString(b, a.Org)
 		b = append(b, `,"rir":`...)
-		b = appendString(b, a.RIR.String())
+		b = jsonenc.AppendString(b, a.RIR.String())
 		b = append(b, `,"date":`...)
-		b = appendDay(b, a.Date)
+		b = jsonenc.AppendDay(b, a.Date)
 		if a.Status != "" {
 			b = append(b, `,"status":`...)
-			b = appendString(b, a.Status)
+			b = jsonenc.AppendString(b, a.Status)
 		}
 		b = append(b, '}')
 	}
@@ -110,22 +109,22 @@ func (ix *Index) Record() ([]byte, error) {
 		}
 		b = appendPrefix(b, `{"prefix":`, t.Prefix)
 		b = append(b, `,"from":`...)
-		b = appendString(b, t.From)
+		b = jsonenc.AppendString(b, t.From)
 		b = append(b, `,"to":`...)
-		b = appendString(b, t.To)
+		b = jsonenc.AppendString(b, t.To)
 		b = append(b, `,"from_rir":`...)
-		b = appendString(b, t.FromRIR.String())
+		b = jsonenc.AppendString(b, t.FromRIR.String())
 		b = append(b, `,"to_rir":`...)
-		b = appendString(b, t.ToRIR.String())
+		b = jsonenc.AppendString(b, t.ToRIR.String())
 		b = append(b, `,"type":`...)
-		b = appendString(b, t.Type)
+		b = jsonenc.AppendString(b, t.Type)
 		b = append(b, `,"date":`...)
-		b = appendDay(b, t.Date)
+		b = jsonenc.AppendDay(b, t.Date)
 		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
 		if t.PricePerAddr != 0 {
 			b = append(b, `,"price_per_addr":`...)
 			var err error
-			if b, err = appendFloat(b, t.PricePerAddr); err != nil {
+			if b, err = jsonenc.AppendFloat(b, t.PricePerAddr); err != nil {
 				return nil, fmt.Errorf("temporal: encode record: %w", err)
 			}
 		}
@@ -145,10 +144,10 @@ func (ix *Index) Record() ([]byte, error) {
 		b = append(b, `,"to_as":`...)
 		b = strconv.AppendUint(b, uint64(l.ToAS), 10)
 		b = append(b, `,"start":`...)
-		b = appendDay(b, l.Start)
+		b = jsonenc.AppendDay(b, l.Start)
 		if !l.End.IsZero() {
 			b = append(b, `,"end":`...)
-			b = appendDay(b, l.End)
+			b = jsonenc.AppendDay(b, l.End)
 		}
 		b = append(b, '}')
 	}
@@ -185,104 +184,6 @@ func appendPrefix(b []byte, field string, p netblock.Prefix) []byte {
 	b = append(b, '"')
 	b = p.AppendTo(b)
 	return append(b, '"')
-}
-
-// appendDay appends fmtDay(t) as a JSON string: YYYY-MM-DD, or "" for the
-// zero time.
-func appendDay(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	if !t.IsZero() {
-		if y, m, d := t.Date(); y >= 0 && y <= 9999 {
-			b = append(b,
-				byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
-				byte('0'+m/10), byte('0'+m%10), '-',
-				byte('0'+d/10), byte('0'+d%10))
-		} else {
-			b = t.AppendFormat(b, "2006-01-02")
-		}
-	}
-	return append(b, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as encoding/json writes a string: quoted, with
-// quotes and backslashes backslash-escaped, control bytes as \b \f \n \r \t or
-// \u00XX, '<', '>' and '&' as \u003c \u003e \u0026, invalid UTF-8 as
-// \ufffd, and U+2028 and U+2029 as \u2028 and \u2029.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// representation, in exponent form below 1e-6 or from 1e21 in magnitude,
-// with a one-digit negative exponent unpadded. NaN and ±Inf are
-// encoding/json's UnsupportedValueError.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		_, err := json.Marshal(f)
-		return b, err
-	}
-	format := byte('f')
-	//lint:ignore floatcmp encoding/json keeps exact zero out of exponent form
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }
 
 // Restore rebuilds an index from Record() bytes. The result is

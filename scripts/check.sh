@@ -47,8 +47,10 @@
 #   fuzz          — a short -fuzztime budget per native fuzz target
 #                   (segment/frame decoding, prefix parsing and
 #                   construction, the JSON indenter against
-#                   json.MarshalIndent) on top of the committed corpus, which
-#                   replays in the test gate
+#                   json.MarshalIndent, the as-of record and the
+#                   /v1/transfers body against json.Marshal, the MRT
+#                   reader's round trip) on top of the committed corpus,
+#                   which replays in the test gate
 #   load          — a race-enabled marketbench boots a race-enabled
 #                   marketd fleet (a leader and 2 followers behind the
 #                   round-robin router) at smoke scale and drives the
@@ -139,6 +141,8 @@ gate_fuzz() {
     go test -run '^$' -fuzz FuzzIndentJSON -fuzztime 5s ./internal/serve
     go test -run '^$' -fuzz FuzzAsofDiffWindow -fuzztime 5s ./internal/serve
     go test -run '^$' -fuzz FuzzRecordMatchesMarshal -fuzztime 5s ./internal/temporal
+    go test -run '^$' -fuzz FuzzTransfersBody -fuzztime 5s ./internal/serve
+    go test -run '^$' -fuzz FuzzMRTReader -fuzztime 5s ./internal/bgp
 }
 
 gate_load() {

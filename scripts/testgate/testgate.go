@@ -49,8 +49,12 @@ var contracts = []contract{
 		// The /v1/asof surface.
 		"TestAsofMatchesNaiveReplay", "TestAsofPinnedGeneration", "TestAsofRestoreServesIdenticalViews",
 		"TestAsofRequestValidation", "TestAsofDiffAllocs", "TestAsofDiffRowsMatchView",
-		// Byte oracles at production scale, and the JSON indenter.
+		// Byte oracles at production scale, the JSON indenter, and the
+		// /v1/transfers append encoder against the document it replaced.
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
+		"TestTransfersBodyMatchesMarshal",
+		// A one-worker DefaultConfig build stays within its allocation budget.
+		"TestBuildAllocBytes",
 		// /varz resolves sub-millisecond server latency.
 		"TestRouteLatencyResolvesSubMillisecond",
 		// Artifact bodies leave in one write over TCP, ranges still slice,
@@ -65,6 +69,7 @@ var contracts = []contract{
 	}},
 	{"ipv4market/internal/simulation", []string{
 		"TestCollectorAtMatchesSurveyAt", "TestSurveyAtSanitizeEdgeCases", "TestSurveyAtAllocs",
+		"TestSurveyIntoReusesBuffer", "TestVisibleMatchesFloat64",
 	}},
 	{"ipv4market/internal/bgp", []string{
 		"TestPrefixSurveyMatchesObserve",
@@ -76,6 +81,9 @@ var contracts = []contract{
 		"TestSegmentRoundTrip", "TestAppendAssignsMonotonicGenerations",
 		"TestOpenRecoversFromTruncatedTail", "TestOpenRecoversFromBitFlip",
 		"TestOpenRecoversFromTrailingGarbage", "TestOpenRecoversAllSegmentsCorrupt",
+		// The streamed segment equals the in-memory encoder's image, and
+		// an append allocates no copy of it.
+		"TestStreamedSegmentMatchesEncode", "TestStreamedSegmentMatchesEncodeAtDefault", "TestAppendAllocs",
 	}},
 	{"ipv4market/internal/temporal", []string{
 		"TestIndexMatchesNaiveReplay", "TestPointLookupSublinear", "TestRecordRestoreRoundTrip",
