@@ -28,17 +28,28 @@ func writeCSV(w io.Writer, header []string, rows [][]string) error {
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
+// Figure1CSVHeader returns Figure 1's CSV column names: the layout of
+// every price-cell CSV, the served fig1 and /v1/prices bodies included.
+func Figure1CSVHeader() []string {
+	return []string{"quarter", "prefix_bits", "region", "n", "min", "q1", "median", "q3", "max", "mean"}
+}
+
+// Figure1CSVRow formats one price cell as a row under Figure1CSVHeader.
+func Figure1CSVRow(c market.PriceCell) []string {
+	return []string{
+		c.Quarter.String(), strconv.Itoa(c.Bits), c.Region.String(),
+		strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
+		f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
+	}
+}
+
 // Figure1CSV writes the per-(quarter, prefix, region) box-plot summaries.
 func (s *Study) Figure1CSV(w io.Writer) error {
 	var rows [][]string
 	for _, c := range s.Figure1() {
-		rows = append(rows, []string{
-			c.Quarter.String(), strconv.Itoa(c.Bits), c.Region.String(),
-			strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
-			f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
-		})
+		rows = append(rows, Figure1CSVRow(c))
 	}
-	return writeCSV(w, []string{"quarter", "prefix_bits", "region", "n", "min", "q1", "median", "q3", "max", "mean"}, rows)
+	return writeCSV(w, Figure1CSVHeader(), rows)
 }
 
 // Figure2CSV writes the quarterly transfer counts per region.

@@ -38,19 +38,3 @@ func TestFigure6WorkersDeterministic(t *testing.T) {
 		t.Error("Figure6 differs from Figure6Workers(sample, 1)")
 	}
 }
-
-// TestFigure2WorkersMatchesSerial pins the per-RIR parallel aggregation
-// against the serial reference for every worker count.
-func TestFigure2WorkersMatchesSerial(t *testing.T) {
-	s := testStudy(t)
-	want := s.Figure2()
-	for _, workers := range []int{1, 2, 8} {
-		got, err := s.Figure2Workers(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: Figure2Workers differs from Figure2", workers)
-		}
-	}
-}

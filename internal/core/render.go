@@ -144,14 +144,9 @@ func (s *Study) RenderFigure5(w io.Writer, ms, ns []int) error {
 	return tw.Flush()
 }
 
-// RenderFigure6 prints the delegation time series and the summary stats.
-func (s *Study) RenderFigure6(w io.Writer, sampleEvery int) error {
-	return s.RenderFigure6Workers(w, sampleEvery, 0)
-}
-
-// RenderFigure6Workers is RenderFigure6 with an explicit worker count for
-// the per-date inference fan-out (<= 0: NumCPU). Output is identical at
-// any worker count.
+// RenderFigure6Workers prints the delegation time series and the
+// summary stats, running the per-date inference on the given number of
+// workers (<= 0: NumCPU). Output is identical at any worker count.
 func (s *Study) RenderFigure6Workers(w io.Writer, sampleEvery, workers int) error {
 	res, err := s.Figure6Workers(sampleEvery, workers)
 	if err != nil {

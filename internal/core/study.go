@@ -102,14 +102,6 @@ func (s *Study) Figure2() map[registry.RIR][]market.QuarterCount {
 	return market.QuarterlyCounts(market.FilterMarketTransfers(s.World.Registry))
 }
 
-// Figure2Workers is Figure2 with the per-RIR aggregation fanned out
-// across at most the given number of workers (<= 0: NumCPU). The result
-// is always equal to Figure2's — per-RIR series are merged by RIR index,
-// not completion order.
-func (s *Study) Figure2Workers(workers int) (map[registry.RIR][]market.QuarterCount, error) {
-	return market.QuarterlyCountsWorkers(market.FilterMarketTransfers(s.World.Registry), workers)
-}
-
 // Figure3 returns the inter-RIR transfer flows by year.
 func (s *Study) Figure3() []market.InterRIRFlow {
 	return market.InterRIRFlows(s.World.Registry)

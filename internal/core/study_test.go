@@ -227,7 +227,7 @@ func TestRenderAll(t *testing.T) {
 		{"fig3", func(b *bytes.Buffer) error { return s.RenderFigure3(b) }, "ARIN"},
 		{"fig4", func(b *bytes.Buffer) error { return s.RenderFigure4(b) }, "Heficed"},
 		{"fig5", func(b *bytes.Buffer) error { return s.RenderFigure5(b, []int{2, 10}, []int{0, 3}) }, "Fail rate"},
-		{"fig6", func(b *bytes.Buffer) error { return s.RenderFigure6(b, 10) }, "Extended"},
+		{"fig6", func(b *bytes.Buffer) error { return s.RenderFigure6Workers(b, 10, 0) }, "Extended"},
 		{"coverage", func(b *bytes.Buffer) error { return s.RenderCoverage(b) }, "BGP covers"},
 		{"census", func(b *bytes.Buffer) error { return s.RenderCensus(b) }, "ASSIGNED PA"},
 		{"headline", func(b *bytes.Buffer) error { return s.RenderHeadline(b) }, "mean 2020 price"},

@@ -31,17 +31,13 @@ type UtilizationPoint struct {
 // counting routed space.
 const utilizationMinVisibility = 0.5
 
-// Utilization samples the allocated/routed/active address counts on the
-// last window day of each quarter the routing window touches.
-func (s *Study) Utilization() ([]UtilizationPoint, error) {
-	return s.UtilizationWorkers(0)
-}
-
-// UtilizationWorkers is Utilization with an explicit worker count (<= 0:
-// NumCPU) for the per-quarter survey sampling. Each quarter derives from
-// the read-only world independently and results merge in quarter order,
-// so the output is identical at any worker count. The quarters share
-// one survey buffer per worker, refilled in place for each sampled day.
+// UtilizationWorkers samples the allocated/routed/active address counts
+// on the last window day of each quarter the routing window touches,
+// across the given number of workers (<= 0: NumCPU). Each quarter
+// derives from the read-only world independently and results merge in
+// quarter order, so the output is identical at any worker count. The
+// quarters share one survey buffer per worker, refilled in place for
+// each sampled day.
 func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 	windowEnd := s.Cfg.RoutingStart.AddDate(0, 0, s.Cfg.RoutingDays)
 	var sampleDays []int

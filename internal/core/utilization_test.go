@@ -48,7 +48,7 @@ func TestUtilizationMatchesPerQuarterSets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", w.name, w.cfg.Seed, err)
 		}
-		points, err := s.Utilization()
+		points, err := s.UtilizationWorkers(0)
 		if err != nil {
 			t.Fatal(err)
 		}

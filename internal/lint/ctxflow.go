@@ -15,7 +15,7 @@ import (
 // set, and context.With*(ctx, ...), http.NewRequestWithContext(ctx,
 // ...), req.WithContext(ctx), ctx.Done(), plain aliases, and the
 // context-typed results of any call that was passed a tainted context
-// (errgroup-style `g, gctx := NewGroup(ctx)` helpers) extend it.
+// (errgroup-style `g, gctx := newGroup(ctx)` helpers) extend it.
 // Blocking operations checked:
 //
 //   - time.Sleep — never cancellable; use a Timer and select on Done;
@@ -163,7 +163,7 @@ func (a *ctxFlow) assign(m *ast.AssignStmt, s taintState) {
 	if len(m.Rhs) == 1 {
 		derived = a.derives(m.Rhs[0], s)
 		// A helper that takes the context and hands back its own derived
-		// one (errgroup-style `g, gctx := NewGroup(ctx)`) is trusted:
+		// one (errgroup-style `g, gctx := newGroup(ctx)`) is trusted:
 		// context-typed results of a call fed a tainted context are
 		// tainted.
 		if call, ok := m.Rhs[0].(*ast.CallExpr); ok {

@@ -16,7 +16,7 @@ import (
 //     serving layer's snapshot swap;
 //   - ch <- x — handing the value to another goroutine;
 //   - return x from a function whose name starts with "Build" — the
-//     builder convention (BuildSnapshot, BuildWhoisDB, ...): the caller
+//     builder convention (BuildSnapshotOpts, BuildWhoisDB, ...): the caller
 //     receives a finished, henceforth-immutable value.
 //
 // After a value's root variable is published on a path, any write

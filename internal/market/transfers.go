@@ -5,11 +5,9 @@
 package market
 
 import (
-	"context"
 	"sort"
 	"time"
 
-	"ipv4market/internal/parallel"
 	"ipv4market/internal/registry"
 	"ipv4market/internal/stats"
 )
@@ -85,49 +83,6 @@ func QuarterlyCounts(log TransferLog) map[registry.RIR][]QuarterCount {
 		out[rir] = series
 	}
 	return out
-}
-
-// QuarterlyCountsWorkers is QuarterlyCounts with the per-RIR aggregation
-// fanned out across at most the given number of workers (<= 0: NumCPU):
-// each RIR's quarterly series is counted by its own worker over the
-// shared, read-only transfer log, and the merge assigns results by RIR
-// index, so the returned map is always equal to QuarterlyCounts'. The
-// only possible error is a recovered worker panic.
-func QuarterlyCountsWorkers(log TransferLog, workers int) (map[registry.RIR][]QuarterCount, error) {
-	rirs := registry.AllRIRs()
-	series, err := parallel.Map(context.Background(), workers, len(rirs), func(_ context.Context, i int) ([]QuarterCount, error) {
-		byQ := make(map[stats.Quarter]int)
-		for j := range log.NumTransfers() {
-			t := log.TransferAt(j)
-			if t.IsInterRIR() || t.FromRIR != rirs[i] {
-				continue
-			}
-			byQ[stats.QuarterOf(t.Date)]++
-		}
-		if len(byQ) == 0 {
-			return nil, nil
-		}
-		qs := make([]stats.Quarter, 0, len(byQ))
-		for q := range byQ {
-			qs = append(qs, q)
-		}
-		stats.SortQuarters(qs)
-		out := make([]QuarterCount, 0, len(qs))
-		for _, q := range qs {
-			out = append(out, QuarterCount{Quarter: q, Count: byQ[q]})
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[registry.RIR][]QuarterCount, len(rirs))
-	for i, rir := range rirs {
-		if series[i] != nil {
-			out[rir] = series[i]
-		}
-	}
-	return out, nil
 }
 
 // InterRIRFlow is one cell of the Figure 3 matrix.

@@ -7,69 +7,58 @@ import (
 	"sync"
 )
 
-// A Group supervises a set of goroutines working on subtasks of a common
-// task. The zero value is unusable; construct with NewGroup.
-//
-// Unlike a bare WaitGroup, a Group propagates failure: the first task to
+// A group supervises the worker goroutines of one Map: the first task to
 // return a non-nil error (or panic) cancels the group's context, and
-// Wait returns that first error after every task has finished. Tasks
-// should watch the context and return early when it is done.
-type Group struct {
-	ctx    context.Context
+// Wait returns that first error after every task has finished.
+type group struct {
 	cancel context.CancelFunc
-
-	wg  sync.WaitGroup
-	sem chan struct{} // nil: no concurrency limit
+	wg     sync.WaitGroup
 
 	errOnce sync.Once
 	err     error
 }
 
-// NewGroup returns a Group and the derived context its tasks should
+// newGroup returns a group and the derived context its tasks should
 // honor. The context is canceled when a task fails or when Wait returns,
 // whichever comes first.
-func NewGroup(ctx context.Context) (*Group, context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func newGroup(ctx context.Context) (*group, context.Context) {
 	gctx, cancel := context.WithCancel(ctx)
-	return &Group{ctx: gctx, cancel: cancel}, gctx
+	return &group{cancel: cancel}, gctx
 }
 
-// SetLimit caps the number of tasks running concurrently at n (n <= 0
-// means NumCPU). It must be called before the first Go.
-func (g *Group) SetLimit(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	g.sem = make(chan struct{}, n)
-}
-
-// Go launches fn as a supervised task. If a concurrency limit is set, Go
-// blocks until a worker slot frees up — backpressure, not unbounded
-// queueing. A panicking fn is recovered into an error carrying the panic
-// value, so one broken stage fails the group instead of the process.
-func (g *Group) Go(fn func() error) {
-	if g.sem != nil {
-		g.sem <- struct{}{}
-	}
+// Go launches fn as a supervised task. A panicking fn is recovered into
+// an error carrying the panic value and stack, so one broken task fails
+// the group instead of the process.
+func (g *group) Go(fn func() error) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		if g.sem != nil {
-			defer func() { <-g.sem }()
-		}
-		if err := g.protect(fn); err != nil {
-			g.errOnce.Do(func() {
-				g.err = err
-				g.cancel()
-			})
+		if err := protect(fn); err != nil {
+			g.fail(err)
 		}
 	}()
 }
 
+// fail records err as the group's error unless one is already recorded,
+// and cancels the group's context.
+func (g *group) fail(err error) {
+	g.errOnce.Do(func() {
+		g.err = err
+		g.cancel()
+	})
+}
+
+// Wait blocks until every task launched with Go has returned, cancels
+// the group's context, and returns the first error (or recovered panic)
+// observed.
+func (g *group) Wait() error {
+	g.wg.Wait()
+	g.cancel()
+	return g.err
+}
+
 // protect runs fn, converting a panic into an error.
-func (g *Group) protect(fn func() error) (err error) {
+func protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 4096)
@@ -79,19 +68,6 @@ func (g *Group) protect(fn func() error) (err error) {
 	}()
 	return fn()
 }
-
-// Wait blocks until every task launched with Go has returned, cancels
-// the group's context, and returns the first error (or recovered panic)
-// observed.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.cancel()
-	return g.err
-}
-
-// Err returns the group's first error without waiting. It is safe to
-// call only after Wait has returned (before that it races with tasks).
-func (g *Group) Err() error { return g.err }
 
 // workers normalizes a worker-count knob: <= 0 means NumCPU, and the
 // count never exceeds the number of items (spawning idle workers is
@@ -110,34 +86,18 @@ func workers(requested, items int) int {
 	return w
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) across at most the given
-// number of workers. Indexes are dispatched in order; after the first
-// failure the remaining indexes are skipped (workers drain), the context
-// is canceled, and the first error is returned. With workers <= 1 (or
-// n <= 1) it degenerates to a plain serial loop.
-func ForEach(ctx context.Context, workerCount, n int, fn func(ctx context.Context, i int) error) error {
+// forEach runs fn(ctx, i) for every i in [0, n) on at most the given
+// number of supervised workers, whatever that number. Indexes are
+// dispatched in order; after the first failure (or once ctx is done) the
+// remaining indexes are skipped, the context is canceled, and the first
+// error is returned.
+func forEach(ctx context.Context, workerCount, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := workers(workerCount, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	g, gctx := NewGroup(ctx)
+	g, gctx := newGroup(ctx)
 	idx := make(chan int)
-	for k := 0; k < w; k++ {
+	for range workers(workerCount, n) {
 		g.Go(func() error {
 			for i := range idx {
 				if err := gctx.Err(); err != nil {
@@ -155,25 +115,31 @@ feed:
 		select {
 		case idx <- i:
 		case <-gctx.Done():
-			break feed // a worker failed; stop dispatching
+			// A worker failed or ctx is done; stop dispatching. The
+			// failure was recorded first, so this records ctx's error
+			// only when the caller canceled.
+			g.fail(gctx.Err())
+			break feed
 		}
 	}
 	close(idx)
 	return g.Wait()
 }
 
-// Map runs fn for every index in [0, n) across at most the given number
-// of workers and collects the results by index: out[i] is fn's result
-// for i, whatever order the workers finished in. This is the package's
-// determinism primitive — merging out in index order is equivalent to a
-// serial loop. On error the first failure is returned and the results
-// are discarded.
+// Map runs fn for every index in [0, n) on at most the given number of
+// workers (<= 0: NumCPU) and collects the results by index: out[i] is
+// fn's result for i, whatever order the workers finished in, so merging
+// out in index order is equivalent to a serial loop. Every worker count,
+// 1 included, runs through the same supervised workers: a panicking fn
+// is recovered into an error, the first error cancels the context the
+// other calls see and skips the indexes not yet started, and Map returns
+// that error and discards the results.
 func Map[T any](ctx context.Context, workerCount, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	err := ForEach(ctx, workerCount, n, func(ctx context.Context, i int) error {
+	err := forEach(ctx, workerCount, n, func(ctx context.Context, i int) error {
 		v, err := fn(ctx, i)
 		if err != nil {
 			return err

@@ -11,7 +11,7 @@ import (
 )
 
 func TestGroupAllSucceed(t *testing.T) {
-	g, _ := NewGroup(context.Background())
+	g, _ := newGroup(context.Background())
 	var sum atomic.Int64
 	for i := 1; i <= 10; i++ {
 		g.Go(func() error {
@@ -28,7 +28,7 @@ func TestGroupAllSucceed(t *testing.T) {
 }
 
 func TestGroupFirstErrorWinsAndCancels(t *testing.T) {
-	g, ctx := NewGroup(context.Background())
+	g, ctx := newGroup(context.Background())
 	boom := errors.New("boom")
 	g.Go(func() error { return boom })
 	g.Go(func() error {
@@ -49,7 +49,7 @@ func TestGroupFirstErrorWinsAndCancels(t *testing.T) {
 }
 
 func TestGroupRecoversPanic(t *testing.T) {
-	g, _ := NewGroup(context.Background())
+	g, _ := newGroup(context.Background())
 	g.Go(func() error { panic("kaboom") })
 	err := g.Wait()
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
@@ -57,29 +57,46 @@ func TestGroupRecoversPanic(t *testing.T) {
 	}
 }
 
-func TestGroupLimitBoundsConcurrency(t *testing.T) {
-	g, _ := NewGroup(context.Background())
-	g.SetLimit(3)
-	var cur, peak atomic.Int64
-	for i := 0; i < 20; i++ {
-		g.Go(func() error {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+// TestMapRecoversPanic pins supervision at every worker count: a
+// panicking fn becomes Map's error, one worker included.
+func TestMapRecoversPanic(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		out, err := Map(context.Background(), w, 4, func(_ context.Context, i int) (int, error) {
+			if i == 2 {
+				panic("kaboom")
 			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return nil
+			return i, nil
 		})
+		if err == nil || !strings.Contains(err.Error(), "kaboom") {
+			t.Fatalf("workers=%d: err = %v, want task panic error", w, err)
+		}
+		if out != nil {
+			t.Fatalf("workers=%d: Map returned results alongside a panic", w)
+		}
 	}
-	if err := g.Wait(); err != nil {
+}
+
+// TestMapBoundsConcurrency checks that the worker count caps how many
+// fn calls run at once.
+func TestMapBoundsConcurrency(t *testing.T) {
+	var cur, peak atomic.Int64
+	_, err := Map(context.Background(), 3, 20, func(context.Context, int) (struct{}, error) {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+		return struct{}{}, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {
-		t.Fatalf("observed %d concurrent tasks, limit 3", p)
+		t.Fatalf("observed %d concurrent calls, limit 3", p)
 	}
 }
 
@@ -87,7 +104,7 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 	for _, w := range []int{1, 2, 7, 64} {
 		n := 100
 		seen := make([]atomic.Int64, n)
-		err := ForEach(context.Background(), w, n, func(_ context.Context, i int) error {
+		err := forEach(context.Background(), w, n, func(_ context.Context, i int) error {
 			seen[i].Add(1)
 			return nil
 		})
@@ -105,7 +122,7 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 func TestForEachStopsAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err := ForEach(context.Background(), 2, 1000, func(_ context.Context, i int) error {
+	err := forEach(context.Background(), 2, 1000, func(_ context.Context, i int) error {
 		calls.Add(1)
 		if i == 3 {
 			return boom
@@ -123,12 +140,18 @@ func TestForEachStopsAfterError(t *testing.T) {
 func TestForEachSerialRespectsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForEach(ctx, 1, 10, func(context.Context, int) error {
-		t.Fatal("fn ran under a canceled context")
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, w := range []int{1, 2} {
+		var calls atomic.Int64
+		err := forEach(ctx, w, 10, func(context.Context, int) error {
+			calls.Add(1)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", w, err)
+		}
+		if c := calls.Load(); c != 0 {
+			t.Fatalf("workers=%d: fn ran %d times under a canceled context", w, c)
+		}
 	}
 }
 

@@ -17,6 +17,13 @@ import (
 	"ipv4market/internal/store"
 )
 
+const (
+	// requestTimeout bounds each HTTP request, listing or segment.
+	requestTimeout = 30 * time.Second
+	// maxBackoff caps the failure backoff.
+	maxBackoff = 30 * time.Second
+)
+
 // decodeJSONBody decodes a bounded JSON document; the listing is small,
 // so 8 MiB is a generous ceiling that still stops a runaway body.
 func decodeJSONBody(r io.Reader, v any) error {
@@ -31,15 +38,9 @@ type Options struct {
 	Store *store.Store
 	// Interval is the steady-state poll period (default 5s).
 	Interval time.Duration
-	// Timeout bounds each HTTP request, listing or segment (default 30s).
-	Timeout time.Duration
-	// MaxBackoff caps the failure backoff (default 30s).
-	MaxBackoff time.Duration
 	// Keep, when positive, applies retention after each sync so the
 	// follower's store tracks the leader's compaction policy.
 	Keep int
-	// Client is the HTTP client to use (default http.DefaultClient).
-	Client *http.Client
 	// Logf, when set, receives one line per notable event (sync results,
 	// quarantines, backoff transitions).
 	Logf func(format string, args ...any)
@@ -82,8 +83,7 @@ type FollowerStatus struct {
 // sealed segments into the local store and hands new generations to the
 // serving layer.
 type Replicator struct {
-	opts   Options
-	client *http.Client
+	opts Options
 
 	mu     sync.Mutex
 	apply  Apply
@@ -114,17 +114,7 @@ func New(opts Options) (*Replicator, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Second
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
-	}
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	r := &Replicator{opts: opts, client: client}
+	r := &Replicator{opts: opts}
 	r.jitter.seed(uint64(time.Now().UnixNano()))
 	r.status.Role = "follower"
 	r.status.LeaderURL = opts.LeaderURL
@@ -219,7 +209,7 @@ func (r *Replicator) Run(ctx context.Context) {
 }
 
 // backoffDelay computes the retry delay after `failures` consecutive
-// failed syncs: Interval doubled per failure, capped at MaxBackoff,
+// failed syncs: Interval doubled per failure, capped at maxBackoff,
 // with ±25% jitter so a follower fleet does not stampede a recovering
 // leader.
 func (r *Replicator) backoffDelay(failures int) time.Duration {
@@ -227,11 +217,11 @@ func (r *Replicator) backoffDelay(failures int) time.Duration {
 	if d < 500*time.Millisecond {
 		d = 500 * time.Millisecond
 	}
-	for i := 1; i < failures && d < r.opts.MaxBackoff; i++ {
+	for i := 1; i < failures && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.opts.MaxBackoff {
-		d = r.opts.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// jitter in [0.75d, 1.25d)
 	r.mu.Lock()
@@ -335,13 +325,13 @@ func (r *Replicator) syncOnce(ctx context.Context) error {
 
 // fetchListing GETs and decodes the leader's generation listing.
 func (r *Replicator) fetchListing(ctx context.Context) (*Listing, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.LeaderURL+"/v1/replication/generations", nil)
 	if err != nil {
 		return nil, fmt.Errorf("replicate: build listing request: %w", err)
 	}
-	resp, err := r.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		r.countFetchError()
 		return nil, fmt.Errorf("replicate: list generations: %w", err)
@@ -396,7 +386,7 @@ func (r *Replicator) fetchAndInstall(ctx context.Context, e GenEntry) error {
 // partial transfer when possible. On a mid-stream failure the received
 // prefix is kept for the next attempt.
 func (r *Replicator) download(ctx context.Context, e GenEntry) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 
 	r.mu.Lock()
@@ -421,7 +411,7 @@ func (r *Replicator) download(ctx context.Context, e GenEntry) ([]byte, error) {
 		req.Header.Set("If-Range", e.ETag)
 	}
 
-	resp, err := r.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		r.countFetchError()
 		return nil, fmt.Errorf("replicate: fetch generation %d: %w", e.Gen, err)

@@ -453,10 +453,9 @@ func TestLeaderRestartWithHigherGens(t *testing.T) {
 
 func TestBackoffDelayBounds(t *testing.T) {
 	r, err := New(Options{
-		LeaderURL:  "http://unused.test",
-		Store:      mustOpen(t),
-		Interval:   time.Second,
-		MaxBackoff: 8 * time.Second,
+		LeaderURL: "http://unused.test",
+		Store:     mustOpen(t),
+		Interval:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +466,7 @@ func TestBackoffDelayBounds(t *testing.T) {
 			if d < 750*time.Millisecond {
 				t.Fatalf("failures=%d: delay %v below jittered minimum", failures, d)
 			}
-			if d > 10*time.Second {
+			if d > maxBackoff*5/4 {
 				t.Fatalf("failures=%d: delay %v above jittered cap", failures, d)
 			}
 		}

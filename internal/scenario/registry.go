@@ -32,10 +32,6 @@ type Options struct {
 	Timeout      time.Duration
 	EnableAdmin  bool
 	BuildWorkers int
-	// ScenarioWorkers caps how many scenario worlds build concurrently
-	// during New (<= 0: all at once, bounded by internal/parallel's own
-	// worker default). Any value yields the same per-scenario bytes.
-	ScenarioWorkers int
 
 	// FollowURL, when set, runs every scenario as a replication follower
 	// of the leader at this base URL: scenario "storm" polls
@@ -82,10 +78,10 @@ type Registry struct {
 }
 
 // New builds the full scenario matrix: every world's snapshot is built
-// (or warm-started / follower-synced) before New returns, with the
-// scenario builds themselves fanned out via internal/parallel — each
-// world's internal stage DAG runs inside that budget. ctx bounds the
-// follower initial sync; leaders ignore it.
+// (or warm-started / follower-synced) before New returns, the worlds
+// fanned out by parallel.Map at its default of NumCPU workers, each
+// world's own stage DAG inside. Any fan-out yields the same per-scenario
+// bytes. ctx bounds the follower initial sync; leaders ignore it.
 func New(ctx context.Context, specs []Spec, opts Options) (*Registry, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("scenario: no scenarios to serve")
@@ -107,7 +103,7 @@ func New(ctx context.Context, specs []Spec, opts Options) (*Registry, error) {
 	// Build every world concurrently. The hooks installed on each server
 	// close over reg; they are only called once serving starts, after New
 	// has fully populated the registry.
-	worlds, err := parallel.Map(ctx, opts.ScenarioWorkers, len(reg.specs),
+	worlds, err := parallel.Map(ctx, 0, len(reg.specs),
 		func(ctx context.Context, i int) (*world, error) {
 			return reg.buildWorld(ctx, reg.specs[i])
 		})

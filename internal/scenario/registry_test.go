@@ -66,8 +66,8 @@ func getOK(t *testing.T, reg *Registry, path string) ([]byte, string) {
 // different worker counts and requires byte- and ETag-identical
 // artifacts per scenario.
 func TestMatrixDeterminism(t *testing.T) {
-	regA := newTestRegistry(t, Options{ScenarioWorkers: 1, BuildWorkers: 1})
-	regB := newTestRegistry(t, Options{ScenarioWorkers: 2, BuildWorkers: 4})
+	regA := newTestRegistry(t, Options{BuildWorkers: 1})
+	regB := newTestRegistry(t, Options{BuildWorkers: 4})
 
 	paths := []string{"/table1", "/transfers", "/utilization", "/rpki", "/prices", "/headline"}
 	for _, name := range regA.Names() {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ipv4market/internal/replicate"
 	"ipv4market/internal/serve"
 	"ipv4market/internal/simulation"
 )
@@ -114,6 +115,31 @@ func TestValidationErrorsNameTheField(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.label+".json") {
 			t.Errorf("%s: error %q does not name the file", tc.label, err)
+		}
+	}
+}
+
+// TestReservedNamesCoverRoutes ties the hand-kept reservedNames list to
+// the routes a world registers: every first path segment of them, and
+// every segment under /v1/, is reserved, so no spec file can name a
+// scenario that shadows an endpoint.
+func TestReservedNamesCoverRoutes(t *testing.T) {
+	srv, err := serve.New(testBase(), serve.Options{EnableAdmin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := append(srv.Routes(), replicate.PatternGenerations, replicate.PatternSegment)
+	for _, pattern := range patterns {
+		_, path, _ := strings.Cut(pattern, " ")
+		segs := strings.Split(strings.TrimPrefix(path, "/"), "/")
+		names := segs[:1]
+		if segs[0] == "v1" && len(segs) > 1 {
+			names = segs[:2]
+		}
+		for _, name := range names {
+			if !reservedNames[name] {
+				t.Errorf("route %q: segment %q is not in reservedNames", pattern, name)
+			}
 		}
 	}
 }

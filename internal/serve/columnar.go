@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ipv4market/internal/core"
 	"ipv4market/internal/jsonenc"
 	"ipv4market/internal/market"
 	"ipv4market/internal/registry"
@@ -42,10 +43,6 @@ type priceTable struct {
 	csvHeader []byte
 }
 
-// priceCSVHeader is the shared column layout of Figure1CSV and
-// priceCellsCSV.
-var priceCSVHeader = []string{"quarter", "prefix_bits", "region", "n", "min", "q1", "median", "q3", "max", "mean"}
-
 // newPriceTable renders every cell once into the columnar layout.
 func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 	t := &priceTable{
@@ -57,7 +54,7 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 	}
 	var buf bytes.Buffer
 	cw := csv.NewWriter(&buf)
-	if err := cw.Write(priceCSVHeader); err != nil {
+	if err := cw.Write(core.Figure1CSVHeader()); err != nil {
 		return nil, fmt.Errorf("serve: price table header: %w", err)
 	}
 	cw.Flush()
@@ -66,15 +63,13 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 	}
 	t.csvHeader = append([]byte(nil), buf.Bytes()...)
 
-	f2 := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 	var rowBuf []byte // one row's indented JSON, before its exact-size copy
 	for i, c := range cells {
 		t.bits[i] = c.Bits
 		t.region[i] = c.Region
 		t.quarter[i] = c.Quarter
 
-		quarter, region := c.Quarter.String(), c.Region.String()
-		row, err := appendPriceRow(rowBuf[:0], quarter, region, c)
+		row, err := appendPriceRow(rowBuf[:0], c)
 		if err != nil {
 			return nil, fmt.Errorf("serve: price table row %d: %w", i, err)
 		}
@@ -82,12 +77,7 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 		t.jsonRow[i] = bytes.Clone(row)
 
 		buf.Reset()
-		err = cw.Write([]string{
-			quarter, strconv.Itoa(c.Bits), region,
-			strconv.Itoa(c.Box.N), f2(c.Box.Min), f2(c.Box.Q1), f2(c.Box.Median),
-			f2(c.Box.Q3), f2(c.Box.Max), f2(c.Box.Mean),
-		})
-		if err != nil {
+		if err := cw.Write(core.Figure1CSVRow(c)); err != nil {
 			return nil, fmt.Errorf("serve: price table row %d: %w", i, err)
 		}
 		cw.Flush()
@@ -103,13 +93,13 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 // in the cells array: json.MarshalIndent of its priceCellView with
 // prefix "    " and indent "  ", written field by field. A NaN or
 // infinite statistic fails as json.Marshal fails.
-func appendPriceRow(b []byte, quarter, region string, c market.PriceCell) ([]byte, error) {
+func appendPriceRow(b []byte, c market.PriceCell) ([]byte, error) {
 	b = append(b, "{\n      \"quarter\": "...)
-	b = jsonenc.AppendString(b, quarter)
+	b = jsonenc.AppendString(b, c.Quarter.String())
 	b = append(b, ",\n      \"bits\": "...)
 	b = strconv.AppendInt(b, int64(c.Bits), 10)
 	b = append(b, ",\n      \"region\": "...)
-	b = jsonenc.AppendString(b, region)
+	b = jsonenc.AppendString(b, c.Region.String())
 	b = append(b, ",\n      \"n\": "...)
 	b = strconv.AppendInt(b, int64(c.Box.N), 10)
 	for _, f := range [...]struct {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ipv4market/internal/core"
 )
@@ -104,7 +105,7 @@ func TestBuildStageErrorNamesStage(t *testing.T) {
 	boom := errors.New("broken pipeline")
 	snapshotStages = append(append([]buildStage(nil), saved...), buildStage{
 		name: "exploding",
-		run: func(*Snapshot, *core.Study, int) ([]keyedArtifact, error) {
+		run: func(*Snapshot, *core.Study) ([]keyedArtifact, error) {
 			return nil, boom
 		},
 	})
@@ -118,6 +119,63 @@ func TestBuildStageErrorNamesStage(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `build stage "exploding"`) {
 		t.Fatalf("error does not name the failing stage: %v", err)
+	}
+}
+
+// withPanickingStage appends a stage named "exploding" that panics to
+// the stage table until the test ends.
+func withPanickingStage(t *testing.T) {
+	t.Helper()
+	saved := snapshotStages
+	t.Cleanup(func() { snapshotStages = saved })
+	snapshotStages = append(append([]buildStage(nil), saved...), buildStage{
+		name: "exploding",
+		run: func(*Snapshot, *core.Study) ([]keyedArtifact, error) {
+			panic("stage blew up")
+		},
+	})
+}
+
+// TestBuildStagePanicNamesStage pins supervision at one worker: a
+// panicking stage is an error that names the stage, as at any other
+// worker count, never a crash.
+func TestBuildStagePanicNamesStage(t *testing.T) {
+	withPanickingStage(t)
+	for _, workers := range []int{1, 4} {
+		_, err := BuildSnapshotOpts(testConfig(), BuildOptions{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: build with a panicking stage succeeded, want error", workers)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `build stage "exploding"`) || !strings.Contains(msg, "stage blew up") {
+			t.Fatalf("workers=%d: error does not name the panicking stage and its value: %v", workers, err)
+		}
+	}
+}
+
+// TestRebuildAsyncCountsStagePanic pins the background rebuild's side
+// of it: a one-worker rebuild whose stage panics is counted in
+// rebuilds.errors and last_error, and the old snapshot stays served.
+func TestRebuildAsyncCountsStagePanic(t *testing.T) {
+	cfg := testConfig()
+	srv, err := New(cfg, Options{BuildWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := srv.Snapshot()
+	withPanickingStage(t)
+	if !srv.RebuildAsync(srv.rebuildConfig(cfg.Seed+1, true)) {
+		t.Fatal("RebuildAsync declined")
+	}
+	srv.Wait()
+	if got := srv.Snapshot(); got != old {
+		t.Fatalf("served snapshot seq %d after a failed rebuild, want the old seq %d", got.Seq, old.Seq)
+	}
+	v := srv.varz(time.Now()).Rebuilds
+	if v.Total != 1 || v.Errors != 1 {
+		t.Fatalf("rebuilds total=%d errors=%d, want 1 and 1", v.Total, v.Errors)
+	}
+	if !strings.Contains(v.LastError, `build stage "exploding"`) {
+		t.Fatalf("last_error does not name the panicking stage: %q", v.LastError)
 	}
 }
 

@@ -7,20 +7,21 @@
 // The design splits the system into a slow write path and a fast read
 // path:
 //
-//   - BuildSnapshot runs every study pipeline exactly once and encodes
-//     the static artifacts (JSON and CSV bodies, ETags) up front. All of
-//     the simulation's randomness is confined to this build step. The
-//     build is a two-phase DAG: the study constructs serially (every
+//   - BuildSnapshotOpts runs every study pipeline exactly once and
+//     encodes the static artifacts (JSON and CSV bodies, ETags) up front.
+//     All of the simulation's randomness is confined to this build step.
+//     The build is a two-phase DAG: the study constructs serially (every
 //     artifact reads it), then the independent artifact stages — Table 1,
 //     Figures 1–4, price cells, transfer statistics, the leasing summary,
-//     the delegation index — fan out across a parallel.Group, each stage
-//     writing only its own Snapshot fields. Results merge by stage index,
-//     never completion order, so a snapshot built at any worker count is
-//     byte-identical (same bodies, same ETags) to the serial build; the
-//     determinism test in this package pins that contract. Per-stage
-//     wall-clock timings are recorded on the Snapshot and exported via
-//     /varz, and a failing stage surfaces its name in the wrapped build
-//     error.
+//     the delegation index — fan out through parallel.Map, each stage
+//     writing only its own Snapshot fields. No stage fans out again: the
+//     stage DAG is the build's only concurrency. Results merge by stage
+//     index, never completion order, so a snapshot built at any worker
+//     count is byte-identical (same bodies, same ETags) to the one-worker
+//     build; the determinism test in this package pins that contract.
+//     Per-stage wall-clock timings are recorded on the Snapshot and
+//     exported via /varz, and a failing or panicking stage, at any worker
+//     count, surfaces its name in the build error.
 //   - Server holds the current Snapshot behind an atomic pointer.
 //     Handlers only read: a request never runs a study pipeline, so
 //     serving is race-free and O(response size). Background rebuilds

@@ -29,7 +29,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // yields identical artifact bytes, ETags, and query state.
 func TestSnapshotRecordRestoreRoundTrip(t *testing.T) {
 	cfg := testConfig()
-	snap, err := BuildSnapshot(cfg)
+	snap, err := BuildSnapshotOpts(cfg, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSnapshotRecordRestoreRoundTrip(t *testing.T) {
 // failure (never a recovered panic), and warm start cold-builds.
 func TestUnrestorableGeneration(t *testing.T) {
 	cfg := testConfig()
-	built, err := BuildSnapshot(cfg)
+	built, err := BuildSnapshotOpts(cfg, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestUnrestorableGeneration(t *testing.T) {
 // restore path: a body that does not match its stored ETag is refused
 // (defense in depth beyond the store's CRCs).
 func TestAssembleArtifactsRejectsTamperedBody(t *testing.T) {
-	snap, err := BuildSnapshot(testConfig())
+	snap, err := BuildSnapshotOpts(testConfig(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

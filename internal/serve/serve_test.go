@@ -398,11 +398,11 @@ func TestRebuildWorkers(t *testing.T) {
 // TestSnapshotDeterminism pins the serving layer to the study contract:
 // two snapshots of the same config serve byte-identical artifacts.
 func TestSnapshotDeterminism(t *testing.T) {
-	a, err := BuildSnapshot(testConfig())
+	a, err := BuildSnapshotOpts(testConfig(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildSnapshot(testConfig())
+	b, err := BuildSnapshotOpts(testConfig(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

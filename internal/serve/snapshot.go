@@ -19,7 +19,7 @@ import (
 
 // Snapshot is one immutable, fully materialized serving state: every
 // artifact of the study precomputed and pre-encoded. Nothing in a
-// Snapshot mutates after BuildSnapshot returns, so a Snapshot may be
+// Snapshot mutates after BuildSnapshotOpts returns, so a Snapshot may be
 // read by any number of goroutines while a replacement is built.
 type Snapshot struct {
 	Cfg       simulation.Config
@@ -115,15 +115,6 @@ func (o BuildOptions) workers() int {
 // fixed.
 var leasingObservationEnd = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 
-// BuildSnapshot constructs the study for cfg and materializes every
-// served artifact with default build options. This is the only place the
-// serving layer runs study pipelines — and the only place the
-// simulation's randomness executes — so handlers never recompute
-// anything.
-func BuildSnapshot(cfg simulation.Config) (*Snapshot, error) {
-	return BuildSnapshotOpts(cfg, BuildOptions{})
-}
-
 // buildStage is one node of the artifact DAG: a named unit of work that
 // computes its study results and pre-encodes the artifacts derived from
 // them. Stages listed in snapshotStages are mutually independent — each
@@ -133,7 +124,7 @@ func BuildSnapshot(cfg simulation.Config) (*Snapshot, error) {
 // in definition order, never completion order.
 type buildStage struct {
 	name string
-	run  func(snap *Snapshot, study *core.Study, workers int) ([]keyedArtifact, error)
+	run  func(snap *Snapshot, study *core.Study) ([]keyedArtifact, error)
 }
 
 // keyedArtifact pairs an endpoint key with its pre-encoded artifact.
@@ -155,11 +146,11 @@ func one(key string, view any, csvFn func(io.Writer) error) ([]keyedArtifact, er
 // depends only on the read-only study and the snapshot's config, so the
 // build runs them all concurrently, bounded by the worker budget.
 var snapshotStages = []buildStage{
-	{"table1", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"table1", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		rows := study.Table1()
 		return one("table1", viewTable1(rows), table1CSV(rows))
 	}},
-	{"prices", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"prices", func(snap *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		snap.PriceCells = study.Figure1()
 		var err error
 		if snap.prices, err = newPriceTable(snap.PriceCells); err != nil {
@@ -171,43 +162,40 @@ var snapshotStages = []buildStage{
 		art := snap.prices.render(priceFilter{})
 		return []keyedArtifact{{"fig1", art}, {"prices", art}}, nil
 	}},
-	{"transfer_series", func(_ *Snapshot, study *core.Study, workers int) ([]keyedArtifact, error) {
-		counts, err := study.Figure2Workers(workers)
-		if err != nil {
-			return nil, err
-		}
+	{"transfer_series", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
+		counts := study.Figure2()
 		return one("fig2", viewTransferSeries(counts), func(w io.Writer) error { return core.WriteFigure2CSV(w, counts) })
 	}},
-	{"interrir_flows", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"interrir_flows", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		flows := study.Figure3()
 		return one("fig3", viewInterRIRFlows(flows), func(w io.Writer) error { return core.WriteFigure3CSV(w, flows) })
 	}},
-	{"leasing_prices", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"leasing_prices", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		points := study.Figure4()
 		return one("fig4", viewLeasingPoints(points), func(w io.Writer) error { return core.WriteFigure4CSV(w, points) })
 	}},
-	{"transfers", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"transfers", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		body, err := transfersBody(study.World.Registry)
 		if err != nil {
 			return nil, fmt.Errorf("transfers: serve: encode: %w", err)
 		}
 		return []keyedArtifact{{"transfers", &artifact{json: body, jsonETag: etagOf(body)}}}, nil
 	}},
-	{"headline", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"headline", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		h, err := study.Headline()
 		if err != nil {
 			return nil, err
 		}
 		return one("headline", viewHeadline(h), nil)
 	}},
-	{"leasing", func(_ *Snapshot, _ *core.Study, _ int) ([]keyedArtifact, error) {
+	{"leasing", func(*Snapshot, *core.Study) ([]keyedArtifact, error) {
 		leasing, err := market.SnapshotAt(market.PaperProviders(), leasingObservationEnd)
 		if err != nil {
 			return nil, err
 		}
 		return one("leasing", viewLeasing(leasing, market.PriceChanges(market.PaperProviders())), nil)
 	}},
-	{"delegations", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"delegations", func(snap *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		// Extended inference on the window's final day.
 		day := snap.Cfg.RoutingDays - 1
 		date := snap.Cfg.RoutingStart.AddDate(0, 0, day)
@@ -215,30 +203,30 @@ var snapshotStages = []buildStage{
 		snap.Delegations = newDelegationIndex(date, inf.FromSurvey(date, study.Routing.SurveyAt(day)))
 		return one("delegations", viewDelegationSummary(snap.Delegations), nil)
 	}},
-	{"utilization", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
-		// The per-quarter survey sampling runs serially inside this
-		// stage (workers=1): the stage itself already executes inside
-		// the DAG's worker budget, and nested fan-out would oversubscribe
-		// it without changing the bytes. At DefaultConfig its ten
-		// quarters refill one survey, under 2ms each. At one worker
-		// the stage takes 14–24ms, the longest artifact stage by about
-		// twice (temporal takes 9–10ms, every other stage 6ms or
-		// less), so it alone sets the multi-worker build's critical
-		// path after the study stage.
+	{"utilization", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
+		// The per-quarter survey sampling runs on one worker inside
+		// this stage: the stage DAG is the build's only fan-out, and a
+		// nested one would oversubscribe its worker budget without
+		// changing the bytes. At DefaultConfig its ten quarters refill
+		// one survey, under 2ms each. At one worker the stage takes
+		// 14–24ms, the longest artifact stage by about twice (temporal
+		// takes 9–10ms, every other stage 6ms or less), so it alone
+		// sets the multi-worker build's critical path after the study
+		// stage.
 		points, err := study.UtilizationWorkers(1)
 		if err != nil {
 			return nil, err
 		}
 		return one("utilization", viewUtilization(points), utilizationCSV(points))
 	}},
-	{"rpki", func(_ *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"rpki", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		res, err := study.RPKISeries()
 		if err != nil {
 			return nil, err
 		}
 		return one("rpki", viewRPKI(res), rpkiCSV(res))
 	}},
-	{"temporal", func(snap *Snapshot, study *core.Study, _ int) ([]keyedArtifact, error) {
+	{"temporal", func(snap *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		// The as-of index has no static artifact of its own — every
 		// /v1/asof response is computed per request, point and timeline
 		// answers query-cached, diffs from the event-row table. The index
@@ -252,13 +240,16 @@ var snapshotStages = []buildStage{
 	}},
 }
 
-// BuildSnapshotOpts constructs the study and materializes every served
-// artifact as a DAG of build stages: the study build runs first (every
-// artifact derives from it), then the artifact stages fan out across the
-// worker budget. Determinism contract: results are merged by stage
-// index, so any worker count — including 1 — produces byte-identical
-// artifacts and ETags. A failing stage cancels its siblings and is
-// reported wrapped with the stage name.
+// BuildSnapshotOpts constructs the study for cfg and materializes every
+// served artifact as a DAG of build stages: the study build runs first
+// (every artifact derives from it), then the artifact stages fan out
+// across the worker budget. This is the only place the serving layer
+// runs study pipelines — and the only place the simulation's randomness
+// executes — so handlers never recompute anything, and the stage DAG is
+// the build's only fan-out. Determinism contract: results are merged by
+// stage index, so any worker count — including 1 — produces
+// byte-identical artifacts and ETags. A failing or panicking stage
+// cancels its siblings and is reported with the stage name.
 func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, error) {
 	start := time.Now()
 	workers := opts.workers()
@@ -283,8 +274,15 @@ func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, err
 		func(_ context.Context, i int) ([]keyedArtifact, error) {
 			st := snapshotStages[i]
 			stageStart := time.Now()
-			arts, err := st.run(snap, study, workers)
-			durations[i] = time.Since(stageStart)
+			defer func() {
+				durations[i] = time.Since(stageStart)
+				// Name the stage in a panic too: parallel.Map recovers
+				// it into the build's error, with the original stack.
+				if r := recover(); r != nil {
+					panic(fmt.Sprintf("serve: build stage %q: %v", st.name, r)) //lint:ignore bannedcall re-raised with the stage name for parallel.Map to recover
+				}
+			}()
+			arts, err := st.run(snap, study)
 			if err != nil {
 				return nil, fmt.Errorf("serve: build stage %q: %w", st.name, err)
 			}

@@ -44,13 +44,15 @@
 #                   identity, the default alias, the follower's 409 on
 #                   /admin/rebuild, clean SIGTERM exits, and on the
 #                   matrix rebuild isolation and follower catch-up
-#   fuzz          — a short -fuzztime budget per native fuzz target
-#                   (segment/frame decoding, prefix parsing and
+#   fuzz          — a short -fuzztime budget per native fuzz target,
+#                   every Fuzz function go test -list finds in the
+#                   module (segment/frame decoding, prefix parsing and
 #                   construction, the JSON indenter against
 #                   json.MarshalIndent, the as-of record and the
 #                   /v1/transfers body against json.Marshal, the MRT
-#                   reader's round trip) on top of the committed corpus,
-#                   which replays in the test gate
+#                   reader's round trip, ...), on top of the committed
+#                   corpus, which replays in the test gate; finding no
+#                   target fails the gate
 #   load          — a race-enabled marketbench boots a race-enabled
 #                   marketd fleet (a leader and 2 followers behind the
 #                   round-robin router) at smoke scale and drives the
@@ -133,16 +135,23 @@ gate_fleet() {
     go run ./scripts/fleetgate "$check_dir/marketd-race"
 }
 
+# gate_fuzz fuzzes every native fuzz target in the module for 5s each.
+# The targets come from go test -list, one "PKG TARGET" line each: a
+# package's target names print before its "ok" line.
 gate_fuzz() {
-    go test -run '^$' -fuzz FuzzDecodeSegment -fuzztime 5s ./internal/store
-    go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/store
-    go test -run '^$' -fuzz FuzzPrefixFrom -fuzztime 5s ./internal/netblock
-    go test -run '^$' -fuzz FuzzParsePrefix -fuzztime 5s ./internal/netblock
-    go test -run '^$' -fuzz FuzzIndentJSON -fuzztime 5s ./internal/serve
-    go test -run '^$' -fuzz FuzzAsofDiffWindow -fuzztime 5s ./internal/serve
-    go test -run '^$' -fuzz FuzzRecordMatchesMarshal -fuzztime 5s ./internal/temporal
-    go test -run '^$' -fuzz FuzzTransfersBody -fuzztime 5s ./internal/serve
-    go test -run '^$' -fuzz FuzzMRTReader -fuzztime 5s ./internal/bgp
+    go test -list '^Fuzz' ./... > "$check_dir/fuzz.list"
+    targets=$(awk '/^Fuzz/ { names = names " " $1; next }
+        /^ok / { n = split(names, f, " "); for (i = 1; i <= n; i++) print $2, f[i]; names = "" }' \
+        "$check_dir/fuzz.list")
+    if [ -z "$targets" ]; then
+        echo "fuzz: go test -list found no fuzz target" >&2
+        return 1
+    fi
+    while read -r pkg target; do
+        go test -run '^$' -fuzz "^$target\$" -fuzztime 5s "$pkg" < /dev/null
+    done <<EOF
+$targets
+EOF
 }
 
 gate_load() {

@@ -55,6 +55,9 @@ var contracts = []contract{
 		"TestTransfersBodyMatchesMarshal",
 		// A one-worker DefaultConfig build stays within its allocation budget.
 		"TestBuildAllocBytes",
+		// A panicking stage is a build error naming it at one worker too,
+		// and a background rebuild counts it and keeps serving.
+		"TestBuildStagePanicNamesStage", "TestRebuildAsyncCountsStagePanic",
 		// /varz resolves sub-millisecond server latency.
 		"TestRouteLatencyResolvesSubMillisecond",
 		// Artifact bodies leave in one write over TCP, ranges still slice,
@@ -62,7 +65,11 @@ var contracts = []contract{
 		"TestArtifactOneWriteOverTCP", "TestArtifactRange", "TestStaticReadsSurviveSegmentLoss",
 	}},
 	{"ipv4market/internal/core", []string{
-		"TestFigure6WorkersDeterministic", "TestFigure2WorkersMatchesSerial",
+		"TestFigure6WorkersDeterministic",
+	}},
+	{"ipv4market/internal/parallel", []string{
+		// Map recovers a panic into an error at every worker count.
+		"TestMapRecoversPanic", "TestMapDeterministicAcrossWorkerCounts",
 	}},
 	{"ipv4market/internal/rpki", []string{
 		"TestEvaluateGridMatchesPerRule",
@@ -96,6 +103,8 @@ var contracts = []contract{
 	{"ipv4market/internal/scenario", []string{
 		"TestMatrixDeterminism", "TestScenarioIsolation", "TestDefaultAlias", "TestWarmStartMatrix",
 		"TestGoldenConfigsReplay", "TestSpecAtLIRsCapBuilds",
+		// No scenario name can shadow a route.
+		"TestReservedNamesCoverRoutes",
 	}},
 	{"ipv4market/internal/latency", []string{
 		"TestHistogramQuantileMatchesExact", "TestHistogramMergeAssociativity",
