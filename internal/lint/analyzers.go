@@ -7,8 +7,6 @@ func All() []*Analyzer {
 		BannedCall(DefaultBans()),
 		CtxFlow,
 		FloatCmp,
-		MapOrder,
-		MutAfterPub,
 		SeededRand,
 		WrapErr,
 	}

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"cmp"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -91,8 +93,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{"seededrand", SeededRand},
 		{"wraperr", WrapErr},
 		{"bannedcall", BannedCall(DefaultBans())},
-		{"mutafterpub", MutAfterPub},
-		{"maporder", MapOrder},
 		{"ctxflow", CtxFlow},
 	}
 	for _, c := range cases {
@@ -128,6 +128,45 @@ func TestAnalyzersGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiagnosticsDeterministic: repeated runs of the full suite over
+// every fixture produce identical diagnostics, sorted by file, line,
+// column and rule — the order Run promises and the CLI prints.
+func TestDiagnosticsDeterministic(t *testing.T) {
+	loader := testLoader(t)
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, d := range dirs {
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	base := Run(pkgs, All())
+	if len(base) == 0 {
+		t.Fatal("expected findings from the fixtures")
+	}
+	for i := 0; i < 5; i++ {
+		if got := Run(pkgs, All()); !reflect.DeepEqual(got, base) {
+			t.Fatalf("run %d differs:\n%v\nvs\n%v", i, got, base)
+		}
+	}
+	for i := 1; i < len(base); i++ {
+		a, b := base[i-1], base[i]
+		if cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Rule, b.Rule),
+		) > 0 {
+			t.Errorf("diagnostics out of order: %s before %s", a, b)
+		}
 	}
 }
 

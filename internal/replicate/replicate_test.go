@@ -521,6 +521,45 @@ func TestSyncCancelled(t *testing.T) {
 	}
 }
 
+// TestRunStopsOnCancel is TestSyncCancelled for the polling loop: with
+// an hour between polls, Run waits on its timer after the first sync,
+// and cancelling must end that wait rather than the next poll.
+func TestRunStopsOnCancel(t *testing.T) {
+	leaderSt := newLeaderStore(t, 1)
+	ts, _ := leaderServer(t, leaderSt, nil)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Options{LeaderURL: ts.URL, Store: st, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan struct{}, 1)
+	r.SetApply(func(store.Meta) error {
+		synced <- struct{}{}
+		return nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		r.Run(ctx)
+		close(done)
+	}()
+	select {
+	case <-synced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not complete its first sync")
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+}
+
 // TestReadyCheckLagGate pins the follower readiness contract cmd/marketd
 // wires behind -max-lag: unready before the first successful sync, ready
 // once caught up, unready again when generation lag exceeds the bound,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ipv4market/internal/core"
+	"ipv4market/internal/simulation"
 )
 
 // TestBuildSnapshotDeterministic is the parallel pipeline's central
@@ -156,14 +157,59 @@ func TestBuildStagePanicNamesStage(t *testing.T) {
 // of it: a one-worker rebuild whose stage panics is counted in
 // rebuilds.errors and last_error, and the old snapshot stays served.
 func TestRebuildAsyncCountsStagePanic(t *testing.T) {
-	cfg := testConfig()
-	srv, err := New(cfg, Options{BuildWorkers: 1})
+	srv, err := New(testConfig(), Options{BuildWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := srv.Snapshot()
 	withPanickingStage(t)
-	if !srv.RebuildAsync(srv.rebuildConfig(cfg.Seed+1, true)) {
+	rebuildFails(t, srv, `build stage "exploding"`)
+}
+
+// TestRebuildAsyncCountsStudyPanic: the study stage runs ahead of the
+// artifact stages, under the same supervision.
+func TestRebuildAsyncCountsStudyPanic(t *testing.T) {
+	srv, err := New(testConfig(), Options{BuildWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := newStudy
+	t.Cleanup(func() { newStudy = saved })
+	newStudy = func(simulation.Config) (*core.Study, error) { panic("study blew up") }
+	rebuildFails(t, srv, `build stage "study"`)
+}
+
+// TestRebuildAsyncCountsPersistPanic: persist runs after the build
+// under the same supervision. A stage that yields a nil artifact builds
+// fine, and persist panics dereferencing it; the store keeps its old
+// generation too.
+func TestRebuildAsyncCountsPersistPanic(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	srv, err := New(testConfig(), Options{BuildWorkers: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := snapshotStages
+	t.Cleanup(func() { snapshotStages = saved })
+	snapshotStages = append(append([]buildStage(nil), saved...), buildStage{
+		name: "hollow",
+		run: func(*Snapshot, *core.Study) ([]keyedArtifact, error) {
+			return []keyedArtifact{{"hollow", nil}}, nil
+		},
+	})
+	gen := srv.Snapshot().Gen
+	rebuildFails(t, srv, "serve: persist: ")
+	if latest, _ := st.Latest(); latest.Gen != gen {
+		t.Fatalf("store latest generation %d after a failed persist, want %d", latest.Gen, gen)
+	}
+}
+
+// rebuildFails runs one background rebuild of srv, which must fail: it
+// is counted in rebuilds.errors, last_error contains want, and the old
+// snapshot stays served.
+func rebuildFails(t *testing.T, srv *Server, want string) {
+	t.Helper()
+	old := srv.Snapshot()
+	if !srv.RebuildAsync(srv.rebuildConfig(old.Cfg.Seed+1, true)) {
 		t.Fatal("RebuildAsync declined")
 	}
 	srv.Wait()
@@ -174,8 +220,8 @@ func TestRebuildAsyncCountsStagePanic(t *testing.T) {
 	if v.Total != 1 || v.Errors != 1 {
 		t.Fatalf("rebuilds total=%d errors=%d, want 1 and 1", v.Total, v.Errors)
 	}
-	if !strings.Contains(v.LastError, `build stage "exploding"`) {
-		t.Fatalf("last_error does not name the panicking stage: %q", v.LastError)
+	if !strings.Contains(v.LastError, want) {
+		t.Fatalf("last_error = %q, want it to contain %q", v.LastError, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,40 @@ func openStore(t *testing.T, dir string) *store.Store {
 		t.Fatalf("store.Open(%s): %v", dir, err)
 	}
 	return st
+}
+
+// TestSnapshotRecordKeyOrder pins the segment layout: snapshotRecord
+// lists the served artifacts in ascending key order, JSON before CSV
+// under one key, ahead of the state artifacts, so same-seed rebuilds
+// write the same segment bytes. The artifacts come out of a map, whose
+// iteration order is random, so a missing sort fails every call here
+// but by vanishing chance.
+func TestSnapshotRecordKeyOrder(t *testing.T) {
+	snap := sharedServer(t).Snapshot()
+	for range 3 {
+		_, arts, err := snapshotRecord(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := 0
+		for served < len(arts) && !strings.HasPrefix(arts[served].Key, statePrefix) {
+			served++
+		}
+		for _, a := range arts[served:] {
+			if !strings.HasPrefix(a.Key, statePrefix) {
+				t.Fatalf("served artifact %q follows the state artifacts", a.Key)
+			}
+		}
+		if served < len(snap.static) {
+			t.Fatalf("%d served artifacts for %d keys", served, len(snap.static))
+		}
+		for i := 1; i < served; i++ {
+			a, b := arts[i-1], arts[i]
+			if cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.ContentType, b.ContentType)) >= 0 {
+				t.Fatalf("artifact %q (%s) listed before %q (%s)", a.Key, a.ContentType, b.Key, b.ContentType)
+			}
+		}
+	}
 }
 
 // TestSnapshotRecordRestoreRoundTrip checks the persist bridge in

@@ -349,8 +349,17 @@ func (s *Server) RebuildAsync(cfg simulation.Config) bool {
 		// tens of MiB from one rebuild to the next.
 		runtime.GC()
 		snap, err := BuildSnapshotOpts(cfg, s.rebuildOptions())
+		if err == nil {
+			// Persist before swap: Gen is read-only once published. A
+			// panic in it fails this rebuild, not the process, and the
+			// old snapshot stays served.
+			_, err = supervised(func() (struct{}, error) { s.persist(snap); return struct{}{}, nil })
+			if err != nil {
+				err = fmt.Errorf("serve: persist: %w", err)
+			}
+		}
 		if err != nil {
-			// The error arrives wrapped with the failing stage name
+			// A build error arrives wrapped with the failing stage name
 			// ("serve: build stage %q: ..."); keep the chain intact so
 			// both the log line and /varz name the stage.
 			s.metrics.rebuildErrors.Add(1)
@@ -359,7 +368,6 @@ func (s *Server) RebuildAsync(cfg simulation.Config) bool {
 			return
 		}
 		s.lastRebuildErr.Store("")
-		s.persist(snap) // before swap: Gen is read-only once published
 		s.swap(snap)
 		s.logf("serve: rebuild complete: seq=%d gen=%d seed=%d in %v (%d workers)",
 			snap.Seq, snap.Gen, snap.Cfg.Seed, snap.BuildTime.Round(time.Millisecond), snap.Workers)

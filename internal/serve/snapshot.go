@@ -240,6 +240,20 @@ var snapshotStages = []buildStage{
 	}},
 }
 
+// newStudy is the study stage: every artifact stage reads its result.
+var newStudy = core.NewStudy
+
+// supervised runs fn as parallel.Map's one item, so a panic in it
+// returns as an error, with its stack, instead of killing the process.
+func supervised[T any](fn func() (T, error)) (T, error) {
+	out, err := parallel.Map(context.Background(), 1, 1, func(context.Context, int) (T, error) { return fn() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out[0], nil
+}
+
 // BuildSnapshotOpts constructs the study for cfg and materializes every
 // served artifact as a DAG of build stages: the study build runs first
 // (every artifact derives from it), then the artifact stages fan out
@@ -248,8 +262,9 @@ var snapshotStages = []buildStage{
 // executes — so handlers never recompute anything, and the stage DAG is
 // the build's only fan-out. Determinism contract: results are merged by
 // stage index, so any worker count — including 1 — produces
-// byte-identical artifacts and ETags. A failing or panicking stage
-// cancels its siblings and is reported with the stage name.
+// byte-identical artifacts and ETags. A failing or panicking stage —
+// the study stage included — is reported with the stage name, and an
+// artifact stage's failure cancels its siblings.
 func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, error) {
 	start := time.Now()
 	workers := opts.workers()
@@ -259,7 +274,7 @@ func BuildSnapshotOpts(cfg simulation.Config, opts BuildOptions) (*Snapshot, err
 	}
 
 	studyStart := time.Now()
-	study, err := core.NewStudy(cfg)
+	study, err := supervised(func() (*core.Study, error) { return newStudy(cfg) })
 	if err != nil {
 		return nil, fmt.Errorf("serve: build stage %q: %w", "study", err)
 	}
