@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"ipv4market/internal/netblock"
 )
 
 // TestStudyReadOnly enforces the Study contract: after NewStudy, every
-// accessor is a pure derivation — no shared mutable state, no hidden
-// lazy initialization, no draws from a shared RNG stream. The test runs
+// accessor is a pure derivation — no shared mutable state, no lazy
+// initialization beyond the once-drawn last-day survey, no draws from a
+// shared RNG stream. The test runs
 // the full accessor surface from many goroutines at once; the race
 // detector (scripts/check.sh runs the suite with -race) turns any
 // violation into a failure.
@@ -32,6 +35,7 @@ func TestStudyReadOnly(t *testing.T) {
 		func() { s.Census() },
 		func() { s.World.BuildWhoisDB() },
 		func() { s.Routing.SurveyAt(s.Cfg.RoutingDays - 1) },
+		func() { s.LastDaySurvey().EachVisiblePrefix(0.5, func(netblock.Prefix) {}) },
 		func() { s.AmortizationTable() },
 		func() { s.Mergers() },
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"ipv4market/internal/bgp"
@@ -33,11 +34,32 @@ import (
 // Repeated calls with the same receiver therefore return equal results,
 // and any number of goroutines may call any accessors concurrently (the
 // serving layer in internal/serve depends on this; TestStudyReadOnly
-// enforces it under the race detector).
+// enforces it under the race detector). The one lazily made value is the
+// routing window's last-day survey (LastDaySurvey), drawn once behind a
+// sync.Once and only read after.
 type Study struct {
 	Cfg     simulation.Config
 	World   *simulation.World
 	Routing *simulation.RoutingSim
+
+	lastDay struct {
+		once   sync.Once
+		survey *bgp.OriginSurvey
+	}
+}
+
+// LastDaySurvey returns the origin survey of the routing window's last
+// day, RoutingDays-1. Several analyses read that day — the utilization
+// series' last quarter, whose sample day is clamped to the window, the
+// delegation inference the serving layer publishes, Coverage and
+// Combined — so the survey is drawn once per study, on first use, and
+// shared: callers must only read it. Concurrent first calls wait for
+// the one draw.
+func (s *Study) LastDaySurvey() *bgp.OriginSurvey {
+	s.lastDay.once.Do(func() {
+		s.lastDay.survey = s.Routing.SurveyAt(s.Cfg.RoutingDays - 1)
+	})
+	return s.lastDay.survey
 }
 
 // NewStudy builds the world and prepares the routing simulation.
@@ -315,9 +337,8 @@ func (s *Study) Coverage() (CoverageResult, error) {
 
 	// BGP side: extended inference on the final day.
 	day := s.Cfg.RoutingDays - 1
-	survey := s.Routing.SurveyAt(day)
 	inf := delegation.DefaultInference(s.World.OrgSeries)
-	ds := inf.FromSurvey(s.Cfg.RoutingStart.AddDate(0, 0, day), survey)
+	ds := inf.FromSurvey(s.Cfg.RoutingStart.AddDate(0, 0, day), s.LastDaySurvey())
 	bgpSet := netblock.NewSet()
 	for _, d := range ds {
 		bgpSet.AddPrefix(d.Child)
@@ -536,7 +557,7 @@ func (s *Study) Combined() (CombinedEstimate, error) {
 	// BGP view.
 	inf := delegation.DefaultInference(s.World.OrgSeries)
 	bgpSet := netblock.NewSet()
-	for _, d := range inf.FromSurvey(at, s.Routing.SurveyAt(day)) {
+	for _, d := range inf.FromSurvey(at, s.LastDaySurvey()) {
 		bgpSet.AddPrefix(d.Child)
 	}
 

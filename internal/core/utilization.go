@@ -37,7 +37,9 @@ const utilizationMinVisibility = 0.5
 // derives from the read-only world independently and results merge in
 // quarter order, so the output is identical at any worker count. The
 // quarters share one survey buffer per worker, refilled in place for
-// each sampled day.
+// each sampled day. The last quarter's sample day is clamped to the
+// window's last day, whose survey the study draws once and shares
+// (LastDaySurvey).
 func (s *Study) UtilizationWorkers(workers int) ([]UtilizationPoint, error) {
 	windowEnd := s.Cfg.RoutingStart.AddDate(0, 0, s.Cfg.RoutingDays)
 	var sampleDays []int
@@ -97,13 +99,18 @@ func (s *Study) allocatedOn(days []int) []uint64 {
 }
 
 // utilizationAt computes one quarter's point, given the day's allocated
-// address count, surveying the day into buf. Pure derivation of the
+// address count, surveying the day into buf (or reading the shared
+// survey of the window's last day). Pure derivation of the
 // read-only world: safe for concurrent calls with distinct buffers.
 func (s *Study) utilizationAt(buf *simulation.SurveyBuffer, day int, allocated uint64) UtilizationPoint {
 	at := s.Cfg.RoutingStart.AddDate(0, 0, day)
 
+	survey := s.LastDaySurvey()
+	if day != s.Cfg.RoutingDays-1 {
+		survey = s.Routing.SurveyInto(buf, day)
+	}
 	routed := netblock.NewSet()
-	s.Routing.SurveyInto(buf, day).EachVisiblePrefix(utilizationMinVisibility, routed.AddPrefix)
+	survey.EachVisiblePrefix(utilizationMinVisibility, routed.AddPrefix)
 
 	// Active addresses: the activity fraction applied per canonical
 	// disjoint prefix of the routed set (disjointness prevents leased

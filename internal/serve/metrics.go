@@ -187,9 +187,11 @@ type varzSnapshot struct {
 	Delegations int         `json:"delegations"`
 	Transfers   int         `json:"transfers"`
 	// TemporalEvents/TemporalSpans size the as-of index behind /v1/asof:
-	// the merged event stream and the holding-span table.
+	// the merged event stream and the holding-span table. TemporalBytes
+	// is the heap its columns hold, summed from their lengths.
 	TemporalEvents int `json:"temporal_events"`
 	TemporalSpans  int `json:"temporal_spans"`
+	TemporalBytes  int `json:"temporal_bytes"`
 }
 
 // varzStage is one build stage's timing on /varz.

@@ -476,6 +476,9 @@ func TestVarzShape(t *testing.T) {
 	if v.Snapshot.BuildSeconds <= 0 {
 		t.Error("build_seconds not recorded")
 	}
+	if ix := srv.Snapshot().Temporal; v.Snapshot.TemporalBytes != ix.SizeBytes() || v.Snapshot.TemporalBytes <= 0 {
+		t.Errorf("temporal_bytes = %d, want the as-of index's %d", v.Snapshot.TemporalBytes, ix.SizeBytes())
+	}
 	rt, ok := v.Routes["GET /v1/table1"]
 	if !ok {
 		t.Fatalf("routes lack GET /v1/table1: %v", v.Routes)

@@ -398,6 +398,7 @@ func (s *Server) varz(now time.Time) varzView {
 		Transfers:      st.snap.TransferTotal(),
 		TemporalEvents: st.snap.Temporal.EventCount(),
 		TemporalSpans:  st.snap.Temporal.SpanCount(),
+		TemporalBytes:  st.snap.Temporal.SizeBytes(),
 	}
 	for _, stg := range st.snap.Stages {
 		v.Snapshot.BuildStages = append(v.Snapshot.BuildStages, varzStage{

@@ -196,19 +196,22 @@ var snapshotStages = []buildStage{
 		return one("leasing", viewLeasing(leasing, market.PriceChanges(market.PaperProviders())), nil)
 	}},
 	{"delegations", func(snap *Snapshot, study *core.Study) ([]keyedArtifact, error) {
-		// Extended inference on the window's final day.
-		day := snap.Cfg.RoutingDays - 1
-		date := snap.Cfg.RoutingStart.AddDate(0, 0, day)
+		// Extended inference on the window's final day, whose survey
+		// the utilization stage's last quarter reads too: the study
+		// draws it once for both.
+		date := snap.Cfg.RoutingStart.AddDate(0, 0, snap.Cfg.RoutingDays-1)
 		inf := delegation.DefaultInference(study.World.OrgSeries)
-		snap.Delegations = newDelegationIndex(date, inf.FromSurvey(date, study.Routing.SurveyAt(day)))
+		snap.Delegations = newDelegationIndex(date, inf.FromSurvey(date, study.LastDaySurvey()))
 		return one("delegations", viewDelegationSummary(snap.Delegations), nil)
 	}},
 	{"utilization", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		// The per-quarter survey sampling runs on one worker inside
 		// this stage: the stage DAG is the build's only fan-out, and a
 		// nested one would oversubscribe its worker budget without
-		// changing the bytes. At DefaultConfig its ten quarters refill
-		// one survey, under 2ms each. At one worker the stage takes
+		// changing the bytes. At DefaultConfig nine of its ten quarters
+		// refill one survey, under 2ms each; the last reads the study's
+		// survey of the window's last day, which the delegations stage
+		// shares. At one worker the stage takes
 		// 14–24ms, the longest artifact stage by about twice (temporal
 		// takes 9–10ms, every other stage 6ms or less), so it alone
 		// sets the multi-worker build's critical path after the study

@@ -143,3 +143,29 @@ func FuzzTransfersBody(f *testing.F) {
 		checkTransfersBody(t, "fuzz", log)
 	})
 }
+
+// TestTransfersBodySizedExactly bounds the slack behind the served
+// /v1/transfers body at DefaultConfig: its generation keeps the buffer
+// whole, so transfersBody sizes it from the log's values, not from a
+// per-transfer upper bound, which left about 180 KB unused. A log whose
+// values outgrow the measure would grow the buffer by doubling, far past
+// the 1% allowed here.
+func TestTransfersBodySizedExactly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the DefaultConfig world")
+	}
+	snap, err := BuildSnapshotOpts(simulation.DefaultConfig(), BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, ok := snap.staticArtifact("transfers")
+	if !ok {
+		t.Fatal("no transfers artifact")
+	}
+	body := art.json
+	slack := cap(body) - len(body)
+	t.Logf("/v1/transfers: %d bytes in a %d-byte buffer", len(body), cap(body))
+	if slack > len(body)/100 {
+		t.Errorf("/v1/transfers body of %d bytes sits in a %d-byte buffer: %d bytes of slack, over 1%%", len(body), cap(body), slack)
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"ipv4market/internal/core"
 	"ipv4market/internal/delegation"
@@ -172,11 +173,17 @@ func viewLeasing(snap market.LeasingSnapshot, changes []market.PriceChange) leas
 // FuzzTransfersBody compare with it), so no ETag moved:
 // prices of 0 and -0 are omitted as omitempty omits them, and an empty
 // log has "by_year": null but "transfers": [].
+//
+// A first pass sizes the transfers exactly, from each one's values
+// measured on the stack, so the body, which its generation keeps for
+// its whole life, is written once into a buffer of its length and no
+// slack is kept beside it (TestTransfersBodySizedExactly).
 func transfersBody(log market.TransferLog) ([]byte, error) {
 	n := log.NumTransfers()
 	var nMarket, mergers, interRIR int
 	minYear, maxYear := 0, 0
 	size := 256
+	var scratch [64]byte
 	for i := range n {
 		t := log.TransferAt(i)
 		if t.Type == registry.TypeMerger {
@@ -195,7 +202,21 @@ func transfersBody(log market.TransferLog) ([]byte, error) {
 			minYear = y
 		}
 		maxYear = max(maxYear, y)
-		size += transferBodySize + len(t.From) + len(t.To) + len(t.Type)
+		size += len(transferRowHead) + len(transferRowFrom) + len(transferRowTo) +
+			len(transferRowFromRIR) + len(transferRowToRIR) + len(transferRowType) +
+			len(transferRowDate) + len(transferRowTail) + 1 + // the comma
+			len(t.Prefix.AppendTo(scratch[:0])) + 1 + // and its closing quote
+			quotedLen(string(t.From), scratch[:0]) + quotedLen(string(t.To), scratch[:0]) +
+			quotedLen(t.FromRIR.String(), scratch[:0]) + quotedLen(t.ToRIR.String(), scratch[:0]) +
+			quotedLen(string(t.Type), scratch[:0]) + len(jsonenc.AppendDay(scratch[:0], t.Date))
+		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
+		if t.PricePerAddr != 0 {
+			price, err := jsonenc.AppendFloat(scratch[:0], t.PricePerAddr)
+			if err != nil {
+				return nil, err
+			}
+			size += len(transferRowPrice) + len(price)
+		}
 	}
 	type yearCount struct {
 		count int
@@ -253,29 +274,30 @@ func transfersBody(log market.TransferLog) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, "\n    {\n      \"prefix\": \""...)
+		b = append(b, transferRowHead...)
 		b = t.Prefix.AppendTo(b)
-		b = append(b, "\",\n      \"from\": "...)
+		b = append(b, '"')
+		b = append(b, transferRowFrom...)
 		b = jsonenc.AppendString(b, string(t.From))
-		b = append(b, ",\n      \"to\": "...)
+		b = append(b, transferRowTo...)
 		b = jsonenc.AppendString(b, string(t.To))
-		b = append(b, ",\n      \"from_rir\": "...)
+		b = append(b, transferRowFromRIR...)
 		b = jsonenc.AppendString(b, t.FromRIR.String())
-		b = append(b, ",\n      \"to_rir\": "...)
+		b = append(b, transferRowToRIR...)
 		b = jsonenc.AppendString(b, t.ToRIR.String())
-		b = append(b, ",\n      \"type\": "...)
+		b = append(b, transferRowType...)
 		b = jsonenc.AppendString(b, string(t.Type))
-		b = append(b, ",\n      \"date\": "...)
+		b = append(b, transferRowDate...)
 		b = jsonenc.AppendDay(b, t.Date)
 		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
 		if t.PricePerAddr != 0 {
-			b = append(b, ",\n      \"price_per_addr\": "...)
+			b = append(b, transferRowPrice...)
 			var err error
 			if b, err = jsonenc.AppendFloat(b, t.PricePerAddr); err != nil {
 				return nil, err
 			}
 		}
-		b = append(b, "\n    }"...)
+		b = append(b, transferRowTail...)
 	}
 	if n > 0 {
 		b = append(b, "\n  "...)
@@ -283,11 +305,30 @@ func transfersBody(log market.TransferLog) ([]byte, error) {
 	return append(b, "]\n}\n"...), nil
 }
 
-// transferBodySize bounds one transfer's bytes in transfersBody beside
-// its party and type strings, for known RIRs and four-digit years: the
-// field names and indentation, an 18-byte prefix, two RIR names and a
-// 24-byte price. Other logs only grow the buffer.
-const transferBodySize = 256
+// The fixed bytes of one transfer in transfersBody, around its values.
+const (
+	transferRowHead    = "\n    {\n      \"prefix\": \""
+	transferRowFrom    = ",\n      \"from\": "
+	transferRowTo      = ",\n      \"to\": "
+	transferRowFromRIR = ",\n      \"from_rir\": "
+	transferRowToRIR   = ",\n      \"to_rir\": "
+	transferRowType    = ",\n      \"type\": "
+	transferRowDate    = ",\n      \"date\": "
+	transferRowPrice   = ",\n      \"price_per_addr\": "
+	transferRowTail    = "\n    }"
+)
+
+// quotedLen returns the length of s as jsonenc.AppendString writes it:
+// its length and two quotes when no byte needs an escape, as in every
+// real log, and otherwise the length of its encoding into scratch.
+func quotedLen(s string, scratch []byte) int {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return len(jsonenc.AppendString(scratch, s))
+		}
+	}
+	return len(s) + 2
+}
 
 // ---- /v1/delegations ----
 

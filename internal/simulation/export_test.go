@@ -10,6 +10,14 @@ import (
 // SmallWorldConfig is the test world's config, for the external tests.
 func SmallWorldConfig() Config { return testConfig() }
 
+// CountSurveys makes every survey drawn call count with its day first,
+// and returns the function that undoes it. Call both while no survey is
+// being drawn.
+func CountSurveys(count func(day int)) (undo func()) {
+	surveyed = count
+	return func() { surveyed = nil }
+}
+
 // The hooks below edit a RoutingSim after NewRoutingSim; each rebuilds
 // the routing table SurveyAt reads, as any such edit must.
 

@@ -498,6 +498,11 @@ func (rs *RoutingSim) hijacks(rng *rand.Rand, day int, out []announcement) []ann
 	return out
 }
 
+// surveyed, when set, is called with the day of every survey drawn, so
+// that tests can count the surveys a build draws. It is nil outside
+// tests.
+var surveyed func(day int)
+
 // SurveyAt builds the day's origin survey across all monitors, applying
 // the same sanitization the offline pipeline uses. Legitimate routes are
 // seen by each monitor with probability visibleProb; hijacks at only
@@ -559,6 +564,9 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // coincide with another route) pick each monitor's route as
 // selectRoutes does.
 func (rs *RoutingSim) SurveyInto(b *SurveyBuffer, day int) *bgp.OriginSurvey {
+	if surveyed != nil {
+		surveyed(day)
+	}
 	t := &rs.table
 	d := &b.day
 	d.steady, d.steadyVerdicts = rs.anns, t.verdicts

@@ -57,7 +57,7 @@ func synthInput(tb testing.TB, nBlocks, chainLen, nLeases int) Input {
 }
 
 // probeCount runs a point query and returns how many index probes
-// (binary-search steps and trie visits) it took.
+// (binary-search steps and parent links followed) it took.
 func probeCount(ix *Index, p netblock.Prefix, d time.Time) int {
 	n := 0
 	ix.at(p, d, func() { n++ })
@@ -88,7 +88,7 @@ func maxProbes(ix *Index, nBlocks int) int {
 
 // TestPointLookupSublinear is the acceptance bound in deterministic form:
 // growing the event log 10× must grow the probe count (binary-search steps
-// + trie visits) logarithmically, not linearly. Counting probes instead of
+// + parent links followed) logarithmically, not linearly. Counting probes instead of
 // timing keeps the test meaningful under -race and on loaded machines.
 func TestPointLookupSublinear(t *testing.T) {
 	small := mustNew(t, synthInput(t, 200, 5, 400))
@@ -100,9 +100,9 @@ func TestPointLookupSublinear(t *testing.T) {
 	pSmall, pBig := maxProbes(small, 200), maxProbes(big, 2000)
 	t.Logf("max probes: %d @ %d events, %d @ %d events", pSmall, small.EventCount(), pBig, big.EventCount())
 
-	// A lookup is a constant number of trie walks (≤ 33 visits each) plus
-	// binary searches over spans and epochs: O(log events) with a small
-	// constant. 8·log2(events)+96 is far below linear but fails loudly if
+	// A lookup is a constant number of binary searches over blocks,
+	// children, spans and epochs, plus parent walks of at most 33 links
+	// each: O(log events) with a small constant. 8·log2(events)+96 is far below linear but fails loudly if
 	// a scan ever sneaks into the query path.
 	bound := func(events int) int { return 8*bits.Len(uint(events)) + 96 }
 	if pSmall > bound(small.EventCount()) {
@@ -118,12 +118,13 @@ func TestPointLookupSublinear(t *testing.T) {
 }
 
 // TestIndexBuildAllocs is New's allocation budget at the default world's
-// event volume (the x1 benchmark input). New builds it in about 80
-// allocations: every slice is allocated once at its final size, and trie
-// nodes come in blocks. One allocation per trie node, per covering
-// lookup or per block's transfer chain took about 22k, and per-epoch
-// bit-tries about 580k, so the budget fails loudly if any of them comes
-// back.
+// event volume (the x1 benchmark input). New builds it in about 110
+// allocations: every column is allocated once at its final size, and
+// about 35 more are the growth of the string interner's map, since this
+// input has 4,002 distinct strings (DefaultConfig has a few hundred).
+// One allocation per trie node, per covering lookup or per block's
+// transfer chain took about 22k, and per-epoch bit-tries about 580k, so
+// the budget fails loudly if any of them comes back.
 func TestIndexBuildAllocs(t *testing.T) {
 	in := synthInput(t, 800, 4, 1000)
 	allocs := testing.AllocsPerRun(2, func() {

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -51,20 +52,31 @@ func (ix *Index) At(p netblock.Prefix, d time.Time) PointResult {
 }
 
 // at is At with an optional probe hook, called once per binary-search step,
-// per trie lookup or entry, and per distinct covered child. Tests count
+// per parent link followed, and per distinct covered child. Tests count
 // probes to prove lookups stay logarithmic in the event count; production
 // passes nil.
 func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
-	d = day(d)
-	res := PointResult{Prefix: p, Date: d}
+	res := PointResult{Prefix: p, Date: day(d)}
+	dn := queryDay(d)
 
-	block, rng, ok := ix.holderRange(p, probe)
-	if ok {
-		if i := lastSpanStarting(ix.spans, rng, d, probe); i >= 0 {
-			s := ix.spans[i]
-			if s.ActiveOn(d) {
+	if b := ix.blocks.lookup(p, probe); b >= 0 {
+		// The last span starting on or before d. Because a block's spans
+		// tile time and the final span is open-ended, that span is always
+		// the holder at d: a same-day chain's zero-length spans all start
+		// on the same date, and "last starting on or before d" lands past
+		// them on the span that survived the day.
+		chain := ix.chain(b)
+		n := sort.Search(len(chain)+1, func(j int) bool {
+			if probe != nil {
+				probe()
+			}
+			return ix.spanStart(b, chain, j) > dn
+		})
+		if j := n - 1; j >= 0 {
+			if end := ix.spanEnd(chain, j); end == zeroDay || dn < end {
+				s := ix.span(b, chain, j)
 				res.Holder = &HolderState{
-					Block: block, Org: s.Org, RIR: s.RIR,
+					Block: s.Prefix, Org: s.Org, RIR: s.RIR,
 					Since: s.Start, Until: s.End,
 					Via: s.Via, PricePerAddr: s.PricePerAddr,
 				}
@@ -72,111 +84,104 @@ func (ix *Index) at(p netblock.Prefix, d time.Time, probe func()) PointResult {
 		}
 	}
 
-	if len(ix.delegs) > 0 {
-		// Exact and covering: the whole-history trie's entries on the
-		// path to p, filtered by date.
-		for _, entry := range ix.delegTrie.Covering(p) {
-			if probe != nil {
-				probe()
-			}
-			for _, ds := range ix.delegs[entry.Value.lo:entry.Value.hi] {
-				if !ds.ActiveOn(d) {
+	if len(ix.leases) > 0 {
+		// Exact and covering: the children covering p, filtered by date.
+		var buf [33]int32
+		for _, g := range ix.coveringChildren(&buf, p, probe) {
+			exact := ix.children.prefixes[g] == p
+			for i := ix.childLo[g]; i < ix.childLo[g+1]; i++ {
+				l := &ix.leases[i]
+				if !l.activeOn(dn) {
 					continue
 				}
-				if entry.Prefix == p {
-					res.Exact = append(res.Exact, ds)
+				if exact {
+					res.Exact = append(res.Exact, delegation(l))
 				} else {
-					res.Covering = append(res.Covering, ds)
+					res.Covering = append(res.Covering, delegation(l))
 				}
 			}
 		}
 		// Children strictly inside p are exactly the ones sorting after p
 		// up to the first that p does not cover.
-		ids := ix.epochs[lastStartAtOrBefore(ix.epochStarts, d, probe)]
+		e := lastStartAtOrBefore(ix.epochStarts, dn, probe)
+		ids := ix.epochIDs[ix.epochLo[e]:ix.epochLo[e+1]]
 		i := sort.Search(len(ids), func(j int) bool {
 			if probe != nil {
 				probe()
 			}
-			return ix.delegs[ids[j]].Child.Compare(p) > 0
+			return ix.leases[ids[j]].child.Compare(p) > 0
 		})
 		for ; i < len(ids); i++ {
-			ds := ix.delegs[ids[i]]
-			if !p.CoversStrictly(ds.Child) {
+			l := &ix.leases[ids[i]]
+			if !p.CoversStrictly(l.child) {
 				break
 			}
-			if probe != nil && (i == 0 || ix.delegs[ids[i-1]].Child != ds.Child) {
+			if probe != nil && (i == 0 || ix.leases[ids[i-1]].child != l.child) {
 				probe()
 			}
-			if ds.ActiveOn(d) {
-				res.Covered = append(res.Covered, ds)
+			if l.activeOn(dn) {
+				res.Covered = append(res.Covered, delegation(l))
 			}
 		}
 	}
 	return res
-}
-
-// holderRange resolves p to the indexed block whose spans govern it: p
-// itself when indexed, otherwise the longest indexed block covering p.
-func (ix *Index) holderRange(p netblock.Prefix, probe func()) (netblock.Prefix, spanRange, bool) {
-	if probe != nil {
-		probe()
-	}
-	if rng, ok := ix.holderTrie.Get(p); ok {
-		return p, rng, true
-	}
-	if probe != nil {
-		probe()
-	}
-	block, rng, ok := ix.holderTrie.LongestMatch(p)
-	return block, rng, ok
-}
-
-// lastSpanStarting binary-searches spans[rng.lo:rng.hi] (date-sorted by
-// Start) for the last span starting on or before d; -1 if none. Because a
-// prefix's spans tile time and the final span is open-ended, that span is
-// always the holder at d: a same-day chain's zero-length spans all start on
-// the same date, and "last starting on or before d" lands past them on the
-// span that survived the day.
-func lastSpanStarting(spans []Span, rng spanRange, d time.Time, probe func()) int {
-	lo, hi := int(rng.lo), int(rng.hi)
-	n := sort.Search(hi-lo, func(i int) bool {
-		if probe != nil {
-			probe()
-		}
-		return spans[lo+i].Start.After(d)
-	})
-	if n == 0 {
-		return -1
-	}
-	return lo + n - 1
 }
 
 // Timeline answers the history query: every holding span of the block
 // governing p, plus every delegation span whose child equals, covers, or
-// sits inside p.
+// sits inside p, ordered by child and then start.
 func (ix *Index) Timeline(p netblock.Prefix) TimelineResult {
 	res := TimelineResult{Prefix: p}
-	if block, rng, ok := ix.holderRange(p, nil); ok {
-		res.Block = block
-		res.Holders = append(res.Holders, ix.spans[rng.lo:rng.hi]...)
-	}
-	for _, entry := range ix.delegTrie.Covering(p) {
-		if entry.Prefix == p {
-			continue // CoveredBy below reports the exact child too
+	if b := ix.blocks.lookup(p, nil); b >= 0 {
+		chain := ix.chain(b)
+		res.Block = ix.blocks.prefixes[b]
+		res.Holders = make([]Span, len(chain)+1)
+		for j := range res.Holders {
+			res.Holders[j] = ix.span(b, chain, j)
 		}
-		res.Delegations = append(res.Delegations, ix.delegs[entry.Value.lo:entry.Value.hi]...)
 	}
-	for _, entry := range ix.delegTrie.CoveredBy(p) {
-		res.Delegations = append(res.Delegations, ix.delegs[entry.Value.lo:entry.Value.hi]...)
-	}
-	sort.SliceStable(res.Delegations, func(i, j int) bool {
-		a, b := res.Delegations[i], res.Delegations[j]
-		if c := a.Child.Compare(b.Child); c != 0 {
-			return c < 0
+
+	// The children strictly covering p sort before it; the children p
+	// covers are the run sorting from p on. Rows are in child order, and
+	// within a child in start order, so the children's rows, visited in
+	// child order, are the answer's order.
+	var buf [33]int32
+	for _, g := range ix.coveringChildren(&buf, p, nil) {
+		if ix.children.prefixes[g] != p {
+			res.Delegations = ix.appendDelegations(res.Delegations, ix.childLo[g], ix.childLo[g+1])
 		}
-		return a.Start.Before(b.Start)
-	})
+	}
+	inside := ix.children.prefixes
+	lo, _ := slices.BinarySearchFunc(inside, p, netblock.Prefix.Compare)
+	hi := lo
+	for hi < len(inside) && p.Covers(inside[hi]) {
+		hi++
+	}
+	res.Delegations = ix.appendDelegations(res.Delegations, ix.childLo[lo], ix.childLo[hi])
 	return res
+}
+
+// coveringChildren returns the delegation children covering p, p
+// included, root first, in buf: a chain of nested prefixes holds at
+// most one of each length. probe is lookup's.
+func (ix *Index) coveringChildren(buf *[33]int32, p netblock.Prefix, probe func()) []int32 {
+	n := len(buf)
+	for g := ix.children.lookup(p, probe); g >= 0; g = ix.children.parent[g] {
+		if probe != nil {
+			probe()
+		}
+		n--
+		buf[n] = g
+	}
+	return buf[n:]
+}
+
+// appendDelegations appends lease rows [lo, hi) as delegation spans.
+func (ix *Index) appendDelegations(out []DelegationSpan, lo, hi int32) []DelegationSpan {
+	for i := lo; i < hi; i++ {
+		out = append(out, delegation(&ix.leases[i]))
+	}
+	return out
 }
 
 // EventRange returns the positions [lo, hi) in the event stream of the
@@ -185,24 +190,28 @@ func (ix *Index) Timeline(p netblock.Prefix) TimelineResult {
 // event dated on or before its query date). lo <= hi always; an empty
 // window, or one with to before from, answers lo == hi.
 func (ix *Index) EventRange(from, to time.Time) (lo, hi int) {
-	from, to = day(from), day(to)
-	lo = sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(from) })
-	hi = sort.Search(len(ix.events), func(i int) bool { return ix.events[i].Date.After(to) })
+	f, t := queryDay(from), queryDay(to)
+	lo = sort.Search(len(ix.events), func(i int) bool { return ix.eventDay(ix.events[i]) > f })
+	hi = sort.Search(len(ix.events), func(i int) bool { return ix.eventDay(ix.events[i]) > t })
 	return lo, max(lo, hi)
 }
 
 // Event returns entry i of the merged, date-sorted event stream, for i in
 // [0, EventCount()).
-func (ix *Index) Event(i int) Event { return ix.events[i] }
+func (ix *Index) Event(i int) Event { return ix.event(ix.events[i]) }
 
 // Diff returns the events in the half-open window (from, to], the range
-// EventRange names, copied out of the index.
+// EventRange names, rendered from the index.
 func (ix *Index) Diff(from, to time.Time) []Event {
 	lo, hi := ix.EventRange(from, to)
 	if lo == hi {
 		return nil
 	}
-	return append([]Event(nil), ix.events[lo:hi]...)
+	out := make([]Event, hi-lo)
+	for i, r := range ix.events[lo:hi] {
+		out[i] = ix.event(r)
+	}
+	return out
 }
 
 // PriceContext returns the price state of the quarter containing d, and

@@ -67,64 +67,64 @@ type leaseRec struct {
 // The bytes are exactly json.Marshal's for the history's recordDoc —
 // field order, omitempty, string escaping, float format and the error on
 // NaN or ±Inf — so records written by either encoder restore alike and
-// compare equal. Record writes them in one append pass into a buffer
-// sized up front instead of building the document and marshalling it
-// through reflection; TestRecordMatchesMarshal and its fuzz twin hold
-// the two encoders to the same bytes.
+// compare equal. Record writes them from the index's columns, which
+// keep the normalized input, in one append pass into a buffer sized up
+// front instead of building the document and marshalling it through
+// reflection; TestRecordMatchesMarshal and its fuzz twin hold the two
+// encoders to the same bytes.
 func (ix *Index) Record() ([]byte, error) {
-	in := &ix.in
-	b := make([]byte, 0, recordSize(in))
+	b := make([]byte, 0, ix.recordSize())
 	b = append(b, `{"version":`...)
 	b = strconv.AppendInt(b, recordVersion, 10)
 	b = append(b, `,"start":`...)
-	b = jsonenc.AppendDay(b, in.Start)
+	b = jsonenc.AppendDay(b, dateOf(ix.start))
 	b = append(b, `,"end":`...)
-	b = jsonenc.AppendDay(b, in.End)
+	b = jsonenc.AppendDay(b, dateOf(ix.end))
 
 	b = append(b, `,"allocations":[`...)
-	for i := range in.Allocations {
-		a := &in.Allocations[i]
+	for i := range ix.allocs {
+		a := &ix.allocs[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPrefix(b, `{"prefix":`, a.Prefix)
+		b = appendPrefix(b, `{"prefix":`, ix.blocks.prefixes[i])
 		b = append(b, `,"org":`...)
-		b = jsonenc.AppendString(b, a.Org)
+		b = jsonenc.AppendString(b, ix.strs.at(a.org))
 		b = append(b, `,"rir":`...)
-		b = jsonenc.AppendString(b, a.RIR.String())
+		b = jsonenc.AppendString(b, registry.RIR(a.rir).String())
 		b = append(b, `,"date":`...)
-		b = jsonenc.AppendDay(b, a.Date)
-		if a.Status != "" {
+		b = jsonenc.AppendDay(b, dateOf(a.date))
+		if status := ix.strs.at(a.status); status != "" {
 			b = append(b, `,"status":`...)
-			b = jsonenc.AppendString(b, a.Status)
+			b = jsonenc.AppendString(b, status)
 		}
 		b = append(b, '}')
 	}
 
 	b = append(b, `],"transfers":[`...)
-	for i := range in.Transfers {
-		t := &in.Transfers[i]
+	for i := range ix.xfers {
+		t := &ix.xfers[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPrefix(b, `{"prefix":`, t.Prefix)
+		b = appendPrefix(b, `{"prefix":`, t.prefix)
 		b = append(b, `,"from":`...)
-		b = jsonenc.AppendString(b, t.From)
+		b = jsonenc.AppendString(b, ix.strs.at(t.from))
 		b = append(b, `,"to":`...)
-		b = jsonenc.AppendString(b, t.To)
+		b = jsonenc.AppendString(b, ix.strs.at(t.to))
 		b = append(b, `,"from_rir":`...)
-		b = jsonenc.AppendString(b, t.FromRIR.String())
+		b = jsonenc.AppendString(b, registry.RIR(t.fromRIR).String())
 		b = append(b, `,"to_rir":`...)
-		b = jsonenc.AppendString(b, t.ToRIR.String())
+		b = jsonenc.AppendString(b, registry.RIR(t.toRIR).String())
 		b = append(b, `,"type":`...)
-		b = jsonenc.AppendString(b, t.Type)
+		b = jsonenc.AppendString(b, ix.strs.at(t.typ))
 		b = append(b, `,"date":`...)
-		b = jsonenc.AppendDay(b, t.Date)
+		b = jsonenc.AppendDay(b, dateOf(t.date))
 		//lint:ignore floatcmp omitempty omits exactly the zero float, -0 included
-		if t.PricePerAddr != 0 {
+		if t.price != 0 {
 			b = append(b, `,"price_per_addr":`...)
 			var err error
-			if b, err = jsonenc.AppendFloat(b, t.PricePerAddr); err != nil {
+			if b, err = jsonenc.AppendFloat(b, t.price); err != nil {
 				return nil, fmt.Errorf("temporal: encode record: %w", err)
 			}
 		}
@@ -132,22 +132,22 @@ func (ix *Index) Record() ([]byte, error) {
 	}
 
 	b = append(b, `],"leases":[`...)
-	for i := range in.Leases {
-		l := &in.Leases[i]
+	for i := range ix.leases {
+		l := &ix.leases[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPrefix(b, `{"parent":`, l.Parent)
-		b = appendPrefix(b, `,"child":`, l.Child)
+		b = appendPrefix(b, `{"parent":`, l.parent)
+		b = appendPrefix(b, `,"child":`, l.child)
 		b = append(b, `,"from_as":`...)
-		b = strconv.AppendUint(b, uint64(l.FromAS), 10)
+		b = strconv.AppendUint(b, uint64(l.fromAS), 10)
 		b = append(b, `,"to_as":`...)
-		b = strconv.AppendUint(b, uint64(l.ToAS), 10)
+		b = strconv.AppendUint(b, uint64(l.toAS), 10)
 		b = append(b, `,"start":`...)
-		b = jsonenc.AppendDay(b, l.Start)
-		if !l.End.IsZero() {
+		b = jsonenc.AppendDay(b, dateOf(l.start))
+		if l.end != zeroDay {
 			b = append(b, `,"end":`...)
-			b = jsonenc.AppendDay(b, l.End)
+			b = jsonenc.AppendDay(b, dateOf(l.end))
 		}
 		b = append(b, '}')
 	}
@@ -159,20 +159,21 @@ func (ix *Index) Record() ([]byte, error) {
 // record's fixed bytes at their widest (an 18-byte prefix, a 24-byte
 // float, 10-digit AS numbers), plus its strings. Other histories only
 // grow the buffer.
-func recordSize(in *Input) int {
+func (ix *Index) recordSize() int {
 	const (
 		head     = 128
 		perAlloc = 96  // fixed bytes of one allocation, RIR name included
 		perXfer  = 168 // of one transfer, both RIR names and the price included
 		perLease = 144
 	)
-	n := head + perAlloc*len(in.Allocations) + perXfer*len(in.Transfers) + perLease*len(in.Leases)
-	for i := range in.Allocations {
-		n += len(in.Allocations[i].Org) + len(in.Allocations[i].Status)
+	n := head + perAlloc*len(ix.allocs) + perXfer*len(ix.xfers) + perLease*len(ix.leases)
+	strLen := func(id int32) int { return int(ix.strs.off[id+1] - ix.strs.off[id]) }
+	for i := range ix.allocs {
+		n += strLen(ix.allocs[i].org) + strLen(ix.allocs[i].status)
 	}
-	for i := range in.Transfers {
-		t := &in.Transfers[i]
-		n += len(t.From) + len(t.To) + len(t.Type)
+	for i := range ix.xfers {
+		t := &ix.xfers[i]
+		n += strLen(t.from) + strLen(t.to) + strLen(t.typ)
 	}
 	return n
 }

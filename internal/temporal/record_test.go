@@ -15,28 +15,29 @@ import (
 // recordDoc through json.Marshal. Record must produce exactly its bytes,
 // and fail where it fails.
 func marshalRecord(ix *Index) ([]byte, error) {
+	in := ix.Input()
 	doc := recordDoc{
 		Version:     recordVersion,
-		Start:       fmtDay(ix.in.Start),
-		End:         fmtDay(ix.in.End),
-		Allocations: make([]allocRec, 0, len(ix.in.Allocations)),
-		Transfers:   make([]transferRec, 0, len(ix.in.Transfers)),
-		Leases:      make([]leaseRec, 0, len(ix.in.Leases)),
+		Start:       fmtDay(in.Start),
+		End:         fmtDay(in.End),
+		Allocations: make([]allocRec, 0, len(in.Allocations)),
+		Transfers:   make([]transferRec, 0, len(in.Transfers)),
+		Leases:      make([]leaseRec, 0, len(in.Leases)),
 	}
-	for _, a := range ix.in.Allocations {
+	for _, a := range in.Allocations {
 		doc.Allocations = append(doc.Allocations, allocRec{
 			Prefix: a.Prefix.String(), Org: a.Org, RIR: a.RIR.String(),
 			Date: fmtDay(a.Date), Status: a.Status,
 		})
 	}
-	for _, t := range ix.in.Transfers {
+	for _, t := range in.Transfers {
 		doc.Transfers = append(doc.Transfers, transferRec{
 			Prefix: t.Prefix.String(), From: t.From, To: t.To,
 			FromRIR: t.FromRIR.String(), ToRIR: t.ToRIR.String(),
 			Type: t.Type, Date: fmtDay(t.Date), PricePerAddr: t.PricePerAddr,
 		})
 	}
-	for _, l := range ix.in.Leases {
+	for _, l := range in.Leases {
 		doc.Leases = append(doc.Leases, leaseRec{
 			Parent: l.Parent.String(), Child: l.Child.String(),
 			FromAS: l.FromAS, ToAS: l.ToAS,

@@ -11,24 +11,32 @@
 // reproduces the index exactly, which is what lets warm starts and
 // replication followers answer /v1/asof byte-identically to the builder.
 //
-// Layout (see ARCHITECTURE.md §9): holding spans are grouped per prefix in
-// one contiguous date-sorted slice — each prefix owns a half-open range of
-// that slice, found by trie lookup and binary-searched by date (the
-// interval-tree role; spans of one prefix tile time, so "last span starting
-// on or before D" is the holder at D). Delegation spans sit in one slice
-// sorted by child prefix, and one whole-history trie maps each child to
-// its range of that slice: exact and covering delegations are a trie walk
-// filtered by date. For covered delegations the time axis is partitioned
+// Layout (see ARCHITECTURE.md §9): the index is pointer-free columns.
+// Every date is an int32 day number, every org, party, status and
+// transfer type an int32 id into one interned string table, and the
+// normalized input is kept in that form: allocation, transfer and lease
+// rows. Queries build their answers from the columns. The allocated
+// blocks form a sorted prefix array with covering-parent links, and each
+// block's holding spans are its transfer chain, a run of transfer row
+// numbers: the first span is the chain's first sender (or, with no chain,
+// the allocation itself) and every transfer starts the next, so the spans
+// tile time and "last span starting on or before D" is the holder at D,
+// found by binary search. Delegation spans are the lease rows, sorted by
+// child; their distinct children form a second sorted prefix array with
+// parent links, so exact and covering delegations are a parent walk from
+// a binary search. For covered delegations the time axis is partitioned
 // into epochs whose boundaries are drawn from delegation start/end dates;
-// a date binary-searches to its epoch, and each epoch is an ascending list
-// of the indexes of the spans overlapping it — sorted by child, so the
-// children strictly inside a prefix are one contiguous run, found by
-// binary search.
+// a date binary-searches to its epoch, and each epoch is an ascending
+// list of the indexes of the spans overlapping it — sorted by child, so
+// the children strictly inside a prefix are one contiguous run, found by
+// binary search. The merged event stream is one sorted column of 4-byte
+// (kind, row) references.
 package temporal
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -174,7 +182,7 @@ type QuarterPrices struct {
 	MaxPrice  float64
 }
 
-// spanRange is a half-open index range [lo, hi) into a shared span slice.
+// spanRange is a half-open index range [lo, hi).
 type spanRange struct{ lo, hi int32 }
 
 // maxEpochs caps the number of delegation epochs; beyond it, epochs absorb
@@ -184,24 +192,92 @@ type spanRange struct{ lo, hi int32 }
 // binary-searches and scans, short.
 const maxEpochs = 256
 
+// allocRow is one allocation record of the normalized input; its prefix
+// is the block's in Index.blocks.
+type allocRow struct {
+	org, status int32 // string ids
+	date        int32
+	rir         uint8
+}
+
+// xferRow is one transfer of the normalized input, its date repaired.
+type xferRow struct {
+	price         float64
+	prefix        netblock.Prefix
+	from, to, typ int32 // string ids
+	date          int32
+	fromRIR       uint8
+	toRIR         uint8
+}
+
+// leaseRow is one lease of the normalized input, which is also one
+// delegation span: [start, end), end zeroDay when open.
+type leaseRow struct {
+	parent, child netblock.Prefix
+	fromAS, toAS  uint32
+	start, end    int32
+}
+
+// activeOn reports whether the delegation covers day d.
+func (l *leaseRow) activeOn(d int32) bool {
+	return d >= l.start && (l.end == zeroDay || d < l.end)
+}
+
+// eventRef is one entry of the merged event stream: its kind in the top
+// two bits and, below them, its transfer row or lease row. Ordered as
+// numbers, refs follow the stream's pre-order: transfers in log order,
+// then delegation starts, then ends, each in row order.
+type eventRef uint32
+
+// Event kinds as stored in an eventRef.
+const (
+	kindTransfer = iota
+	kindDelegationStart
+	kindDelegationEnd
+)
+
+// refRowBits is how many low bits of an eventRef hold the row, and so
+// bounds the transfer and lease rows an index can hold.
+const refRowBits = 30
+
+func newEventRef(kind int, row int) eventRef { return eventRef(kind<<refRowBits | row) }
+
+func (r eventRef) kind() int { return int(r >> refRowBits) }
+func (r eventRef) row() int  { return int(r & (1<<refRowBits - 1)) }
+
 // Index is the immutable as-of index. Build it with New (or Restore) and
 // share it freely: all methods are safe for concurrent use.
 type Index struct {
-	in Input // normalized; Record marshals exactly this
+	start, end int32 // the queryable epoch [start, end), day numbers
+	strs       strTable
 
-	spans      []Span // grouped by prefix (Compare order), date-sorted within
-	holderTrie *netblock.Trie[spanRange]
+	// The normalized input, which Record and Input render: allocations
+	// in prefix order (allocation i is block i of blocks), transfers in
+	// log order, leases in their canonical order (see normalize).
+	blocks forest
+	allocs []allocRow
+	xfers  []xferRow
+	leases []leaseRow
 
-	delegs    []DelegationSpan // sorted by (child, start, end, parent, AS pair)
-	delegTrie *netblock.Trie[spanRange]
-	// epochStarts[i] is the first date of delegation epoch i, which runs
-	// to epochStarts[i+1] (the last one to the epoch end); epochs[i]
-	// holds, ascending, the indexes into delegs of the spans overlapping
-	// epoch i.
-	epochStarts []time.Time
-	epochs      [][]int32
+	// Block i's transfer chain, in log order, is
+	// chains[chainLo[i]:chainLo[i+1]]; it has one holding span more
+	// than it has transfers.
+	chainLo []int32
+	chains  []int32
 
-	events   []Event
+	// Delegation child group g is leases[childLo[g]:childLo[g+1]], the
+	// leases of child children.prefixes[g].
+	children forest
+	childLo  []int32
+	// epochStarts[e] is the first day of delegation epoch e, which runs
+	// to epochStarts[e+1] (the last one to the epoch end);
+	// epochIDs[epochLo[e]:epochLo[e+1]] holds, ascending, the lease rows
+	// overlapping epoch e.
+	epochStarts []int32
+	epochLo     []int32
+	epochIDs    []int32
+
+	events   []eventRef // date-sorted, pre-order within a day
 	quarters []QuarterPrices
 }
 
@@ -212,14 +288,13 @@ type Index struct {
 // histories always produce equal indexes — and equal Record() bytes.
 //
 // Every build pass is linear in the history, up to the sorts, and sizes
-// its output exactly: the index keeps its slices for the life of a
+// its output exactly: the index keeps its columns for the life of a
 // generation.
 func New(in Input) (*Index, error) {
-	norm, forest, err := normalize(in)
+	ix, forest, err := normalize(in)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{in: norm}
 	if err := ix.buildSpans(forest); err != nil {
 		return nil, err
 	}
@@ -229,32 +304,11 @@ func New(in Input) (*Index, error) {
 	return ix, nil
 }
 
-const secondsPerDay = 24 * 60 * 60
-
-// day truncates a timestamp to its UTC calendar day. The index is
-// date-granular: every event in the study lands on a UTC midnight already,
-// and queries are keyed by date, so a UTC midnight is returned as is
-// (less any monotonic clock reading) without a calendar round trip.
-func day(t time.Time) time.Time {
-	if t.IsZero() {
-		return t
-	}
-	if t.Location() == time.UTC && t.Nanosecond() == 0 && t.Unix()%secondsPerDay == 0 {
-		return t.Round(0)
-	}
-	y, m, d := t.UTC().Date()
-	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
-}
-
-// transferForest is the covering structure of the distinct transfer
-// prefixes: a trie of those prefixes alone, held as parent links over
-// their Compare order. Prefixes either nest or are disjoint, so every
-// prefix covering a transfer prefix is on its parent chain, and one
-// ordered sweep builds the links.
+// transferForest is the covering forest of the distinct transfer
+// prefixes, with each transfer's place in it.
 type transferForest struct {
-	prefixes []netblock.Prefix // distinct, in Compare order
-	parent   []int32           // nearest covering prefix, -1 at a root
-	of       []int32           // of[i]: index in prefixes of transfer i's prefix
+	forest
+	of []int32 // of[i]: index in prefixes of transfer i's prefix
 }
 
 // newTransferForest builds the forest over the transfers' prefixes.
@@ -265,20 +319,14 @@ func newTransferForest(transfers []TransferRecord) transferForest {
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	f := transferForest{
-		prefixes: make([]netblock.Prefix, len(keys)),
-		parent:   make([]int32, len(keys)),
-		of:       make([]int32, len(transfers)),
-	}
+	prefixes := make([]netblock.Prefix, len(keys))
+	of := make([]int32, len(transfers))
 	for i, t := range transfers {
 		k, _ := slices.BinarySearch(keys, prefixKey(t.Prefix))
-		f.prefixes[k] = t.Prefix
-		f.of[i] = int32(k)
+		prefixes[k] = t.Prefix
+		of[i] = int32(k)
 	}
-	for k, p := range f.prefixes {
-		f.parent[k] = f.covering(int32(k)-1, p)
-	}
-	return f
+	return transferForest{forest: newForest(prefixes), of: of}
 }
 
 // prefixKey packs a prefix into a key whose numeric order is Compare
@@ -287,43 +335,51 @@ func prefixKey(p netblock.Prefix) uint64 {
 	return uint64(p.Addr())<<8 | uint64(p.Bits())
 }
 
-// covering returns the most specific forest prefix covering p, given the
-// index of the last forest prefix that sorts on or before p (-1 if none),
-// or -1 when no forest prefix covers p. A prefix covering p sorts before
-// it, and covers every prefix sorting between the two, so it is on that
-// last prefix's parent chain.
-func (f *transferForest) covering(last int32, p netblock.Prefix) int32 {
-	for k := last; k >= 0; k = f.parent[k] {
-		if f.prefixes[k].Covers(p) {
-			return k
-		}
+// normalize canonicalizes the input into the index's columns, so that
+// the rest of the build — and Record() — see one unique representation
+// per history. It also returns the transfer prefixes' covering forest,
+// which the date repair and buildSpans share.
+func normalize(in Input) (*Index, transferForest, error) {
+	start, end := day(in.Start), day(in.End)
+	if start.IsZero() || end.IsZero() || !start.Before(end) {
+		return nil, transferForest{}, fmt.Errorf("temporal: epoch [%s, %s) is empty", fmtDay(start), fmtDay(end))
 	}
-	return -1
-}
+	if len(in.Transfers) >= 1<<refRowBits || len(in.Leases) >= 1<<refRowBits {
+		return nil, transferForest{}, fmt.Errorf("temporal: %d transfers and %d leases: too many to index", len(in.Transfers), len(in.Leases))
+	}
+	ix := &Index{}
+	var err error
+	if ix.start, err = storedDay(start); err != nil {
+		return nil, transferForest{}, err
+	}
+	if ix.end, err = storedDay(end); err != nil {
+		return nil, transferForest{}, err
+	}
+	names := interner{ids: make(map[string]int32)}
 
-// normalize copies and canonicalizes the input so that the rest of the
-// build — and Record() — see one unique representation per history. It
-// also returns the transfer prefixes' covering forest, which the date
-// repair and buildSpans share.
-func normalize(in Input) (Input, transferForest, error) {
-	out := Input{Start: day(in.Start), End: day(in.End)}
-	if out.Start.IsZero() || out.End.IsZero() || !out.Start.Before(out.End) {
-		return Input{}, transferForest{}, fmt.Errorf("temporal: epoch [%s, %s) is empty", fmtDay(out.Start), fmtDay(out.End))
-	}
-
-	out.Allocations = slices.Clone(in.Allocations)
-	for i := range out.Allocations {
-		out.Allocations[i].Date = day(out.Allocations[i].Date)
-	}
+	allocs := in.Allocations
 	byPrefix := func(a, b AllocationRecord) int { return a.Prefix.Compare(b.Prefix) }
-	if !slices.IsSortedFunc(out.Allocations, byPrefix) {
-		slices.SortFunc(out.Allocations, byPrefix)
+	if !slices.IsSortedFunc(allocs, byPrefix) {
+		allocs = slices.Clone(allocs)
+		slices.SortFunc(allocs, byPrefix)
 	}
-	for i := 1; i < len(out.Allocations); i++ {
-		if out.Allocations[i].Prefix == out.Allocations[i-1].Prefix {
-			return Input{}, transferForest{}, fmt.Errorf("temporal: duplicate allocation for %v", out.Allocations[i].Prefix)
+	prefixes := make([]netblock.Prefix, len(allocs))
+	ix.allocs = make([]allocRow, len(allocs))
+	for i := range allocs {
+		a := &allocs[i]
+		if i > 0 && a.Prefix == allocs[i-1].Prefix {
+			return nil, transferForest{}, fmt.Errorf("temporal: duplicate allocation for %v", a.Prefix)
 		}
+		row := allocRow{org: names.id(a.Org), status: names.id(a.Status)}
+		if row.date, err = storedDay(a.Date); err != nil {
+			return nil, transferForest{}, err
+		}
+		if row.rir, err = rirCode(a.RIR); err != nil {
+			return nil, transferForest{}, err
+		}
+		prefixes[i], ix.allocs[i] = a.Prefix, row
 	}
+	ix.blocks = newForest(prefixes)
 
 	// Transfers keep their log order — it is the execution order, the
 	// order the registry actually applied them in, and the only thing
@@ -335,73 +391,84 @@ func normalize(in Input) (Input, transferForest, error) {
 	// same space, which makes every block's history date-monotone while
 	// preserving the registry's final state. The repair is idempotent,
 	// so Record/Restore round-trips byte-identically.
-	out.Transfers = slices.Clone(in.Transfers)
-	forest := newTransferForest(out.Transfers)
-	latest := make([]time.Time, len(forest.prefixes)) // zero: no entry yet
-	for i := range out.Transfers {
-		t := &out.Transfers[i]
-		t.Date = day(t.Date)
+	forest := newTransferForest(in.Transfers)
+	latest := make([]int32, len(forest.prefixes)) // zeroDay: no entry yet
+	for k := range latest {
+		latest[k] = zeroDay
+	}
+	ix.xfers = make([]xferRow, len(in.Transfers))
+	for i := range in.Transfers {
+		t := &in.Transfers[i]
+		row := xferRow{
+			price: t.PricePerAddr, prefix: t.Prefix,
+			from: names.id(t.From), to: names.id(t.To), typ: names.id(t.Type),
+		}
+		if row.date, err = storedDay(t.Date); err != nil {
+			return nil, transferForest{}, err
+		}
+		if row.fromRIR, err = rirCode(t.FromRIR); err != nil {
+			return nil, transferForest{}, err
+		}
+		if row.toRIR, err = rirCode(t.ToRIR); err != nil {
+			return nil, transferForest{}, err
+		}
 		k := forest.of[i]
 		for a := k; a >= 0; a = forest.parent[a] {
-			if latest[a].After(t.Date) {
-				t.Date = latest[a]
-			}
+			row.date = max(row.date, latest[a])
 		}
-		latest[k] = t.Date
+		latest[k] = row.date
+		ix.xfers[i] = row
 	}
+	ix.strs = names.table()
 
-	out.Leases = make([]LeaseRecord, 0, len(in.Leases))
+	// Lease dates are clamped to the epoch, so no lease date is out of
+	// range: one outside it is dropped or cut.
+	ix.leases = make([]leaseRow, 0, len(in.Leases))
 	for _, l := range in.Leases {
-		l.Start, l.End = day(l.Start), day(l.End)
-		if !l.Start.Before(out.End) {
+		row := leaseRow{
+			parent: l.Parent, child: l.Child, fromAS: l.FromAS, toAS: l.ToAS,
+			start: queryDay(l.Start), end: queryDay(l.End),
+		}
+		if row.start >= ix.end {
 			continue // never visible inside the epoch
 		}
-		if l.Start.Before(out.Start) {
-			l.Start = out.Start
+		row.start = max(row.start, ix.start)
+		if row.end >= ix.end {
+			row.end = zeroDay // open: active through the epoch end
 		}
-		if l.End.IsZero() || !l.End.Before(out.End) {
-			l.End = time.Time{} // open: active through the epoch end
-		}
-		if !l.End.IsZero() && !l.Start.Before(l.End) {
+		if row.end != zeroDay && row.start >= row.end {
 			continue // empty after clamping
 		}
-		out.Leases = append(out.Leases, l)
+		ix.leases = append(ix.leases, row)
 	}
 	// The order compares every field, so it is total on distinct records
-	// and the result does not depend on the sort algorithm.
-	slices.SortFunc(out.Leases, func(a, b LeaseRecord) int {
-		if c := a.Child.Compare(b.Child); c != 0 {
+	// and the result does not depend on the sort algorithm. The open end
+	// sorts last.
+	openLast := func(end int32) int32 {
+		if end == zeroDay {
+			return math.MaxInt32
+		}
+		return end
+	}
+	slices.SortFunc(ix.leases, func(a, b leaseRow) int {
+		if c := a.child.Compare(b.child); c != 0 {
 			return c
 		}
-		if c := a.Start.Compare(b.Start); c != 0 {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		if !a.End.Equal(b.End) {
-			if leaseEndBefore(a.End, b.End) {
-				return -1
-			}
-			return 1
-		}
-		if c := a.Parent.Compare(b.Parent); c != 0 {
+		if c := cmp.Compare(openLast(a.end), openLast(b.end)); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.FromAS, b.FromAS); c != 0 {
+		if c := a.parent.Compare(b.parent); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ToAS, b.ToAS)
+		if c := cmp.Compare(a.fromAS, b.fromAS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.toAS, b.toAS)
 	})
-	return out, forest, nil
-}
-
-// leaseEndBefore orders span end dates with the open (zero) end last.
-func leaseEndBefore(a, b time.Time) bool {
-	if a.IsZero() {
-		return false
-	}
-	if b.IsZero() {
-		return true
-	}
-	return a.Before(b)
+	return ix, forest, nil
 }
 
 // buildSpans reconstructs every block's holding history from the final
@@ -427,9 +494,9 @@ func leaseEndBefore(a, b time.Time) bool {
 // on the parent chain of the most specific forest prefix covering it.
 // A first pass finds that prefix for every block — allocations and forest
 // prefixes are both in Compare order, so one merged sweep does — and
-// counts the spans, so the span slice is allocated once at its exact size.
+// counts the chains' length, so they are allocated once at their exact
+// size.
 func (ix *Index) buildSpans(f transferForest) error {
-	in := ix.in
 	nPrefixes := len(f.prefixes)
 
 	// Transfers of each forest prefix, in log order: prefix k's are
@@ -441,7 +508,7 @@ func (ix *Index) buildSpans(f transferForest) error {
 	for k := range nPrefixes {
 		listStart[k+1] += listStart[k]
 	}
-	byPrefix := make([]int32, len(in.Transfers))
+	byPrefix := make([]int32, len(ix.xfers))
 	next := slices.Clone(listStart[:nPrefixes])
 	for i, k := range f.of {
 		byPrefix[next[k]] = int32(i)
@@ -457,79 +524,103 @@ func (ix *Index) buildSpans(f transferForest) error {
 		}
 	}
 
-	// The most specific forest prefix covering each block, and the span
-	// count.
-	cover := make([]int32, len(in.Allocations))
-	nSpans, seen := 0, int32(-1)
-	for i, a := range in.Allocations {
-		for int(seen)+1 < nPrefixes && f.prefixes[seen+1].Compare(a.Prefix) <= 0 {
+	// The most specific forest prefix covering each block, and the chain
+	// length.
+	blocks := ix.blocks.prefixes
+	cover := make([]int32, len(blocks))
+	nChain, seen := 0, int32(-1)
+	for i, p := range blocks {
+		for int(seen)+1 < nPrefixes && f.prefixes[seen+1].Compare(p) <= 0 {
 			seen++
 		}
-		k := f.covering(seen, a.Prefix)
+		k := f.covering(seen, p, nil)
 		cover[i] = k
-		nSpans++
 		if k >= 0 {
-			nSpans += int(chainLen[k])
+			nChain += int(chainLen[k])
 		}
 	}
 
 	used := make([]bool, nPrefixes)
-	var chain []int32 // reused: a block's transfers, in log order
-	ix.spans = make([]Span, 0, nSpans)
-	ix.holderTrie = netblock.NewTrie[spanRange]()
-	for i, a := range in.Allocations {
-		p := a.Prefix
-		chain = chain[:0]
+	ix.chainLo = make([]int32, len(blocks)+1)
+	ix.chains = make([]int32, 0, nChain)
+	for i, p := range blocks {
+		lo := len(ix.chains)
 		for k := cover[i]; k >= 0; k = f.parent[k] {
-			chain = append(chain, byPrefix[listStart[k]:listStart[k+1]]...)
+			ix.chains = append(ix.chains, byPrefix[listStart[k]:listStart[k+1]]...)
 			used[k] = true
 		}
+		chain := ix.chains[lo:]
 		slices.Sort(chain)
-		lo := int32(len(ix.spans))
-		if len(chain) == 0 {
-			ix.spans = append(ix.spans, Span{
-				Prefix: p, Org: a.Org, RIR: a.RIR,
-				Start: a.Date, Via: ViaOrigin,
-			})
-		} else {
-			first := in.Transfers[chain[0]]
-			origin := in.Start
-			if first.Date.Before(origin) {
-				origin = first.Date // pre-epoch transfer: keep spans tiling
-			}
-			ix.spans = append(ix.spans, Span{
-				Prefix: p, Org: first.From, RIR: first.FromRIR,
-				Start: origin, End: first.Date, Via: ViaOrigin,
-			})
-			for i, ti := range chain {
-				t := &in.Transfers[ti]
-				if i > 0 && t.Date.Before(in.Transfers[chain[i-1]].Date) {
-					return fmt.Errorf("temporal: transfers of %v out of date order", p)
-				}
-				end := time.Time{}
-				if i+1 < len(chain) {
-					end = in.Transfers[chain[i+1]].Date
-				}
-				ix.spans = append(ix.spans, Span{
-					Prefix: p, Org: t.To, RIR: t.ToRIR,
-					Start: t.Date, End: end,
-					Via: viaOf(t.Type), PricePerAddr: t.PricePerAddr,
-				})
-			}
-			last := in.Transfers[chain[len(chain)-1]]
-			if last.To != a.Org {
-				return fmt.Errorf("temporal: %v: final holder %q does not match last transfer recipient %q",
-					p, a.Org, last.To)
+		for j := 1; j < len(chain); j++ {
+			if ix.xfers[chain[j]].date < ix.xfers[chain[j-1]].date {
+				return fmt.Errorf("temporal: transfers of %v out of date order", p)
 			}
 		}
-		ix.holderTrie.Insert(p, spanRange{lo, int32(len(ix.spans))})
+		if len(chain) > 0 {
+			org, last := ix.allocs[i].org, ix.xfers[chain[len(chain)-1]].to
+			if last != org {
+				return fmt.Errorf("temporal: %v: final holder %q does not match last transfer recipient %q",
+					p, ix.strs.at(org), ix.strs.at(last))
+			}
+		}
+		ix.chainLo[i+1] = int32(len(ix.chains))
 	}
 	for i, k := range f.of {
 		if !used[k] {
-			return fmt.Errorf("temporal: transfer of %v covers no final allocation", in.Transfers[i].Prefix)
+			return fmt.Errorf("temporal: transfer of %v covers no final allocation", ix.xfers[i].prefix)
 		}
 	}
 	return nil
+}
+
+// chain returns block b's transfer chain.
+func (ix *Index) chain(b int32) []int32 { return ix.chains[ix.chainLo[b]:ix.chainLo[b+1]] }
+
+// spanStart returns the first day of span j of block b, whose chain is
+// chain. With no chain the block has one span, from its allocation date;
+// otherwise span 0 is the first sender's, from the epoch start (or the
+// first transfer, when that predates the epoch, to keep spans tiling),
+// and span j > 0 starts at transfer j-1 of the chain.
+func (ix *Index) spanStart(b int32, chain []int32, j int) int32 {
+	switch {
+	case len(chain) == 0:
+		return ix.allocs[b].date
+	case j == 0:
+		return min(ix.start, ix.xfers[chain[0]].date)
+	}
+	return ix.xfers[chain[j-1]].date
+}
+
+// spanEnd returns the day span j of a block with chain ends on: the next
+// span's start, or zeroDay for the last, open span.
+func (ix *Index) spanEnd(chain []int32, j int) int32 {
+	if j < len(chain) {
+		return ix.xfers[chain[j]].date
+	}
+	return zeroDay
+}
+
+// span renders span j of block b.
+func (ix *Index) span(b int32, chain []int32, j int) Span {
+	s := Span{
+		Prefix: ix.blocks.prefixes[b],
+		Start:  dateOf(ix.spanStart(b, chain, j)),
+		End:    dateOf(ix.spanEnd(chain, j)),
+		Via:    ViaOrigin,
+	}
+	switch {
+	case len(chain) == 0:
+		a := &ix.allocs[b]
+		s.Org, s.RIR = ix.strs.at(a.org), registry.RIR(a.rir)
+	case j == 0:
+		t := &ix.xfers[chain[0]]
+		s.Org, s.RIR = ix.strs.at(t.from), registry.RIR(t.fromRIR)
+	default:
+		t := &ix.xfers[chain[j-1]]
+		s.Org, s.RIR = ix.strs.at(t.to), registry.RIR(t.toRIR)
+		s.Via, s.PricePerAddr = viaOf(ix.strs.at(t.typ)), t.price
+	}
+	return s
 }
 
 // viaOf maps a registry transfer type to an acquisition kind.
@@ -540,87 +631,89 @@ func viaOf(typ string) Acquisition {
 	return ViaMarket
 }
 
-// buildDelegations materializes the delegation spans, the global child
-// trie, and the per-epoch index lists.
+// delegation renders a lease row as a delegation span.
+func delegation(l *leaseRow) DelegationSpan {
+	return DelegationSpan{
+		Parent: l.parent, Child: l.child, FromAS: l.fromAS, ToAS: l.toAS,
+		Start: dateOf(l.start), End: dateOf(l.end),
+	}
+}
+
+// buildDelegations groups the delegation spans by child, links the
+// children's forest, and builds the per-epoch index lists.
 func (ix *Index) buildDelegations() {
-	ix.delegTrie = netblock.NewTrie[spanRange]()
-	ix.delegs = make([]DelegationSpan, len(ix.in.Leases))
-	for i, l := range ix.in.Leases {
-		ix.delegs[i] = DelegationSpan(l)
-	}
-	for lo := 0; lo < len(ix.delegs); {
-		hi := lo
-		for hi < len(ix.delegs) && ix.delegs[hi].Child == ix.delegs[lo].Child {
-			hi++
+	nGroups := 0
+	for i := range ix.leases {
+		if i == 0 || ix.leases[i].child != ix.leases[i-1].child {
+			nGroups++
 		}
-		ix.delegTrie.Insert(ix.delegs[lo].Child, spanRange{int32(lo), int32(hi)})
-		lo = hi
 	}
+	children := make([]netblock.Prefix, 0, nGroups)
+	ix.childLo = make([]int32, 0, nGroups+1)
+	for i := range ix.leases {
+		if i == 0 || ix.leases[i].child != ix.leases[i-1].child {
+			children = append(children, ix.leases[i].child)
+			ix.childLo = append(ix.childLo, int32(i))
+		}
+	}
+	ix.childLo = append(ix.childLo, int32(len(ix.leases)))
+	ix.children = newForest(children)
 
 	// Epoch boundaries: every distinct delegation start/end inside the
 	// epoch, thinned to at most maxEpochs partitions.
-	bounds := make([]time.Time, 0, 2*len(ix.delegs))
-	for _, d := range ix.delegs {
-		if d.Start.After(ix.in.Start) {
-			bounds = append(bounds, d.Start)
+	bounds := make([]int32, 0, 2*len(ix.leases))
+	for i := range ix.leases {
+		l := &ix.leases[i]
+		if l.start > ix.start {
+			bounds = append(bounds, l.start)
 		}
-		if !d.End.IsZero() {
-			bounds = append(bounds, d.End)
+		if l.end != zeroDay {
+			bounds = append(bounds, l.end)
 		}
 	}
-	slices.SortFunc(bounds, time.Time.Compare)
-	bounds = slices.CompactFunc(bounds, time.Time.Equal)
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
 	stride := 1
 	if len(bounds) > maxEpochs {
 		stride = (len(bounds) + maxEpochs - 1) / maxEpochs
 	}
-	ix.epochStarts = make([]time.Time, 1, 1+len(bounds)/stride)
-	ix.epochStarts[0] = ix.in.Start
+	ix.epochStarts = make([]int32, 1, 1+len(bounds)/stride)
+	ix.epochStarts[0] = ix.start
 	for i := stride - 1; i < len(bounds); i += stride {
 		ix.epochStarts = append(ix.epochStarts, bounds[i])
 	}
 
 	// Each span lands in the epochs [lo, hi): a first pass finds those
-	// ranges and sizes every epoch's list, and all lists share one
-	// exactly sized backing array. Spans are then visited in delegs
-	// order, so every epoch's list comes out ascending, and therefore
-	// sorted by child, without a sort.
+	// ranges and sizes every epoch's list, and the lists share one
+	// exactly sized column. Spans are then visited in row order, so every
+	// epoch's list comes out ascending, and therefore sorted by child,
+	// without a sort.
 	nEpochs := len(ix.epochStarts)
-	ranges := make([]spanRange, len(ix.delegs))
-	sizes := make([]int32, nEpochs+1) // a difference array until summed
-	for i, d := range ix.delegs {
-		lo := lastStartAtOrBefore(ix.epochStarts, d.Start, nil)
+	ranges := make([]spanRange, len(ix.leases))
+	ix.epochLo = make([]int32, nEpochs+1)
+	for i := range ix.leases {
+		l := &ix.leases[i]
+		lo := lastStartAtOrBefore(ix.epochStarts, l.start, nil)
 		hi := nEpochs
-		if !d.End.IsZero() {
+		if l.end != zeroDay {
 			// The span is dead in epochs starting at or after its end.
-			hi = sort.Search(nEpochs, func(j int) bool {
-				return !ix.epochStarts[j].Before(d.End)
-			})
+			hi, _ = slices.BinarySearch(ix.epochStarts, l.end)
 		}
 		hi = max(hi, lo)
 		ranges[i] = spanRange{int32(lo), int32(hi)}
-		sizes[lo]++
-		sizes[hi]--
-	}
-	total := int32(0)
-	for e := range nEpochs {
-		if e > 0 {
-			sizes[e] += sizes[e-1]
-		}
-		total += sizes[e]
-	}
-	backing := make([]int32, total)
-	ix.epochs = make([][]int32, nEpochs)
-	off := int32(0)
-	for e := range nEpochs {
-		if n := sizes[e]; n > 0 {
-			ix.epochs[e] = backing[off : off : off+n]
-			off += n
+		for e := lo; e < hi; e++ {
+			ix.epochLo[e+1]++
 		}
 	}
+	for e := range nEpochs {
+		ix.epochLo[e+1] += ix.epochLo[e]
+	}
+	ix.epochIDs = make([]int32, ix.epochLo[nEpochs])
+	next := slices.Clone(ix.epochLo[:nEpochs])
 	for i, r := range ranges {
 		for e := r.lo; e < r.hi; e++ {
-			ix.epochs[e] = append(ix.epochs[e], int32(i))
+			ix.epochIDs[next[e]] = int32(i)
+			next[e]++
 		}
 	}
 }
@@ -628,84 +721,79 @@ func (ix *Index) buildDelegations() {
 // lastStartAtOrBefore returns the index of the last element of starts that
 // is not after d; starts[0] is the epoch start, so the result is >= 0 for
 // any in-range date. probe, when set, is called once per search step.
-func lastStartAtOrBefore(starts []time.Time, d time.Time, probe func()) int {
+func lastStartAtOrBefore(starts []int32, d int32, probe func()) int {
 	i := sort.Search(len(starts), func(j int) bool {
 		if probe != nil {
 			probe()
 		}
-		return starts[j].After(d)
+		return starts[j] > d
 	}) - 1
-	if i < 0 {
-		i = 0
-	}
-	return i
+	return max(i, 0)
 }
 
 // buildEvents merges transfers and delegation starts/ends into one
-// date-sorted stream. The order is stable over a deterministic pre-order
+// date-sorted stream of refs. Same-day events keep the refs' pre-order
 // (transfers in log order, then delegation starts, then ends, each in
-// normalized order), so same-day events keep a reproducible order. The
-// sort runs over pre-order positions, keyed by date, and the stream is
-// written once, in its final order.
+// row order), so the stream is one sort of (day, ref) keys.
 func (ix *Index) buildEvents() {
-	nT, nD := len(ix.in.Transfers), len(ix.delegs)
-	ends := make([]int32, 0, nD) // delegs with an end date, in order
-	for i, d := range ix.delegs {
-		if !d.End.IsZero() {
-			ends = append(ends, int32(i))
+	n := len(ix.xfers) + len(ix.leases)
+	for i := range ix.leases {
+		if ix.leases[i].end != zeroDay {
+			n++
 		}
 	}
-	// Pre-order position p is transfer p below nT, the start of
-	// delegs[p-nT] below nT+nD, and the end of delegs[ends[p-nT-nD]]
-	// after that. Every date is a UTC midnight, so Unix seconds order
-	// them as Before does.
-	n := nT + nD + len(ends)
-	dates := make([]int64, n)
-	for i := range ix.in.Transfers {
-		dates[i] = ix.in.Transfers[i].Date.Unix()
+	// The day's sign bit is flipped so that unsigned order is day order.
+	keys := make([]uint64, 0, n)
+	key := func(d int32, r eventRef) uint64 { return uint64(uint32(d)^1<<31)<<32 | uint64(r) }
+	for i := range ix.xfers {
+		keys = append(keys, key(ix.xfers[i].date, newEventRef(kindTransfer, i)))
 	}
-	for i := range ix.delegs {
-		dates[nT+i] = ix.delegs[i].Start.Unix()
+	for i := range ix.leases {
+		keys = append(keys, key(ix.leases[i].start, newEventRef(kindDelegationStart, i)))
 	}
-	for i, di := range ends {
-		dates[nT+nD+i] = ix.delegs[di].End.Unix()
-	}
-	order := make([]int32, n)
-	for p := range order {
-		order[p] = int32(p)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(dates[a], dates[b]); c != 0 {
-			return c
+	for i := range ix.leases {
+		if end := ix.leases[i].end; end != zeroDay {
+			keys = append(keys, key(end, newEventRef(kindDelegationEnd, i)))
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+	slices.Sort(keys)
+	ix.events = make([]eventRef, n)
+	for i, k := range keys {
+		ix.events[i] = eventRef(k)
+	}
+}
 
-	ix.events = make([]Event, n)
-	for i, p := range order {
-		e := &ix.events[i]
-		switch {
-		case int(p) < nT:
-			t := &ix.in.Transfers[p]
-			*e = Event{
-				Date: t.Date, Kind: EventTransfer, Prefix: t.Prefix,
-				From: t.From, To: t.To, FromRIR: t.FromRIR, ToRIR: t.ToRIR,
-				Type: t.Type, PricePerAddr: t.PricePerAddr,
-			}
-		case int(p) < nT+nD:
-			d := &ix.delegs[int(p)-nT]
-			*e = Event{
-				Date: d.Start, Kind: EventDelegationStart, Prefix: d.Child,
-				Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
-			}
-		default:
-			d := &ix.delegs[ends[int(p)-nT-nD]]
-			*e = Event{
-				Date: d.End, Kind: EventDelegationEnd, Prefix: d.Child,
-				Parent: d.Parent, FromAS: d.FromAS, ToAS: d.ToAS,
-			}
+// eventDay returns the day of event r.
+func (ix *Index) eventDay(r eventRef) int32 {
+	switch r.kind() {
+	case kindTransfer:
+		return ix.xfers[r.row()].date
+	case kindDelegationStart:
+		return ix.leases[r.row()].start
+	}
+	return ix.leases[r.row()].end
+}
+
+// event renders event r.
+func (ix *Index) event(r eventRef) Event {
+	if r.kind() == kindTransfer {
+		t := &ix.xfers[r.row()]
+		return Event{
+			Date: dateOf(t.date), Kind: EventTransfer, Prefix: t.prefix,
+			From: ix.strs.at(t.from), To: ix.strs.at(t.to),
+			FromRIR: registry.RIR(t.fromRIR), ToRIR: registry.RIR(t.toRIR),
+			Type: ix.strs.at(t.typ), PricePerAddr: t.price,
 		}
 	}
+	l := &ix.leases[r.row()]
+	e := Event{
+		Date: dateOf(l.start), Kind: EventDelegationStart, Prefix: l.child,
+		Parent: l.parent, FromAS: l.fromAS, ToAS: l.toAS,
+	}
+	if r.kind() == kindDelegationEnd {
+		e.Date, e.Kind = dateOf(l.end), EventDelegationEnd
+	}
+	return e
 }
 
 // buildQuarters aggregates the quarterly transfer-price state. Sums are
@@ -719,8 +807,9 @@ func (ix *Index) buildQuarters() {
 	}
 	byQuarter := make(map[stats.Quarter]*agg)
 	var order []stats.Quarter
-	for _, t := range ix.in.Transfers {
-		q := stats.QuarterOf(t.Date)
+	for i := range ix.xfers {
+		t := &ix.xfers[i]
+		q := stats.QuarterOf(dateOf(t.date))
 		a := byQuarter[q]
 		if a == nil {
 			a = &agg{}
@@ -728,19 +817,20 @@ func (ix *Index) buildQuarters() {
 			order = append(order, q)
 		}
 		a.transfers++
-		a.addrs += t.Prefix.NumAddrs()
-		if t.PricePerAddr > 0 {
-			if a.priced == 0 || t.PricePerAddr < a.min {
-				a.min = t.PricePerAddr
+		a.addrs += t.prefix.NumAddrs()
+		if t.price > 0 {
+			if a.priced == 0 || t.price < a.min {
+				a.min = t.price
 			}
-			if t.PricePerAddr > a.max {
-				a.max = t.PricePerAddr
+			if t.price > a.max {
+				a.max = t.price
 			}
 			a.priced++
-			a.sum += t.PricePerAddr
+			a.sum += t.price
 		}
 	}
 	stats.SortQuarters(order)
+	ix.quarters = make([]QuarterPrices, 0, len(order))
 	for _, q := range order {
 		a := byQuarter[q]
 		qp := QuarterPrices{
@@ -754,40 +844,77 @@ func (ix *Index) buildQuarters() {
 	}
 }
 
-// Input returns a copy of the normalized input the index was built from.
-// NaiveAt over this copy is the reference the index must agree with.
+// Input returns a copy of the normalized input the index was built from,
+// rendered from its columns. NaiveAt over this copy is the reference the
+// index must agree with.
 func (ix *Index) Input() Input {
-	out := ix.in
-	out.Allocations = append([]AllocationRecord(nil), ix.in.Allocations...)
-	out.Transfers = append([]TransferRecord(nil), ix.in.Transfers...)
-	out.Leases = append([]LeaseRecord(nil), ix.in.Leases...)
+	out := Input{
+		Start:       dateOf(ix.start),
+		End:         dateOf(ix.end),
+		Allocations: make([]AllocationRecord, len(ix.allocs)),
+		Transfers:   make([]TransferRecord, len(ix.xfers)),
+		Leases:      make([]LeaseRecord, len(ix.leases)),
+	}
+	for i := range ix.allocs {
+		a := &ix.allocs[i]
+		out.Allocations[i] = AllocationRecord{
+			Prefix: ix.blocks.prefixes[i], Org: ix.strs.at(a.org), RIR: registry.RIR(a.rir),
+			Date: dateOf(a.date), Status: ix.strs.at(a.status),
+		}
+	}
+	for i := range ix.xfers {
+		t := &ix.xfers[i]
+		out.Transfers[i] = TransferRecord{
+			Prefix: t.prefix, From: ix.strs.at(t.from), To: ix.strs.at(t.to),
+			FromRIR: registry.RIR(t.fromRIR), ToRIR: registry.RIR(t.toRIR),
+			Type: ix.strs.at(t.typ), Date: dateOf(t.date), PricePerAddr: t.price,
+		}
+	}
+	for i := range ix.leases {
+		out.Leases[i] = LeaseRecord(delegation(&ix.leases[i]))
+	}
 	return out
 }
 
 // Start returns the first queryable date (inclusive).
-func (ix *Index) Start() time.Time { return ix.in.Start }
+func (ix *Index) Start() time.Time { return dateOf(ix.start) }
 
 // End returns the epoch end (exclusive): the first date that is NOT
 // queryable.
-func (ix *Index) End() time.Time { return ix.in.End }
+func (ix *Index) End() time.Time { return dateOf(ix.end) }
 
 // Contains reports whether d falls inside the queryable epoch [Start, End).
 func (ix *Index) Contains(d time.Time) bool {
-	d = day(d)
-	return !d.Before(ix.in.Start) && d.Before(ix.in.End)
+	dn := queryDay(d)
+	return dn >= ix.start && dn < ix.end
 }
 
 // EventCount returns the number of entries in the merged event stream.
 func (ix *Index) EventCount() int { return len(ix.events) }
 
-// SpanCount returns the number of holding spans.
-func (ix *Index) SpanCount() int { return len(ix.spans) }
+// SpanCount returns the number of holding spans: one per block, plus one
+// per transfer of its chain.
+func (ix *Index) SpanCount() int { return len(ix.allocs) + len(ix.chains) }
 
 // DelegationCount returns the number of delegation spans.
-func (ix *Index) DelegationCount() int { return len(ix.delegs) }
+func (ix *Index) DelegationCount() int { return len(ix.leases) }
 
 // EpochCount returns the number of delegation-epoch partitions.
-func (ix *Index) EpochCount() int { return len(ix.epochs) }
+func (ix *Index) EpochCount() int { return len(ix.epochStarts) }
+
+// SizeBytes returns the bytes the index's columns and string table hold,
+// from their capacities alone: what the index keeps on the heap, less
+// the Index value and the allocator's rounding, found without walking
+// the heap.
+func (ix *Index) SizeBytes() int {
+	return len(ix.strs.blob) + colBytes(ix.strs.off) +
+		colBytes(ix.blocks.prefixes) + colBytes(ix.blocks.parent) +
+		colBytes(ix.allocs) + colBytes(ix.xfers) + colBytes(ix.leases) +
+		colBytes(ix.chainLo) + colBytes(ix.chains) +
+		colBytes(ix.children.prefixes) + colBytes(ix.children.parent) + colBytes(ix.childLo) +
+		colBytes(ix.epochStarts) + colBytes(ix.epochLo) + colBytes(ix.epochIDs) +
+		colBytes(ix.events) + colBytes(ix.quarters)
+}
 
 // Quarters returns the quarterly price state, ascending by quarter.
 func (ix *Index) Quarters() []QuarterPrices {

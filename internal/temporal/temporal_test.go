@@ -3,6 +3,8 @@ package temporal
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"testing"
 	"time"
@@ -491,4 +493,91 @@ func TestIndexMatchesNaiveReplay(t *testing.T) {
 		}
 	}
 	t.Logf("verified %d (prefix, date) pairs", len(pairs))
+}
+
+// TestColumnsPointerFree holds the index to pointer-free columns: every
+// slice it keeps, nested structs included, has an element type the
+// collector need not scan, so a resident generation's index costs the
+// mark phase nothing but its few slice headers and one string.
+func TestColumnsPointerFree(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return true
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	columns := 0
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Slice:
+				columns++
+				if hasPointers(f.Type.Elem()) {
+					t.Errorf("column %s%s has element type %v, which holds pointers", path, f.Name, f.Type.Elem())
+				}
+			case reflect.Struct:
+				check(path+f.Name+".", f.Type)
+			case reflect.String:
+				// The string table's one blob.
+			default:
+				if hasPointers(f.Type) {
+					t.Errorf("field %s%s has type %v, which holds pointers", path, f.Name, f.Type)
+				}
+			}
+		}
+	}
+	check("Index.", reflect.TypeOf(Index{}))
+	if columns < 10 {
+		t.Fatalf("found %d columns; the walk missed the index's fields", columns)
+	}
+}
+
+// TestSizeBytesMatchesHeap holds SizeBytes, which sums the index's
+// column capacities, to within 15% of the heap the index keeps live at
+// DefaultConfig, measured after two collections: /varz reports it as a
+// generation's as-of bytes.
+func TestSizeBytesMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the DefaultConfig world")
+	}
+	cfg := simulation.DefaultConfig()
+	w, err := simulation.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := worldInput(cfg, w)
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
+	}
+	mustNew(t, in) // warm anything the first build caches
+	before := live()
+	ix := mustNew(t, in)
+	kept := live() - before
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(in)
+	size := int64(ix.SizeBytes())
+	t.Logf("SizeBytes %d, heap kept %d (%+.1f%%)", size, kept, 100*float64(size-kept)/float64(kept))
+	if size < kept*85/100 || size > kept*115/100 {
+		t.Errorf("SizeBytes %d is not within 15%% of the %d heap bytes the index keeps", size, kept)
+	}
+	if kept > 1_600_000 {
+		t.Errorf("the DefaultConfig index keeps %d heap bytes, budget 1,600,000", kept)
+	}
 }

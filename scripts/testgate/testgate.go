@@ -53,8 +53,11 @@ var contracts = []contract{
 		// /v1/transfers append encoder against the document it replaced.
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
 		"TestTransfersBodyMatchesMarshal",
-		// A one-worker DefaultConfig build stays within its allocation budget.
-		"TestBuildAllocBytes",
+		// A one-worker DefaultConfig build stays within its allocation
+		// budget, the generation it leaves within its live-heap budget,
+		// and the /v1/transfers body in a buffer of its size; /varz
+		// reports the as-of index's bytes.
+		"TestBuildAllocBytes", "TestGenerationLiveBytes", "TestTransfersBodySizedExactly", "TestVarzShape",
 		// A panicking stage is a build error naming it at one worker too,
 		// and a background rebuild counts it and keeps serving; so is a
 		// panic in the study stage or in persist.
@@ -86,6 +89,8 @@ var contracts = []contract{
 	{"ipv4market/internal/simulation", []string{
 		"TestCollectorAtMatchesSurveyAt", "TestSurveyAtSanitizeEdgeCases", "TestSurveyAtAllocs",
 		"TestSurveyIntoReusesBuffer", "TestVisibleMatchesFloat64",
+		// A snapshot build draws one survey per distinct day.
+		"TestBuildSurveysEachDayOnce",
 	}},
 	{"ipv4market/internal/bgp", []string{
 		"TestPrefixSurveyMatchesObserve",
@@ -104,6 +109,8 @@ var contracts = []contract{
 	{"ipv4market/internal/temporal", []string{
 		"TestIndexMatchesNaiveReplay", "TestPointLookupSublinear", "TestRecordRestoreRoundTrip",
 		"TestNewDeterministicUnderInputOrder", "TestIndexBuildAllocs", "TestRecordMatchesMarshal",
+		// The index is pointer-free columns, and SizeBytes reads their heap.
+		"TestColumnsPointerFree", "TestSizeBytesMatchesHeap",
 	}},
 	{"ipv4market/internal/replicate", []string{
 		"TestLeaderFollowerSync", "TestFlippedBytesQuarantined", "TestTruncatedStreamResumed",
