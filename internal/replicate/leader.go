@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -51,14 +49,12 @@ type Listing struct {
 
 // Leader serves a store's sealed segments to replication followers. It
 // is read-only over the store: two handlers, no state of its own beyond
-// counters and a CRC cache (segments are immutable, so a CRC computed
-// once is valid for the segment's lifetime).
+// counters. Each segment's CRC comes from the store's listing, which
+// computed it while writing, scanning or importing the file.
 type Leader struct {
 	st *store.Store
 
-	mu   sync.Mutex
-	crcs map[uint64]uint32
-
+	mu        sync.Mutex
 	listings  int64
 	shipped   int64
 	bytesOut  int64
@@ -67,7 +63,7 @@ type Leader struct {
 
 // NewLeader returns a Leader over st.
 func NewLeader(st *store.Store) *Leader {
-	return &Leader{st: st, crcs: make(map[uint64]uint32)}
+	return &Leader{st: st}
 }
 
 // segmentETag derives the strong ETag for a generation's segment bytes.
@@ -75,71 +71,18 @@ func segmentETag(crc uint32, size int64) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%08x-%d", crc, size))
 }
 
-// crcFor returns the cached whole-file CRC32 for gen, computing it on
-// first use. The cache is pruned to the live generation set as a side
-// effect of Generations, so compaction cannot grow it without bound.
-func (l *Leader) crcFor(g store.GenInfo) (uint32, error) {
-	l.mu.Lock()
-	crc, ok := l.crcs[g.Gen]
-	l.mu.Unlock()
-	if ok {
-		return crc, nil
-	}
-	path, ok := l.st.SegmentPath(g.Gen)
-	if !ok {
-		return 0, fmt.Errorf("replicate: generation %d gone from store", g.Gen)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("replicate: open segment: %w", err)
-	}
-	defer f.Close()
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, fmt.Errorf("replicate: checksum segment: %w", err)
-	}
-	crc = h.Sum32()
-	l.mu.Lock()
-	l.crcs[g.Gen] = crc
-	l.mu.Unlock()
-	return crc, nil
-}
-
-// pruneCRCs drops cache entries for generations no longer live.
-func (l *Leader) pruneCRCs(live []store.GenInfo) {
-	alive := make(map[uint64]bool, len(live))
-	for _, g := range live {
-		alive[g.Gen] = true
-	}
-	l.mu.Lock()
-	for gen := range l.crcs {
-		if !alive[gen] {
-			delete(l.crcs, gen)
-		}
-	}
-	l.mu.Unlock()
-}
-
 // Generations is the GET /v1/replication/generations handler: the live
 // generation list with sizes, checksums, and segment ETags.
 func (l *Leader) Generations() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		atomicAdd(&l.mu, &l.listings, 1)
-		gens := l.st.Generations()
-		l.pruneCRCs(gens)
 		listing := Listing{NextGen: l.st.Stats().NextGen}
-		for _, g := range gens {
-			crc, err := l.crcFor(g)
-			if err != nil {
-				// A segment compacted between the list and the checksum;
-				// the follower will pick it up (or not) next poll.
-				continue
-			}
+		for _, g := range l.st.Generations() {
 			listing.Generations = append(listing.Generations, GenEntry{
 				Gen:     g.Gen,
 				Bytes:   g.Bytes,
-				CRC32:   fmt.Sprintf("%08x", crc),
-				ETag:    segmentETag(crc, g.Bytes),
+				CRC32:   fmt.Sprintf("%08x", g.CRC32),
+				ETag:    segmentETag(g.CRC32, g.Bytes),
 				Created: g.Created.UTC().Format(time.RFC3339),
 				Seed:    g.Seed,
 			})
@@ -172,12 +115,6 @@ func (l *Leader) Segment() http.Handler {
 			http.Error(w, fmt.Sprintf("generation %d not in store", gen), http.StatusNotFound)
 			return
 		}
-		crc, err := l.crcFor(info)
-		if err != nil {
-			atomicAdd(&l.mu, &l.errorsOut, 1)
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
 		path, ok := l.st.SegmentPath(gen)
 		if !ok {
 			atomicAdd(&l.mu, &l.errorsOut, 1)
@@ -195,7 +132,7 @@ func (l *Leader) Segment() http.Handler {
 			return
 		}
 		defer f.Close()
-		w.Header().Set("ETag", segmentETag(crc, info.Bytes))
+		w.Header().Set("ETag", segmentETag(info.CRC32, info.Bytes))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		// ServeContent handles Range, If-Range, If-None-Match, and sets
 		// Content-Length; the modtime is the build time, which is stable

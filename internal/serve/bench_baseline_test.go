@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"ipv4market/internal/simulation"
 )
 
 // benchBaseline mirrors the schema cmd/benchrecord writes to the
@@ -94,18 +98,35 @@ func checkFingerprint(t *testing.T, b benchBaseline, file, suite string, fp benc
 	}
 }
 
+// buildAllocTolerance is how far a warm one-worker DefaultConfig build's
+// allocation count may stray from BENCH_build.json's default/workers=1
+// row: 0.2%, about 135 of ~67.6k. Repeated warm builds on a 2-core
+// x86-64 host spread over about 25 allocations (0.04%), and a freshly
+// recorded row, the median of five benchmark runs, read within 0.01%
+// of this test's count; a row left stale by a change that moved
+// allocations has read 0.4% and 1.6% off.
+const buildAllocTolerance = 0.002
+
 // TestBenchBuildJSONParses keeps the BenchmarkSnapshotBuild baseline
 // well-formed and current: it needs the serial (workers=1) reference
 // row, every row needs the process CPU time per build (cpu_ms_per_op),
 // and a baseline recorded against other worlds or another stage list
-// (buildFingerprint) fails.
+// (buildFingerprint) fails. So does one whose default/workers=1 row no
+// longer counts the allocations a warm one-worker DefaultConfig build
+// makes (buildAllocTolerance). The race detector adds about 1% to that
+// count, so the comparison is skipped under it, and under -short, which
+// builds no DefaultConfig world.
 func TestBenchBuildJSONParses(t *testing.T) {
 	b := loadBaseline(t, "BENCH_build.json", "BenchmarkSnapshotBuild")
 	checkFingerprint(t, b, "BENCH_build.json", "build", buildFingerprint())
 	serial := false
+	var want int64
 	for _, r := range b.Results {
-		if r.Name == "workers=1" {
+		switch r.Name {
+		case "workers=1":
 			serial = true
+		case "default/workers=1":
+			want = r.AllocsOp
 		}
 		if r.CPUMsPerOp <= 0 {
 			t.Errorf("row %q: cpu_ms_per_op = %v, want > 0; re-record with scripts/bench.sh -suite build", r.Name, r.CPUMsPerOp)
@@ -113,6 +134,30 @@ func TestBenchBuildJSONParses(t *testing.T) {
 	}
 	if !serial {
 		t.Error("baseline lacks the serial workers=1 reference row")
+	}
+	if want <= 0 {
+		t.Fatal("baseline lacks the default/workers=1 row")
+	}
+	if testing.Short() || raceBuild() {
+		t.Log("allocation count of the default/workers=1 row not checked under -short or -race")
+		return
+	}
+	build := func() {
+		if _, err := BuildSnapshotOpts(simulation.DefaultConfig(), BuildOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm whatever the packages cache, as the benchmark's earlier runs do
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	build()
+	runtime.ReadMemStats(&m1)
+	got := int64(m1.Mallocs - m0.Mallocs)
+	off := math.Abs(float64(got-want)) / float64(want)
+	t.Logf("a warm one-worker DefaultConfig build makes %d allocations; the default/workers=1 row records %d (%.2f%% off)", got, want, 100*off)
+	if off > buildAllocTolerance {
+		t.Errorf("a warm one-worker DefaultConfig build makes %d allocations, but BENCH_build.json's default/workers=1 row records %d (%.2f%% off, tolerance %.1f%%); re-record with scripts/bench.sh -suite build",
+			got, want, 100*off, 100*buildAllocTolerance)
 	}
 }
 

@@ -98,8 +98,9 @@ func BenchmarkAsofIndex(b *testing.B) {
 }
 
 // benchFingerprint is what a baseline's numbers were measured on: the
-// world config behind each group of rows ("test" for the unprefixed rows,
-// "default" for the default/ rows) and the snapshot build stages, by
+// world config behind each group of rows (in the build suite "test" for
+// the unprefixed rows and "default" for the default/ rows; the serve
+// suite's rows are all "default") and the snapshot build stages, by
 // name. Each suite logs its fingerprint, cmd/benchrecord copies it into
 // the baseline, and TestBenchBuildJSONParses and TestBenchServeJSONParses
 // fail when the suite's current fingerprint differs from the recorded
@@ -117,9 +118,10 @@ func buildFingerprint() benchFingerprint {
 	}
 }
 
-// serveFingerprint is BenchmarkSnapshotServe's fingerprint.
+// serveFingerprint is BenchmarkSnapshotServe's fingerprint: its rows
+// are unprefixed but served from the DefaultConfig world.
 func serveFingerprint() benchFingerprint {
-	return benchFingerprint{Worlds: map[string]simulation.Config{"test": testConfig()}, Stages: stageNames()}
+	return benchFingerprint{Worlds: map[string]simulation.Config{"default": simulation.DefaultConfig()}, Stages: stageNames()}
 }
 
 // stageNames lists snapshotStages by name, in build order.
@@ -212,14 +214,15 @@ func (w *benchWriter) reset() {
 }
 
 // benchServer builds the server the serve benchmarks run against:
-// store-backed, like marketd with -data-dir.
+// store-backed, like marketd with -data-dir, on the DefaultConfig world
+// marketd serves.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(testConfig(), Options{Store: st})
+	srv, err := New(simulation.DefaultConfig(), Options{Store: st})
 	if err != nil {
 		b.Fatal(err)
 	}

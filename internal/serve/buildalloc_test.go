@@ -59,13 +59,16 @@ func liveHeapBytes() uint64 {
 // only its own snapshot. A generation kept 6.0 MB while the as-of index
 // held per-row strings, time.Times, prebuilt events and trie nodes
 // (4.2 MB of it) and the /v1/transfers buffer was sized from an upper
-// bound; it keeps 2.55 MB with the index in pointer-free columns
-// (0.97 MB), under the race detector too.
+// bound; it kept 2.55 MB with the index in pointer-free columns
+// (0.97 MB) while the delegation index was a trie (118 KB for 229
+// delegations), and keeps 2.43 MB with that index one sorted slice
+// (5.5 KB), under the race detector too. The budget keeps the 10%
+// headroom it had over the 2.55 MB reading.
 func TestGenerationLiveBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the DefaultConfig world")
 	}
-	const budget = 2_800_000
+	const budget = 2_680_000
 	build := func() *Snapshot {
 		snap, err := BuildSnapshotOpts(simulation.DefaultConfig(), BuildOptions{Workers: 1})
 		if err != nil {

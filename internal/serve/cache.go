@@ -4,49 +4,57 @@ import (
 	"sync"
 )
 
-// queryCache memoizes the rendered artifacts of filtered queries for one
-// snapshot generation, with singleflight collapsing: concurrent requests
-// for the same key block on a single computation instead of each
-// rendering the response themselves. The Server allocates a fresh cache
-// per snapshot swap, so entries can never outlive the data they were
-// rendered from.
-type queryCache struct {
+// memo is the package's one singleflight memo: concurrent callers for
+// the same key block on a single computation instead of each computing
+// the value themselves, and a successful result is kept for later
+// callers. It backs both the per-snapshot query cache (rendered
+// artifacts of filtered queries) and the server's pinned generations
+// (past store generations loaded for ?gen= reads).
+type memo[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[string]*artifact
-	flights map[string]*flight
+	entries map[K]V
+	flights map[K]*flight[V]
 	max     int // entry cap; an arbitrary entry is evicted at the cap
 }
 
 // flight is one in-progress computation other callers can wait on.
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	art  *artifact
+	val  V
 	err  error
 }
 
-func newQueryCache(max int) *queryCache {
+func newMemo[K comparable, V any](max int) *memo[K, V] {
 	if max < 1 {
 		max = 1
 	}
-	return &queryCache{
-		entries: make(map[string]*artifact),
-		flights: make(map[string]*flight),
+	return &memo[K, V]{
+		entries: make(map[K]V),
+		flights: make(map[K]*flight[V]),
 		max:     max,
 	}
 }
 
-// do returns the artifact for key, computing it at most once per key:
+// queryCache memoizes the rendered artifacts of filtered queries for one
+// snapshot generation. The Server allocates a fresh cache per snapshot
+// swap, so entries can never outlive the data they were rendered from.
+type queryCache = memo[string, *artifact]
+
+func newQueryCache(max int) *queryCache { return newMemo[string, *artifact](max) }
+
+// do returns the value for key, computing it at most once per key:
 // cached results are returned immediately, and concurrent misses for the
-// same key collapse onto one compute call. The three counters (hit,
-// collapsed, miss) feed /varz; any may be nil.
-func (c *queryCache) do(key string, m *Metrics, compute func() (*artifact, error)) (*artifact, error) {
+// same key collapse onto one compute call. A failed computation is
+// shared with its waiters but not kept, so the next call retries. The
+// three counters (hit, collapsed, miss) feed /varz; m may be nil.
+func (c *memo[K, V]) do(key K, m *Metrics, compute func() (V, error)) (V, error) {
 	c.mu.Lock()
-	if art, ok := c.entries[key]; ok {
+	if v, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		if m != nil {
 			m.cacheHits.Add(1)
 		}
-		return art, nil
+		return v, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -54,16 +62,16 @@ func (c *queryCache) do(key string, m *Metrics, compute func() (*artifact, error
 			m.cacheCollapsed.Add(1)
 		}
 		<-f.done
-		return f.art, f.err
+		return f.val, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
 
 	if m != nil {
 		m.cacheMisses.Add(1)
 	}
-	f.art, f.err = compute()
+	f.val, f.err = compute()
 
 	c.mu.Lock()
 	delete(c.flights, key)
@@ -74,15 +82,15 @@ func (c *queryCache) do(key string, m *Metrics, compute func() (*artifact, error
 				break
 			}
 		}
-		c.entries[key] = f.art
+		c.entries[key] = f.val
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.art, f.err
+	return f.val, f.err
 }
 
-// len returns the number of cached entries.
-func (c *queryCache) size() int {
+// size returns the number of cached entries.
+func (c *memo[K, V]) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

@@ -9,17 +9,15 @@ import (
 	"ipv4market/internal/core"
 	"ipv4market/internal/jsonenc"
 	"ipv4market/internal/market"
-	"ipv4market/internal/registry"
-	"ipv4market/internal/stats"
 )
 
-// priceTable is the columnar in-memory layout of the snapshot's price
-// cells. The filter columns (bits, region, quarter) are stored as plain
-// slices so a filtered /v1/prices scan touches only the bytes it
-// compares, and each row's JSON and CSV renderings are produced once at
-// build time — rendering a filtered response is then a concatenation of
-// pre-encoded fragments, with no per-row marshalling, no float
-// formatting, and no intermediate []market.PriceCell copy.
+// priceTable is the in-memory layout of the snapshot's price cells
+// behind /v1/prices: the cells themselves (the snapshot's PriceCells
+// slice), which priceFilter.match selects from, and each row's JSON and
+// CSV renderings, produced once at build time — rendering a filtered
+// response is then a concatenation of pre-encoded fragments, with no
+// per-row marshalling, no float formatting, and no intermediate
+// []market.PriceCell copy.
 //
 // Byte-exactness contract: render(f) must produce exactly the bytes of
 // the row-at-a-time reference newArtifact(viewPriceCells(cells),
@@ -30,9 +28,7 @@ import (
 // in oracle_test.go), and TestPriceTableRenderIdentity pins the
 // contract. The unfiltered render is the fig1 and /v1/prices artifact.
 type priceTable struct {
-	bits    []int
-	region  []registry.RIR
-	quarter []stats.Quarter
+	cells []market.PriceCell
 
 	// jsonRow[i] is json.MarshalIndent(rowView, "    ", "  "), written
 	// by appendPriceRow — the array-element encoding at the exact depth
@@ -43,12 +39,10 @@ type priceTable struct {
 	csvHeader []byte
 }
 
-// newPriceTable renders every cell once into the columnar layout.
+// newPriceTable renders every cell's rows once and keeps cells.
 func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 	t := &priceTable{
-		bits:    make([]int, len(cells)),
-		region:  make([]registry.RIR, len(cells)),
-		quarter: make([]stats.Quarter, len(cells)),
+		cells:   cells,
 		jsonRow: make([][]byte, len(cells)),
 		csvRow:  make([][]byte, len(cells)),
 	}
@@ -65,10 +59,6 @@ func newPriceTable(cells []market.PriceCell) (*priceTable, error) {
 
 	var rowBuf []byte // one row's indented JSON, before its exact-size copy
 	for i, c := range cells {
-		t.bits[i] = c.Bits
-		t.region[i] = c.Region
-		t.quarter[i] = c.Quarter
-
 		row, err := appendPriceRow(rowBuf[:0], c)
 		if err != nil {
 			return nil, fmt.Errorf("serve: price table row %d: %w", i, err)
@@ -118,31 +108,17 @@ func appendPriceRow(b []byte, c market.PriceCell) ([]byte, error) {
 }
 
 // len reports the row count.
-func (t *priceTable) len() int { return len(t.bits) }
+func (t *priceTable) len() int { return len(t.cells) }
 
-// selectRows scans the filter columns and returns the matching row
-// indices in table order.
-func (t *priceTable) selectRows(f priceFilter) []int {
-	idx := make([]int, 0, t.len())
-	for i := range t.bits {
-		if f.bits != 0 && t.bits[i] != f.bits {
-			continue
-		}
-		if f.hasRIR && t.region[i] != f.region {
-			continue
-		}
-		if f.hasQuarter && t.quarter[i] != f.quarter {
-			continue
-		}
-		idx = append(idx, i)
-	}
-	return idx
-}
-
-// render materializes the filtered artifact by slicing column views and
-// concatenating the selected rows' pre-encoded fragments.
+// render materializes the filtered artifact by concatenating the
+// pre-encoded fragments of the rows f matches, in table order.
 func (t *priceTable) render(f priceFilter) *artifact {
-	idx := t.selectRows(f)
+	idx := make([]int, 0, len(t.cells))
+	for i, c := range t.cells {
+		if f.match(c) {
+			idx = append(idx, i)
+		}
+	}
 
 	jsonSize := len(`{  "cells": [],  "n": `) + 8
 	csvSize := len(t.csvHeader)

@@ -30,8 +30,9 @@
 //     never blocked and always see a complete, consistent study.
 //   - Filtered queries (/v1/prices, /v1/delegations) are
 //     answered from a per-snapshot result cache with singleflight
-//     collapsing, so a thundering herd on one filter computes it once.
-//     Filtered /v1/prices responses slice a columnar per-snapshot table
+//     collapsing, so a thundering herd on one filter computes it once;
+//     the same memo holds the past generations ?gen= reads pin.
+//     Filtered /v1/prices responses come from a per-snapshot price table
 //     (one pre-rendered JSON/CSV row per cell), so a filter render is
 //     row selection plus concatenation, never re-marshalling.
 //   - Every artifact body is served from memory: http.ServeContent

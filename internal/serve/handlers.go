@@ -73,7 +73,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // parsed stats.Quarter so matching a row is a struct compare, not a
 // per-row String() rendering.
 type priceFilter struct {
-	bits       int // 0: any
+	bits       int
+	hasBits    bool
 	region     registry.RIR
 	hasRIR     bool
 	quarter    stats.Quarter
@@ -88,7 +89,7 @@ func parsePriceFilter(q url.Values) (priceFilter, error) {
 		if err != nil || bits < 0 || bits > 32 {
 			return f, fmt.Errorf("size %q: want a prefix length such as /16", v)
 		}
-		f.bits = bits
+		f.bits, f.hasBits = bits, true
 	}
 	if v := q.Get("region"); v != "" {
 		rir, err := registry.ParseRIR(v)
@@ -110,6 +111,10 @@ func parsePriceFilter(q url.Values) (priceFilter, error) {
 // key is the canonical cache key for the filter (same filter, same key,
 // regardless of parameter spelling or order).
 func (f priceFilter) key() string {
+	bits := ""
+	if f.hasBits {
+		bits = strconv.Itoa(f.bits)
+	}
 	region := ""
 	if f.hasRIR {
 		region = f.region.String()
@@ -118,15 +123,16 @@ func (f priceFilter) key() string {
 	if f.hasQuarter {
 		quarter = f.quarter.String()
 	}
-	return "prices|bits=" + strconv.Itoa(f.bits) + "|region=" + region + "|quarter=" + quarter
+	return "prices|bits=" + bits + "|region=" + region + "|quarter=" + quarter
 }
 
 func (f priceFilter) empty() bool {
-	return f.bits == 0 && !f.hasRIR && !f.hasQuarter
+	return !f.hasBits && !f.hasRIR && !f.hasQuarter
 }
 
+// match reports whether cell c passes every parameter f sets.
 func (f priceFilter) match(c market.PriceCell) bool {
-	if f.bits != 0 && c.Bits != f.bits {
+	if f.hasBits && c.Bits != f.bits {
 		return false
 	}
 	if f.hasRIR && c.Region != f.region {
@@ -139,9 +145,9 @@ func (f priceFilter) match(c market.PriceCell) bool {
 }
 
 // handlePrices serves /v1/prices. Unfiltered requests hit the snapshot's
-// pre-encoded artifact; filtered ones are sliced out of the columnar
-// price table once per snapshot generation through the singleflight
-// query cache.
+// pre-encoded artifact; filtered ones are rendered from the price
+// table's pre-encoded rows once per snapshot generation through the
+// singleflight query cache.
 func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
 	f, err := parsePriceFilter(q)
@@ -168,8 +174,8 @@ func (s *Server) handlePrices(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelegations serves /v1/delegations: without a prefix parameter,
-// the snapshot's pre-encoded summary; with one, a trie lookup (exact,
-// covering, covered) rendered through the query cache.
+// the snapshot's pre-encoded summary; with one, the delegation index's
+// lookup (exact, covering, covered) rendered through the query cache.
 func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
 	q := queryOf(r)
 	raw := q.Get("prefix")

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"ipv4market/internal/store"
@@ -70,59 +69,20 @@ func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// genCache keeps recently loaded past generations in memory so pinned
-// reads do not re-read and re-verify a segment file on every request.
-// Entries are evicted FIFO at a small cap; a generation compacted out of
-// the store simply ages out of here.
-type genCache struct {
-	mu      sync.Mutex
-	entries map[uint64]*Snapshot
-	order   []uint64
-	max     int
-}
-
-func newGenCache(max int) *genCache {
-	return &genCache{entries: make(map[uint64]*Snapshot), max: max}
-}
-
-// get returns the loaded generation, loading it through load on a miss.
-// Concurrent misses for the same generation may load twice; the loads are
-// idempotent and the duplicate is dropped.
-func (c *genCache) get(gen uint64, load func() (*Snapshot, error)) (*Snapshot, error) {
-	c.mu.Lock()
-	if snap, ok := c.entries[gen]; ok {
-		c.mu.Unlock()
-		return snap, nil
-	}
-	c.mu.Unlock()
-
-	snap, err := load()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[gen]; !ok {
-		for len(c.entries) >= c.max && len(c.order) > 0 {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
-		c.entries[gen] = snap
-		c.order = append(c.order, gen)
-	}
-	return c.entries[gen], nil
-}
-
 // pinnedGenerations is how many past generations the server keeps
-// loaded in memory for ?gen= reads.
+// loaded in memory for ?gen= reads, so pinned reads do not re-read and
+// re-verify a segment file on every request. At the cap an arbitrary
+// one is evicted, so a generation compacted out of the store leaves
+// the memo in time.
 const pinnedGenerations = 4
 
 // snapshotForRequest resolves the snapshot a request reads, honoring a
 // ?gen=N pin: the served snapshot when the request names no generation
 // or names the one being served, otherwise the pinned generation from
-// the gen cache (loaded through loadSnapshot on a miss). q is the
-// request's parsed query (queryOf). The boolean is false after an error
-// response has already been written.
+// the gens memo (loaded through loadSnapshot on a miss; concurrent
+// misses for one generation load it once). q is the request's parsed
+// query (queryOf). The boolean is false after an error response has
+// already been written.
 func (s *Server) snapshotForRequest(w http.ResponseWriter, q url.Values) (*Snapshot, bool) {
 	snap := s.current().snap
 	raw := q.Get("gen")
@@ -141,7 +101,7 @@ func (s *Server) snapshotForRequest(w http.ResponseWriter, q url.Values) (*Snaps
 		writeError(w, http.StatusNotFound, "no durable store configured (-data-dir)")
 		return nil, false
 	}
-	snap, err = s.gens.get(gen, func() (*Snapshot, error) { return s.loadSnapshot(gen) })
+	snap, err = s.gens.do(gen, nil, func() (*Snapshot, error) { return s.loadSnapshot(gen) })
 	switch {
 	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Sprintf("generation %d not in store (compacted or never persisted)", gen))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -10,46 +11,28 @@ import (
 
 // DelegationIndex is an immutable per-prefix index over one day's
 // inferred delegations (the extended algorithm on the final day of the
-// routing window). It is built once at snapshot time; afterwards all
-// methods are read-only, so the index may be shared by any number of
-// concurrent request handlers.
+// routing window): the delegations in one slice ordered by child prefix
+// (Prefix.Compare; delegations of one child keep their inferred order),
+// which is also the order _state/delegations stores them in. It is
+// built once at snapshot time; afterwards all methods are read-only, so
+// the index may be shared by any number of concurrent request handlers.
 type DelegationIndex struct {
-	date  time.Time
-	trie  *netblock.Trie[[]delegation.Delegation]
-	total int
-	addrs uint64
-	hist  map[int]float64
+	date time.Time
+	ds   []delegation.Delegation
 }
 
-// newDelegationIndex builds the trie-backed index from an inferred
-// delegation list.
+// newDelegationIndex indexes an inferred delegation list, sorting ds in
+// place; the index keeps ds.
 func newDelegationIndex(date time.Time, ds []delegation.Delegation) *DelegationIndex {
-	ix := &DelegationIndex{
-		date:  date,
-		trie:  netblock.NewTrie[[]delegation.Delegation](),
-		total: len(ds),
-		addrs: delegation.DelegatedAddrs(ds),
-		hist:  delegation.SizeHistogram(ds),
-	}
-	for _, d := range ds {
-		cur, _ := ix.trie.Get(d.Child)
-		ix.trie.Insert(d.Child, append(cur, d))
-	}
-	return ix
+	slices.SortStableFunc(ds, func(a, b delegation.Delegation) int { return a.Child.Compare(b.Child) })
+	return &DelegationIndex{date: date, ds: ds}
 }
 
 // Date returns the routing-window day the index was inferred for.
 func (ix *DelegationIndex) Date() time.Time { return ix.date }
 
 // Len returns the number of indexed delegations.
-func (ix *DelegationIndex) Len() int { return ix.total }
-
-// Addrs returns the number of distinct delegated addresses.
-func (ix *DelegationIndex) Addrs() uint64 { return ix.addrs }
-
-// SizeHistogram returns the fraction of delegations per child prefix
-// length. The returned map is shared; callers must not mutate it.
-func (ix *DelegationIndex) SizeHistogram() map[int]float64 { return ix.hist }
+func (ix *DelegationIndex) Len() int { return len(ix.ds) }
 
 // Lookup describes the delegations related to one queried prefix.
 type Lookup struct {
@@ -65,46 +48,30 @@ type Lookup struct {
 }
 
 // Lookup returns every indexed delegation that exactly matches, covers,
-// or is covered by p.
+// or is covered by p. Each answer is a binary search: a covering child
+// is p masked to a shorter length, and the children p covers follow p
+// in the index, up to the first child past p's last address.
 func (ix *DelegationIndex) Lookup(p netblock.Prefix) Lookup {
 	res := Lookup{Prefix: p}
-	if exact, ok := ix.trie.Get(p); ok {
-		res.Exact = append(res.Exact, exact...)
+	for bits := 0; bits < p.Bits(); bits++ {
+		lo, hi := ix.children(netblock.MustPrefix(p.Addr(), bits))
+		res.Covering = append(res.Covering, ix.ds[lo:hi]...)
 	}
-	for _, e := range ix.trie.Covering(p) {
-		if e.Prefix == p {
-			continue
-		}
-		res.Covering = append(res.Covering, e.Value...)
-	}
-	for _, e := range ix.trie.CoveredBy(p) {
-		if e.Prefix == p {
-			continue
-		}
-		res.Covered = append(res.Covered, e.Value...)
-	}
+	lo, hi := ix.children(p)
+	res.Exact = append(res.Exact, ix.ds[lo:hi]...)
+	rest := ix.ds[hi:]
+	end := sort.Search(len(rest), func(i int) bool { return rest[i].Child.Addr() > p.Last() })
+	res.Covered = append(res.Covered, rest[:end]...)
 	return res
 }
 
-// Walk visits every indexed delegation in child-prefix order.
-func (ix *DelegationIndex) Walk(visit func(delegation.Delegation) bool) {
-	ix.trie.Walk(func(_ netblock.Prefix, ds []delegation.Delegation) bool {
-		for _, d := range ds {
-			if !visit(d) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// sizeBits returns the histogram's prefix lengths in ascending order —
-// a stable iteration order for encoding.
-func (ix *DelegationIndex) sizeBits() []int {
-	bits := make([]int, 0, len(ix.hist))
-	for b := range ix.hist {
-		bits = append(bits, b)
+// children returns the index range [lo, hi) of the delegations whose
+// child is exactly p.
+func (ix *DelegationIndex) children(p netblock.Prefix) (lo, hi int) {
+	lo, _ = slices.BinarySearchFunc(ix.ds, p, func(d delegation.Delegation, p netblock.Prefix) int { return d.Child.Compare(p) })
+	hi = lo
+	for hi < len(ix.ds) && ix.ds[hi].Child == p {
+		hi++
 	}
-	sort.Ints(bits)
-	return bits
+	return lo, hi
 }

@@ -119,13 +119,12 @@ func snapshotRecord(snap *Snapshot) (store.Meta, []store.Artifact, error) {
 	arts = append(arts, store.Artifact{Key: statePriceCells, ContentType: ctypeJSON, Body: cellsJSON})
 
 	doc := stateDelegationDoc{Date: snap.Delegations.Date()}
-	snap.Delegations.Walk(func(d delegation.Delegation) bool {
+	for _, d := range snap.Delegations.ds {
 		doc.Delegations = append(doc.Delegations, stateDelegation{
 			Parent: d.Parent.String(), Child: d.Child.String(),
 			From: uint32(d.From), To: uint32(d.To),
 		})
-		return true
-	})
+	}
 	delegJSON, err := json.Marshal(doc)
 	if err != nil {
 		return store.Meta{}, nil, fmt.Errorf("serve: persist delegations: %w", err)
@@ -270,8 +269,8 @@ func restorePriceCells(data []byte) ([]market.PriceCell, error) {
 	return out, nil
 }
 
-// restoreDelegations decodes the auxiliary delegation state and
-// rebuilds the trie index.
+// restoreDelegations decodes the auxiliary delegation state, stored in
+// the index's own order.
 func restoreDelegations(data []byte) (*DelegationIndex, error) {
 	if data == nil {
 		return nil, fmt.Errorf("serve: restore: missing %s state", stateDelegs)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -199,6 +200,53 @@ func TestPinnedGenerationReads(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: %d, want %d", tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestPinnedGenerationConcurrentMisses sends the first ?gen=1 reads of a
+// past generation from several goroutines at once: every one answers
+// generation 1's stored bytes and ETag, and the pinned-generation memo
+// ends up holding that one generation. Under -race it checks the memo
+// shares a restored snapshot between the goroutines that waited on it.
+func TestPinnedGenerationConcurrentMisses(t *testing.T) {
+	cfg := testConfig()
+	srv, err := New(cfg, Options{Store: openStore(t, t.TempDir()), EnableAdmin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	paths := []string{"/v1/table1", "/v1/prices", "/v1/figures/2", "/v1/delegations"}
+	want := make(map[string]string, len(paths))
+	for _, p := range paths {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		want[p] = rec.Header().Get("ETag")
+	}
+	if !srv.RebuildAsync(srv.rebuildConfig(cfg.Seed+99, true)) {
+		t.Fatal("rebuild not started")
+	}
+	srv.Wait()
+	if srv.Snapshot().Gen != 2 {
+		t.Fatalf("serving generation %d after the rebuild, want 2", srv.Snapshot().Gen)
+	}
+
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		p := paths[i%len(paths)]
+		wg.Add(1)
+		go func() { // coordinated: wg.Done + wg.Wait below
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p+"?gen=1", nil))
+			if rec.Code != http.StatusOK || rec.Header().Get("ETag") != want[p] {
+				t.Errorf("%s?gen=1: status %d, ETag %q, want 200 and %q", p, rec.Code, rec.Header().Get("ETag"), want[p])
+			}
+		}()
+	}
+	wg.Wait()
+	if n := srv.gens.size(); n != 1 {
+		t.Errorf("pinned-generation memo holds %d generations, want 1", n)
 	}
 }
 

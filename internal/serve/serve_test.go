@@ -234,6 +234,36 @@ func TestFilteredPricesSubset(t *testing.T) {
 	}
 }
 
+// TestPricesSizeZeroFilters checks that size=/0 is a filter like any
+// other prefix length: it keeps only /0 cells (none, as no transfer is a
+// /0), so it answers the empty document, not the unfiltered one, and the
+// same answer as a length no cell has.
+func TestPricesSizeZeroFilters(t *testing.T) {
+	ts := httptest.NewServer(sharedServer(t).Handler())
+	defer ts.Close()
+
+	full, _ := get(t, ts, "/v1/prices")
+	for _, path := range []string{"/v1/prices?size=/0", "/v1/prices?size=0"} {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		var v priceCellsView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.N != 0 || len(v.Cells) != 0 {
+			t.Errorf("%s: %d cells, want 0", path, v.N)
+		}
+		if resp.Header.Get("ETag") == full.Header.Get("ETag") {
+			t.Errorf("%s: answered with the unfiltered document's ETag", path)
+		}
+		if _, none := get(t, ts, "/v1/prices?size=/8"); string(body) != string(none) {
+			t.Errorf("%s: body differs from size=/8's empty document", path)
+		}
+	}
+}
+
 // TestQueryCacheServes verifies that repeated filtered queries are served
 // from the per-snapshot cache: the /varz hit counter advances and the
 // miss counter does not.

@@ -113,10 +113,10 @@ type Server struct {
 	building atomic.Bool
 	wg       sync.WaitGroup
 
-	// gens caches past store generations loaded for ?gen= pinned
+	// gens memoizes past store generations loaded for ?gen= pinned
 	// reads; warm reports whether this server booted from
 	// the store instead of a cold build.
-	gens *genCache
+	gens *memo[uint64, *Snapshot]
 	warm bool
 
 	// lastRebuildErr holds the most recent background-rebuild failure
@@ -137,7 +137,7 @@ func New(cfg simulation.Config, opts Options) (*Server, error) {
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
 		baseCfg: cfg,
-		gens:    newGenCache(pinnedGenerations),
+		gens:    newMemo[uint64, *Snapshot](pinnedGenerations),
 	}
 	s.lastRebuildErr.Store("")
 

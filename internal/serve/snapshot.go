@@ -63,9 +63,10 @@ type Snapshot struct {
 	// pre-encoded bodies.
 	static map[string]*artifact
 
-	// prices is the columnar layout of PriceCells, built alongside them
-	// (and rebuilt on restore) so filtered /v1/prices queries slice
-	// column views instead of re-marshalling rows.
+	// prices holds PriceCells (the same slice) with each cell's rows
+	// pre-encoded, built alongside them (and rebuilt on restore) so
+	// filtered /v1/prices queries concatenate rows instead of
+	// re-marshalling them.
 	prices *priceTable
 
 	// transfers is how many transfers the snapshot's world holds.
@@ -201,8 +202,9 @@ var snapshotStages = []buildStage{
 		// draws it once for both.
 		date := snap.Cfg.RoutingStart.AddDate(0, 0, snap.Cfg.RoutingDays-1)
 		inf := delegation.DefaultInference(study.World.OrgSeries)
-		snap.Delegations = newDelegationIndex(date, inf.FromSurvey(date, study.LastDaySurvey()))
-		return one("delegations", viewDelegationSummary(snap.Delegations), nil)
+		ds := inf.FromSurvey(date, study.LastDaySurvey())
+		snap.Delegations = newDelegationIndex(date, ds)
+		return one("delegations", viewDelegationSummary(date, ds), nil)
 	}},
 	{"utilization", func(_ *Snapshot, study *core.Study) ([]keyedArtifact, error) {
 		// The per-quarter survey sampling runs on one worker inside

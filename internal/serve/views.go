@@ -359,15 +359,19 @@ type delegationSummaryView struct {
 	SizeHistogram map[string]float64 `json:"size_histogram"`
 }
 
-func viewDelegationSummary(ix *DelegationIndex) delegationSummaryView {
+// viewDelegationSummary summarizes one day's inferred delegations (count,
+// distinct delegated addresses, child-size histogram) for the
+// delegations build stage, the only reader of the last two.
+func viewDelegationSummary(date time.Time, ds []delegation.Delegation) delegationSummaryView {
+	hist := delegation.SizeHistogram(ds)
 	out := delegationSummaryView{
-		Date:          fmtDate(ix.Date()),
-		Delegations:   ix.Len(),
-		Addresses:     ix.Addrs(),
-		SizeHistogram: make(map[string]float64, len(ix.hist)),
+		Date:          fmtDate(date),
+		Delegations:   len(ds),
+		Addresses:     delegation.DelegatedAddrs(ds),
+		SizeHistogram: make(map[string]float64, len(hist)),
 	}
-	for _, bits := range ix.sizeBits() {
-		out.SizeHistogram["/"+strconv.Itoa(bits)] = ix.hist[bits]
+	for bits, share := range hist {
+		out.SizeHistogram["/"+strconv.Itoa(bits)] = share
 	}
 	return out
 }

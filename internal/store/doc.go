@@ -56,12 +56,17 @@
 // Load is the read path: it reads one segment file whole and re-verifies
 // every checksum before returning the artifacts, so a generation
 // compacted or deleted mid-flight surfaces as an I/O error, never as
-// torn bytes. The store keeps no index of where a body sits inside its
-// segment; the serving layer answers every request from the bodies Load
-// restored into memory. OpenArtifact is Load plus picking one artifact,
-// kept for the benchmark's store probe.
+// torn bytes. The serving layer answers every request from the bodies
+// Load restored into memory. OpenArtifact is Load plus picking one
+// artifact, kept for the benchmark's store probe. Each GenInfo carries
+// its segment file's CRC-32, computed where the store touches every
+// byte anyway (Append's stream, Open's scan, ImportSegment's check), so
+// a replication leader lists and tags segments without re-reading them.
 //
-// The store is safe for concurrent use. Append and CompactTo serialize
-// behind a write lock; Load, Latest, Generations, Stats and
-// OpenArtifact take a read lock, so readers never block each other.
+// The store is safe for concurrent use. Append, ImportSegment and
+// CompactTo serialize behind a write lock; Latest, Generations and
+// Stats take a read lock, and Load, Verify and OpenArtifact take it
+// only to find the segment file, which they then read unlocked (a
+// segment is immutable once visible), so a load never holds up an
+// append.
 package store

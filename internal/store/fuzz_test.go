@@ -55,7 +55,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		// with identical content. (Byte identity is not required — the
 		// decoder does not constrain the meta frame's key/ctype fields,
 		// which the encoder fixes.)
-		reenc, err := encodeSegment(meta, arts)
+		reenc, err := encodeSegment(meta.Meta, arts)
 		if err != nil {
 			// encodeSegment enforces invariants the decoder tolerates
 			// (an artifact with an empty key); that asymmetry is fine.

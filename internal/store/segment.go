@@ -90,16 +90,17 @@ type segmentWriter struct {
 const segmentBufSize = 32 << 10
 
 // writeSegment streams the segment image for one generation to w and
-// returns its length. The artifacts' keys are checked before the first
-// byte is written, so an invalid generation writes nothing.
-func writeSegment(w io.Writer, meta Meta, arts []Artifact) (int64, error) {
+// returns its length and its whole-file CRC-32. The artifacts' keys are
+// checked before the first byte is written, so an invalid generation
+// writes nothing.
+func writeSegment(w io.Writer, meta Meta, arts []Artifact) (size int64, crc uint32, err error) {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return 0, fmt.Errorf("store: encode meta: %w", err)
+		return 0, 0, fmt.Errorf("store: encode meta: %w", err)
 	}
 	for _, a := range arts {
 		if a.Key == "" {
-			return 0, fmt.Errorf("store: artifact with empty key")
+			return 0, 0, fmt.Errorf("store: artifact with empty key")
 		}
 	}
 	sw := &segmentWriter{w: bufio.NewWriterSize(w, segmentBufSize)}
@@ -118,9 +119,9 @@ func writeSegment(w io.Writer, meta Meta, arts []Artifact) (int64, error) {
 	binary.LittleEndian.PutUint32(footer[4:], sw.crc)
 	sw.frame(frameFooter, "", "", "", footer[:])
 	if err := sw.w.Flush(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return sw.n, nil
+	return sw.n, sw.crc, nil
 }
 
 // write passes p through to the buffer, folding it into the file CRC.
@@ -230,22 +231,22 @@ func decodeFrame(buf []byte, off int) (frame, error) {
 }
 
 // decodeSegment parses and fully verifies a segment image: magic,
-// version, every frame CRC, and the footer's whole-file checksum. When
-// loadBodies is false, artifact frames are verified but not returned
-// (Open's scan pass, Verify, ImportSegment); the metadata frame is
-// always decoded.
-func decodeSegment(buf []byte, loadBodies bool) (Meta, []Artifact, error) {
-	var meta Meta
+// version, every frame CRC, and the footer's whole-file checksum, which
+// it extends over the footer into the listing's CRC32. When loadBodies
+// is false, artifact frames are verified but not returned (Open's scan
+// pass, Verify, ImportSegment).
+func decodeSegment(buf []byte, loadBodies bool) (GenInfo, []Artifact, error) {
+	var info GenInfo
 	if len(buf) < len(segMagic)+4 {
-		return meta, nil, corruptf("short header (%d bytes)", len(buf))
+		return info, nil, corruptf("short header (%d bytes)", len(buf))
 	}
 	if string(buf[:len(segMagic)]) != segMagic {
-		return meta, nil, corruptf("bad magic")
+		return info, nil, corruptf("bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(buf[len(segMagic):]); v != segVersion {
 		// An unknown format version is not corruption — refuse loudly so
 		// a downgrade cannot quarantine segments a newer binary wrote.
-		return meta, nil, fmt.Errorf("store: unsupported segment version %d (have %d)", v, segVersion)
+		return info, nil, fmt.Errorf("store: unsupported segment version %d (have %d)", v, segVersion)
 	}
 	var (
 		arts     []Artifact
@@ -255,27 +256,27 @@ func decodeSegment(buf []byte, loadBodies bool) (Meta, []Artifact, error) {
 	)
 	for {
 		if off == len(buf) {
-			return meta, nil, corruptf("missing footer (clean EOF after %d frames)", frames)
+			return info, nil, corruptf("missing footer (clean EOF after %d frames)", frames)
 		}
 		footerStart := off
 		fr, err := decodeFrame(buf, off)
 		if err != nil {
-			return meta, nil, err
+			return info, nil, err
 		}
 		off = fr.next
 		switch fr.kind {
 		case frameMeta:
 			if haveMeta {
-				return meta, nil, corruptf("duplicate metadata frame")
+				return info, nil, corruptf("duplicate metadata frame")
 			}
-			if err := json.Unmarshal(fr.body, &meta); err != nil {
-				return meta, nil, corruptf("metadata frame: %v", err)
+			if err := json.Unmarshal(fr.body, &info.Meta); err != nil {
+				return info, nil, corruptf("metadata frame: %v", err)
 			}
 			haveMeta = true
 			frames++
 		case frameArtifact:
 			if !haveMeta {
-				return meta, nil, corruptf("artifact frame before metadata frame")
+				return info, nil, corruptf("artifact frame before metadata frame")
 			}
 			if loadBodies {
 				arts = append(arts, Artifact{
@@ -288,40 +289,38 @@ func decodeSegment(buf []byte, loadBodies bool) (Meta, []Artifact, error) {
 			frames++
 		case frameFooter:
 			if len(fr.body) != 8 {
-				return meta, nil, corruptf("footer body is %d bytes, want 8", len(fr.body))
+				return info, nil, corruptf("footer body is %d bytes, want 8", len(fr.body))
 			}
 			wantFrames := binary.LittleEndian.Uint32(fr.body)
 			if wantFrames != frames {
-				return meta, nil, corruptf("footer frame count %d, read %d", wantFrames, frames)
+				return info, nil, corruptf("footer frame count %d, read %d", wantFrames, frames)
 			}
 			wantCRC := binary.LittleEndian.Uint32(fr.body[4:])
 			if got := crc32.ChecksumIEEE(buf[:footerStart]); got != wantCRC {
-				return meta, nil, corruptf("segment checksum mismatch (got %08x, want %08x)", got, wantCRC)
+				return info, nil, corruptf("segment checksum mismatch (got %08x, want %08x)", got, wantCRC)
 			}
 			if off != len(buf) {
-				return meta, nil, corruptf("%d trailing bytes after footer", len(buf)-off)
+				return info, nil, corruptf("%d trailing bytes after footer", len(buf)-off)
 			}
 			if !haveMeta {
-				return meta, nil, corruptf("no metadata frame")
+				return info, nil, corruptf("no metadata frame")
 			}
-			return meta, arts, nil
+			info.Bytes = int64(len(buf))
+			info.CRC32 = crc32.Update(wantCRC, crc32.IEEETable, buf[footerStart:])
+			return info, arts, nil
 		default:
-			return meta, nil, corruptf("unknown frame kind %d at offset %d", fr.kind, footerStart)
+			return info, nil, corruptf("unknown frame kind %d at offset %d", fr.kind, footerStart)
 		}
 	}
 }
 
 // readSegment loads and verifies the segment file at path.
-func readSegment(path string, loadBodies bool) (Meta, []Artifact, int64, error) {
+func readSegment(path string, loadBodies bool) (GenInfo, []Artifact, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("store: read segment: %w", err)
+		return GenInfo{}, nil, fmt.Errorf("store: read segment: %w", err)
 	}
-	meta, arts, err := decodeSegment(buf, loadBodies)
-	if err != nil {
-		return Meta{}, nil, int64(len(buf)), err
-	}
-	return meta, arts, int64(len(buf)), nil
+	return decodeSegment(buf, loadBodies)
 }
 
 // writeFileAtomic writes a file at path via a temp file in the same

@@ -27,11 +27,12 @@ const (
 )
 
 // GenInfo is one generation as listed by Generations: its metadata plus
-// where and how large it is on disk.
+// where, how large and what its segment file is on disk.
 type GenInfo struct {
 	Meta
 	File  string // base name of the segment file
 	Bytes int64
+	CRC32 uint32 // of the whole file (IEEE), from Append's stream, Open's scan or ImportSegment
 }
 
 // Stats is a point-in-time summary of the store for /varz.
@@ -155,23 +156,31 @@ func Open(dir string) (*Store, error) {
 // on corruption. It returns nil info (and nil error) for a quarantined
 // segment.
 func (s *Store) verifySegment(name string, gen uint64) (*GenInfo, error) {
-	path := filepath.Join(s.dir, name)
-	meta, _, size, err := readSegment(path, false)
-	if err == nil && meta.Gen != gen {
-		err = corruptf("file %s carries generation %d", name, meta.Gen)
-	}
+	info, err := s.checkSegment(name, gen)
 	if err == nil {
-		return &GenInfo{Meta: meta, File: name, Bytes: size}, nil
+		return &info, nil
 	}
 	var corrupt *corruptError
 	if !errors.As(err, &corrupt) {
 		return nil, fmt.Errorf("store: segment %s: %w", name, err)
 	}
+	path := filepath.Join(s.dir, name)
 	if err := os.Rename(path, path+corruptSuffix); err != nil {
 		return nil, fmt.Errorf("store: quarantine %s: %w", name, err)
 	}
 	s.truncatedTails++
 	return nil, nil
+}
+
+// checkSegment reads and verifies the segment file name, which must
+// carry generation gen, and returns its listing entry.
+func (s *Store) checkSegment(name string, gen uint64) (GenInfo, error) {
+	info, _, err := readSegment(filepath.Join(s.dir, name), false)
+	if err == nil && info.Gen != gen {
+		err = corruptf("file %s carries generation %d", name, info.Gen)
+	}
+	info.File = name
+	return info, err
 }
 
 // genFromName parses the generation ID out of a gen-<id>.seg base name.
@@ -204,18 +213,17 @@ func (s *Store) Append(meta Meta, arts []Artifact) (Meta, error) {
 		s.lastPersistErr = err.Error()
 		return Meta{}, err
 	}
-	name := segName(meta.Gen)
-	var size int64
-	err := writeFileAtomic(filepath.Join(s.dir, name), func(w io.Writer) error {
+	info := GenInfo{Meta: meta, File: segName(meta.Gen)}
+	err := writeFileAtomic(filepath.Join(s.dir, info.File), func(w io.Writer) error {
 		var err error
-		size, err = writeSegment(w, meta, arts)
+		info.Bytes, info.CRC32, err = writeSegment(w, meta, arts)
 		return err
 	})
 	if err != nil {
 		return fail(fmt.Errorf("store: persist generation %d: %w", meta.Gen, err))
 	}
 	s.next++
-	s.gens = append(s.gens, GenInfo{Meta: meta, File: name, Bytes: size})
+	s.gens = append(s.gens, info)
 	s.persists++
 	s.lastPersistErr = ""
 	if err := s.writeManifest(); err != nil {
@@ -229,21 +237,18 @@ func (s *Store) Append(meta Meta, arts []Artifact) (Meta, error) {
 
 // Load reads one generation's metadata and artifacts (bodies included),
 // re-verifying every checksum. It returns ErrNotFound for unknown,
-// compacted, or quarantined generations.
+// compacted, or quarantined generations; a segment compacted while it
+// is read is an I/O error.
 func (s *Store) Load(gen uint64) (Meta, []Artifact, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, g := range s.gens {
-		if g.Gen != gen {
-			continue
-		}
-		meta, arts, _, err := readSegment(filepath.Join(s.dir, g.File), true)
-		if err != nil {
-			return Meta{}, nil, fmt.Errorf("store: load generation %d: %w", gen, err)
-		}
-		return meta, arts, nil
+	g, ok := s.Generation(gen)
+	if !ok {
+		return Meta{}, nil, fmt.Errorf("%w: %d", ErrNotFound, gen)
 	}
-	return Meta{}, nil, fmt.Errorf("%w: %d", ErrNotFound, gen)
+	info, arts, err := readSegment(filepath.Join(s.dir, g.File), true)
+	if err != nil {
+		return Meta{}, nil, fmt.Errorf("store: load generation %d: %w", gen, err)
+	}
+	return info.Meta, arts, nil
 }
 
 // Verify re-reads generation gen's segment from disk and re-checks it
@@ -255,23 +260,14 @@ func (s *Store) Load(gen uint64) (Meta, []Artifact, error) {
 // (replication followers run it after a download, `marketd -selfcheck`
 // runs it over the whole data dir).
 func (s *Store) Verify(gen uint64) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, g := range s.gens {
-		if g.Gen != gen {
-			continue
-		}
-		meta, _, _, err := readSegment(filepath.Join(s.dir, g.File), false)
-		if err != nil {
-			return fmt.Errorf("store: verify generation %d: %w", gen, err)
-		}
-		if meta.Gen != gen {
-			return fmt.Errorf("store: verify generation %d: %w", gen,
-				corruptf("file %s carries generation %d", g.File, meta.Gen))
-		}
-		return nil
+	g, ok := s.Generation(gen)
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrNotFound, gen)
 	}
-	return fmt.Errorf("%w: %d", ErrNotFound, gen)
+	if _, err := s.checkSegment(g.File, gen); err != nil {
+		return fmt.Errorf("store: verify generation %d: %w", gen, err)
+	}
+	return nil
 }
 
 // Generation returns the listing entry for one live generation.
@@ -350,13 +346,13 @@ func (s *Store) ImportSegment(gen uint64, data []byte) (GenInfo, error) {
 	if gen == 0 {
 		return GenInfo{}, fmt.Errorf("store: import: generation 0 is not valid")
 	}
-	meta, _, err := decodeSegment(data, false)
+	info, _, err := decodeSegment(data, false)
 	if err != nil {
 		return GenInfo{}, fmt.Errorf("store: import generation %d: %w", gen, err)
 	}
-	if meta.Gen != gen {
+	if info.Gen != gen {
 		return GenInfo{}, fmt.Errorf("store: import generation %d: %w", gen,
-			corruptf("segment carries generation %d", meta.Gen))
+			corruptf("segment carries generation %d", info.Gen))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -365,11 +361,10 @@ func (s *Store) ImportSegment(gen uint64, data []byte) (GenInfo, error) {
 			return g, nil // already installed; segments are immutable
 		}
 	}
-	name := segName(gen)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), writeBytes(data)); err != nil {
+	info.File = segName(gen)
+	if err := writeFileAtomic(filepath.Join(s.dir, info.File), writeBytes(data)); err != nil {
 		return GenInfo{}, fmt.Errorf("store: import generation %d: %w", gen, err)
 	}
-	info := GenInfo{Meta: meta, File: name, Bytes: int64(len(data))}
 	s.gens = append(s.gens, info)
 	sort.Slice(s.gens, func(i, j int) bool { return s.gens[i].Gen < s.gens[j].Gen })
 	if gen >= s.next {

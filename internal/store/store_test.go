@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -426,4 +427,58 @@ func TestConcurrentReadersDuringAppend(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestGenInfoCRCMatchesFile checks that every listing entry carries the
+// CRC-32 of its whole segment file, however the entry was made: by
+// Append's stream, by Open's scan of a store written earlier, and by
+// ImportSegment's check of received bytes.
+func TestGenInfoCRCMatchesFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := s.Append(testMeta(seed), testArtifacts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(how string, st *Store) {
+		t.Helper()
+		gens := st.Generations()
+		if len(gens) != 2 {
+			t.Fatalf("%s: %d generations, want 2", how, len(gens))
+		}
+		for _, g := range gens {
+			data, err := os.ReadFile(filepath.Join(st.Dir(), g.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := crc32.ChecksumIEEE(data); g.CRC32 != want || g.Bytes != int64(len(data)) {
+				t.Errorf("%s: generation %d lists crc %08x and %d bytes, file has %08x and %d",
+					how, g.Gen, g.CRC32, g.Bytes, want, len(data))
+			}
+		}
+	}
+	check("append", s)
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("open", reopened)
+	follower, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range s.Generations() {
+		data, err := os.ReadFile(filepath.Join(dir, g.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := follower.ImportSegment(g.Gen, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("import", follower)
 }

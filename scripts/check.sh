@@ -29,14 +29,14 @@
 #   smoke         — build the serving daemon, boot it on an ephemeral
 #                   loopback port, and query every endpoint through a
 #                   real HTTP client (marketd -selfcheck does the full
-#                   cycle in-process; no curl or job control needed).
-#                   Run twice: in-memory on one world, and with
-#                   -scenarios on the example matrix under a -data-dir
-#                   to walk every world's surface, gen pinning, seed
-#                   isolation, and the default alias, then persist →
-#                   shutdown → warm-start → /v1/history continuity
-#                   (cmd/marketd's TestSelfcheckWithDataDir covers the
-#                   durable one-world case)
+#                   cycle in-process; no curl or job control needed),
+#                   with -scenarios on the example matrix under a
+#                   -data-dir to walk every world's surface, gen
+#                   pinning, seed isolation, and the default alias,
+#                   then persist → shutdown → warm-start → /v1/history
+#                   continuity. cmd/marketd's TestSelfcheckPasses (the
+#                   in-memory one-world run) and TestSelfcheckWithDataDir
+#                   (the durable one-world case) run in the test gate
 #   fleet         — scripts/fleetgate boots two race-enabled
 #                   leader/follower marketd pairs over loopback, one on
 #                   one world and one on the examples/scenarios matrix,
@@ -124,7 +124,6 @@ gate_test() {
 
 gate_smoke() {
     go build -o "$check_dir/marketd" ./cmd/marketd
-    "$check_dir/marketd" -selfcheck -lirs 14 -days 40
     scen_dir=$(mktemp -d "$scratch_dir/scenarios.XXXXXX")
     "$check_dir/marketd" -selfcheck -scenarios examples/scenarios \
         -lirs 14 -days 40 -data-dir "$scen_dir"

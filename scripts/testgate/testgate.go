@@ -75,6 +75,9 @@ var contracts = []contract{
 		// Artifact bodies leave in one write over TCP, ranges still slice,
 		// and static reads survive the loss of every segment file.
 		"TestArtifactOneWriteOverTCP", "TestArtifactRange", "TestStaticReadsSurviveSegmentLoss",
+		// The delegation index's binary-search lookup answers what a
+		// linear scan does, in the same orders; size=/0 filters prices.
+		"TestDelegationLookupMatchesScan", "TestPricesSizeZeroFilters",
 	}},
 	{"ipv4market/internal/core", []string{
 		"TestFigure6WorkersDeterministic",
@@ -105,6 +108,9 @@ var contracts = []contract{
 		// The streamed segment equals the in-memory encoder's image, and
 		// an append allocates no copy of it.
 		"TestStreamedSegmentMatchesEncode", "TestStreamedSegmentMatchesEncodeAtDefault", "TestAppendAllocs",
+		// Every listing entry carries its segment file's CRC, which the
+		// replication leader lists and tags segments with.
+		"TestGenInfoCRCMatchesFile",
 	}},
 	{"ipv4market/internal/temporal", []string{
 		"TestIndexMatchesNaiveReplay", "TestPointLookupSublinear", "TestRecordRestoreRoundTrip",
