@@ -66,11 +66,6 @@ func NewLeader(st *store.Store) *Leader {
 	return &Leader{st: st}
 }
 
-// segmentETag derives the strong ETag for a generation's segment bytes.
-func segmentETag(crc uint32, size int64) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("%08x-%d", crc, size))
-}
-
 // Generations is the GET /v1/replication/generations handler: the live
 // generation list with sizes, checksums, and segment ETags.
 func (l *Leader) Generations() http.Handler {
@@ -82,7 +77,7 @@ func (l *Leader) Generations() http.Handler {
 				Gen:     g.Gen,
 				Bytes:   g.Bytes,
 				CRC32:   fmt.Sprintf("%08x", g.CRC32),
-				ETag:    segmentETag(g.CRC32, g.Bytes),
+				ETag:    store.ETag(g.CRC32, g.Bytes),
 				Created: g.Created.UTC().Format(time.RFC3339),
 				Seed:    g.Seed,
 			})
@@ -132,7 +127,7 @@ func (l *Leader) Segment() http.Handler {
 			return
 		}
 		defer f.Close()
-		w.Header().Set("ETag", segmentETag(info.CRC32, info.Bytes))
+		w.Header().Set("ETag", store.ETag(info.CRC32, info.Bytes))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		// ServeContent handles Range, If-Range, If-None-Match, and sets
 		// Content-Length; the modtime is the build time, which is stable

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ipv4market/internal/netblock"
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/store"
 	"ipv4market/internal/temporal"
@@ -233,21 +234,28 @@ func benchServer(b *testing.B) *Server {
 }
 
 // serveBenchRow is one BenchmarkSnapshotServe sub-benchmark. Requests
-// rotate through paths; a revalidating row sends If-None-Match with the
-// ETag its first path answers, and expects 304. Every row needs a line
-// in BENCH_serve.json (TestBenchServeJSONParses).
+// rotate through paths, or through the paths pathsOf derives from the
+// served snapshot; a revalidating row sends If-None-Match with the ETag
+// its first path answers, and expects 304. Every row needs a line in
+// BENCH_serve.json (TestBenchServeJSONParses).
 type serveBenchRow struct {
 	name       string
 	paths      []string
+	pathsOf    func(*Snapshot) []string
 	revalidate bool
 }
 
-// serveBenchRows lists BenchmarkSnapshotServe's sub-benchmarks.
+// serveBenchRows lists BenchmarkSnapshotServe's sub-benchmarks. The
+// computed rows (prices_filtered, delegation_lookup, asof_diff) rotate
+// through at least 4,096 distinct queries, 16 times what the 256-entry
+// query cache holds, which evicts an arbitrary entry when full: about
+// 94% of their requests miss the cache, so they time the filter, lookup
+// or diff and its ETag, not a cache hit.
 var serveBenchRows = []serveBenchRow{
 	{name: "table1", paths: []string{"/v1/table1"}},
 	{name: "prices_full", paths: []string{"/v1/prices"}},
-	{name: "prices_filtered", paths: []string{"/v1/prices?size=/16&region=ARIN"}},
-	{name: "delegation_lookup", paths: []string{"/v1/delegations?prefix=185.0.0.0/16"}},
+	{name: "prices_filtered", paths: priceFilterPaths()},
+	{name: "delegation_lookup", pathsOf: delegationLookupPaths},
 	{name: "asof_point", paths: []string{"/v1/asof?date=2019-06-01&prefix=185.0.0.0/16"}},
 	{name: "asof_diff", paths: asofDiffWindows()},
 	{name: "varz", paths: []string{"/varz"}},
@@ -255,10 +263,60 @@ var serveBenchRows = []serveBenchRow{
 	{name: "table1_304", paths: []string{"/v1/table1"}, revalidate: true},
 }
 
+// priceFilterPaths returns 4,176 distinct /v1/prices filters: each size
+// from /8 to /31, with no region or one of the five, and no quarter or
+// one from 2014Q1 to 2020Q4. At DefaultConfig, whose price cells cover
+// /16 to /24 from 2016Q1 to 2020Q2, 559 of them match a cell.
+func priceFilterPaths() []string {
+	regions := []string{"", "AFRINIC", "APNIC", "ARIN", "LACNIC", "RIPE%20NCC"}
+	quarters := []string{""}
+	for y := 2014; y <= 2020; y++ {
+		for q := 1; q <= 4; q++ {
+			quarters = append(quarters, fmt.Sprintf("%dQ%d", y, q))
+		}
+	}
+	var paths []string
+	for bits := 8; bits < 32; bits++ {
+		for _, region := range regions {
+			for _, quarter := range quarters {
+				path := fmt.Sprintf("/v1/prices?size=/%d", bits)
+				if region != "" {
+					path += "&region=" + region
+				}
+				if quarter != "" {
+					path += "&quarter=" + quarter
+				}
+				paths = append(paths, path)
+			}
+		}
+	}
+	return paths
+}
+
+// delegationLookupPaths returns a /v1/delegations lookup of every
+// prefix from /8 to /32 that holds the first or the last address of a
+// delegated block of snap, each once: 5,752 prefixes at DefaultConfig,
+// every one of which answers at least one exact, covering or covered
+// delegation.
+func delegationLookupPaths(snap *Snapshot) []string {
+	seen := make(map[netblock.Prefix]bool)
+	var paths []string
+	for _, d := range snap.Delegations.ds {
+		for _, a := range []netblock.Addr{d.Child.First(), d.Child.Last()} {
+			for bits := 8; bits <= 32; bits++ {
+				p := netblock.MustPrefix(a, bits)
+				if !seen[p] {
+					seen[p] = true
+					paths = append(paths, "/v1/delegations?prefix="+p.String())
+				}
+			}
+		}
+	}
+	return paths
+}
+
 // asofDiffWindows returns 4,096 distinct /v1/asof/diff windows of 120 to
-// 183 days starting in early 2018, 16 times what the 256-entry query
-// cache holds: a row rotating through them misses the cache on every
-// request, so it measures rendering a diff, not a cache hit.
+// 183 days starting in early 2018.
 func asofDiffWindows() []string {
 	start := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
 	paths := make([]string, 0, 64*64)
@@ -284,16 +342,20 @@ func BenchmarkSnapshotServe(b *testing.B) {
 	h := srv.Handler()
 	for _, row := range serveBenchRows {
 		b.Run(row.name, func(b *testing.B) {
+			paths := row.paths
+			if row.pathsOf != nil {
+				paths = row.pathsOf(srv.Snapshot())
+			}
 			// Correctness gate outside the timer: the route must answer
 			// 200 with a non-empty body.
 			probe := httptest.NewRecorder()
-			h.ServeHTTP(probe, httptest.NewRequest(http.MethodGet, row.paths[0], nil))
+			h.ServeHTTP(probe, httptest.NewRequest(http.MethodGet, paths[0], nil))
 			if probe.Code != http.StatusOK || probe.Body.Len() == 0 {
-				b.Fatalf("%s: status %d, %d-byte body", row.paths[0], probe.Code, probe.Body.Len())
+				b.Fatalf("%s: status %d, %d-byte body", paths[0], probe.Code, probe.Body.Len())
 			}
 			wantStatus := http.StatusOK
-			tmpls := make([]*http.Request, len(row.paths))
-			for i, path := range row.paths {
+			tmpls := make([]*http.Request, len(paths))
+			for i, path := range paths {
 				tmpls[i] = httptest.NewRequest(http.MethodGet, path, nil)
 				if row.revalidate {
 					tmpls[i].Header.Set("If-None-Match", probe.Header().Get("ETag"))

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipv4market/internal/stats"
+	"ipv4market/internal/store"
 )
 
 // artifact is one fully rendered response: the JSON body, an optional
@@ -120,14 +121,10 @@ func appendIndent(dst, src []byte, prefix string) []byte {
 	return append(dst, src[run:]...)
 }
 
-// etagOf returns a strong entity tag for a response body: the FNV-1a
-// hash in quoted hex.
+// etagOf returns a strong entity tag for a response body: its IEEE
+// CRC-32 and its length, in the form store.ETag gives segment files.
 func etagOf(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	var buf [len(`"ffffffffffffffff"`)]byte
-	tag := strconv.AppendUint(append(buf[:0], '"'), h.Sum64(), 16)
-	return string(append(tag, '"'))
+	return store.ETag(crc32.ChecksumIEEE(b), int64(len(b)))
 }
 
 // queryOf parses the request's query parameters exactly once per

@@ -7,26 +7,15 @@ import (
 	"ipv4market/internal/temporal"
 )
 
-// ArtifactETags returns the entity tag of every artifact snap persists,
-// keyed "key content-type": the served JSON and CSV bodies and the
-// _state/ artifacts behind filtered queries and warm starts. State
-// artifacts carry no served ETag, so theirs is computed from the body.
-// It lets the external golden test pin a whole build's bytes.
-func ArtifactETags(snap *Snapshot) (map[string]string, error) {
-	_, arts, err := snapshotRecord(snap)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(arts))
-	for _, a := range arts {
-		etag := a.ETag
-		if etag == "" {
-			etag = etagOf(a.Body)
-		}
-		out[a.Key+" "+a.ContentType] = etag
-	}
-	return out, nil
-}
+// ETagOf is the strong entity tag the server gives a body.
+var ETagOf = etagOf
+
+// SnapshotRecord is the store record snap persists as: its metadata,
+// the served JSON and CSV bodies with their ETags, and the _state/
+// artifacts behind filtered queries and warm starts, which carry no
+// ETag. It lets external tests pin a whole build's bytes and write
+// stores by hand.
+var SnapshotRecord = snapshotRecord
 
 // EventRowBlock is how many event rows one block of the table renders.
 const EventRowBlock = eventRowBlock

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ipv4market/internal/netblock"
+	"ipv4market/internal/serve"
 	"ipv4market/internal/simulation"
 	"ipv4market/internal/stats"
 )
@@ -20,11 +21,13 @@ import (
 // TestQueryETagsGolden is the byte oracle for computed responses: for
 // each production-scale world it sweeps /v1/asof point, timeline and
 // diff, delegation-lookup and filtered-price requests keyed from the
-// world's own transfer log, and compares every response's ETag with
-// testdata/queries.golden. Unlike the naive-replay property tests, which
-// compare result sets, it fails on any change in the order of a
-// response's delegation lists. Regenerate with -update-etags only for a
-// change that means to move bytes.
+// world's own transfer log, and compares every response body's
+// fingerprint (bodyFingerprint) with testdata/queries.golden; each
+// response's ETag must be the one its body derives (serve.ETagOf).
+// Unlike the naive-replay property tests, which compare result sets, it
+// fails on any change in the order of a response's delegation lists.
+// Regenerate with -update-etags only for a change that means to move
+// bytes.
 func TestQueryETagsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three production-scale worlds")
@@ -39,7 +42,10 @@ func TestQueryETagsGolden(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s %s: status %d: %s", w.name, path, rec.Code, rec.Body)
 			}
-			fmt.Fprintf(&got, "%s %s %s\n", w.name, path, rec.Header().Get("ETag"))
+			if etag := rec.Header().Get("ETag"); etag != serve.ETagOf(rec.Body.Bytes()) {
+				t.Errorf("%s %s: ETag %s, body derives %s", w.name, path, etag, serve.ETagOf(rec.Body.Bytes()))
+			}
+			fmt.Fprintf(&got, "%s %s %s\n", w.name, path, bodyFingerprint(rec.Body.Bytes()))
 			if strings.HasPrefix(path, "/v1/asof?") {
 				var doc struct {
 					Covering []json.RawMessage `json:"delegations_covering"`

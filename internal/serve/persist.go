@@ -156,20 +156,24 @@ func assembleArtifacts(arts []store.Artifact) (static map[string]*artifact, aux 
 			art = &artifact{}
 			static[a.Key] = art
 		}
+		// A strong tag is content-derived, so a stored tag of the current
+		// form must match the body it travels with: an integrity check
+		// beyond the store's CRCs. A tag without the form's '-' was
+		// written by an earlier release, which tagged bodies with a
+		// 64-bit hash; the body it travels with passed Load's frame CRC,
+		// so it is re-tagged from that body.
+		etag := etagOf(a.Body)
+		if a.ETag != etag && strings.IndexByte(a.ETag, '-') >= 0 {
+			return nil, nil, fmt.Errorf("serve: artifact %q (%s): stored ETag %s does not match body (%s)",
+				a.Key, a.ContentType, a.ETag, etag)
+		}
 		switch a.ContentType {
 		case ctypeJSON:
-			art.json, art.jsonETag = a.Body, a.ETag
+			art.json, art.jsonETag = a.Body, etag
 		case ctypeCSV:
-			art.csv, art.csvETag = a.Body, a.ETag
+			art.csv, art.csvETag = a.Body, etag
 		default:
 			return nil, nil, fmt.Errorf("serve: artifact %q: unknown content type %q", a.Key, a.ContentType)
-		}
-		// The stored ETag must match the body it travels with — a strong
-		// tag is content-derived, so this doubles as an integrity check
-		// beyond the store's CRCs.
-		if want := etagOf(a.Body); a.ETag != want {
-			return nil, nil, fmt.Errorf("serve: artifact %q (%s): stored ETag %s does not match body (%s)",
-				a.Key, a.ContentType, a.ETag, want)
 		}
 	}
 	return static, aux, nil

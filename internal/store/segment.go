@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 )
 
@@ -64,6 +65,20 @@ type Artifact struct {
 	ContentType string
 	ETag        string
 	Body        []byte
+}
+
+// ETag formats the strong entity tag of a byte sequence with IEEE CRC-32
+// crc and length size: the quoted form "%08x-%d". Served bodies and
+// replicated segment files are both tagged this way.
+func ETag(crc uint32, size int64) string {
+	const digits = "0123456789abcdef"
+	var buf [len(`"ffffffff-9223372036854775807"`)]byte
+	tag := append(buf[:0], '"')
+	for shift := 28; shift >= 0; shift -= 4 {
+		tag = append(tag, digits[crc>>shift&0xf])
+	}
+	tag = strconv.AppendInt(append(tag, '-'), size, 10)
+	return string(append(tag, '"'))
 }
 
 // maxFrameBody bounds a single frame body (1 GiB) so a corrupt length

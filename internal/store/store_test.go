@@ -82,6 +82,19 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 // TestEncodeSegmentDeterministic pins byte-identical encoding for
 // identical inputs — segments are content-addressable by their CRC.
+// TestETagFormat holds ETag to the form the replication leader served
+// segments under before the formatter moved here, fmt's "%08x-%d" quoted,
+// at the edges of both fields.
+func TestETagFormat(t *testing.T) {
+	for _, crc := range []uint32{0, 1, 0xa, 0xdeadbeef, 0xffffffff} {
+		for _, size := range []int64{0, 1, 945245, 1<<63 - 1} {
+			if got, want := ETag(crc, size), fmt.Sprintf("%q", fmt.Sprintf("%08x-%d", crc, size)); got != want {
+				t.Errorf("ETag(%#x, %d) = %s, want %s", crc, size, got, want)
+			}
+		}
+	}
+}
+
 func TestEncodeSegmentDeterministic(t *testing.T) {
 	m := testMeta(7)
 	m.Gen = 3

@@ -53,6 +53,10 @@ var contracts = []contract{
 		// /v1/transfers append encoder against the document it replaced.
 		"TestArtifactETagsGolden", "TestQueryETagsGolden", "TestIndentMatchesMarshalIndent",
 		"TestTransfersBodyMatchesMarshal",
+		// Every strong ETag is the body's CRC-32 and length, and a store
+		// whose tags predate that form still warm-starts, is adopted and
+		// answers ?gen= with the same bodies.
+		"TestETagIsCRC32AndLength", "TestLegacyETagStore",
 		// A one-worker DefaultConfig build stays within its allocation
 		// budget, the generation it leaves within its live-heap budget,
 		// and the /v1/transfers body in a buffer of its size; /varz
